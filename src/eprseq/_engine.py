@@ -15,6 +15,7 @@ Everything here is internal plumbing for :mod:`eprseq.verify`.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from itertools import combinations
 
@@ -217,8 +218,8 @@ def catalog_gf2(n: int, jobs: int = 1):
     """Counts and first-attaining codes of every epr word at order n.
 
     Work is split into contiguous code ranges (the partition depends on
-    the job count); the merge is commutative, so the result is identical
-    for any job count.
+    the job count) run on at most os.cpu_count() threads; the merge is
+    commutative, so the result is identical for any job count.
     """
     total = 1 << tri(n)
     chunk = max(1 << 16, -(-total // max(1, 4 * jobs)))
@@ -232,10 +233,11 @@ def catalog_gf2(n: int, jobs: int = 1):
         return uniq, idx, cnt, start
 
     ranges = [(a, min(a + chunk, total)) for a in range(0, total, chunk)]
-    if jobs > 1 and len(ranges) > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and len(ranges) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda r: process(*r), ranges))
     else:
         results = [process(*r) for r in ranges]

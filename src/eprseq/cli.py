@@ -16,8 +16,9 @@ One verb per invocation::
 FILE may be ``-`` for standard input, and ``-o -`` writes to standard
 output.  Exit status: 0 success / attainable / zero failures, 1 not
 attainable or check failures, 2 usage or parse errors.  ``--jobs``
-(default from EPRSEQ_JOBS) splits enumeration into ranges; output is
-byte-identical for every job count.
+(default from EPRSEQ_JOBS, a positive integer) splits enumeration into
+ranges run on at most os.cpu_count() threads; output is byte-identical
+for every job count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import combinations
 from .classify import classify_epr_z2, classify_pr_char2
 from .gfield import GF2, GF4
 from .matrix import MatrixFormatError, SymMatrix, read_matrix
-from .sequence import OrderLimitError, compute_epr, compute_pr
+from .sequence import DEFAULT_MAX_ORDER, OrderLimitError, compute_epr, compute_pr, principal_minors
 from .verify import (
     DEFAULT_SEED,
     BoundExceededError,
@@ -41,11 +42,12 @@ from .verify import (
 from .witness import NotAttainableError, witness_epr_z2, witness_pr_char2, write_witness
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("EPRSEQ_JOBS", "1")))
-    except ValueError:
-        return 1
+def _jobs(arg: int | None) -> int:
+    """--jobs, else EPRSEQ_JOBS, else 1; anything but a positive count exits 2."""
+    raw = os.environ.get("EPRSEQ_JOBS", "1") if arg is None else str(arg)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"--jobs and EPRSEQ_JOBS take a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _read_matrix_arg(path: str) -> SymMatrix:
@@ -133,14 +135,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.verb == "epr":
+    if args.verb in ("epr", "pr"):
         m = _read_matrix_arg(args.file)
-        print(compute_epr(m, max_order=None if args.force else 24))
-        return 0
-
-    if args.verb == "pr":
-        m = _read_matrix_arg(args.file)
-        print(compute_pr(m, max_order=None if args.force else 24))
+        compute = compute_epr if args.verb == "epr" else compute_pr
+        print(compute(m, max_order=None if args.force else DEFAULT_MAX_ORDER))
         return 0
 
     if args.verb == "minors":
@@ -148,39 +146,23 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not 0 <= args.k <= m.n:
             print(f"error: -k must be in 0..{m.n}", file=sys.stderr)
             return 2
-        for subset in combinations(range(1, m.n + 1), args.k):
-            det = m.principal_submatrix(subset).determinant()
-            label = "{" + ",".join(map(str, subset)) + "}"
+        dets = principal_minors(m)
+        for subset in combinations(range(m.n), args.k):
+            det = int(dets[sum(1 << i for i in subset)])
+            label = "{" + ",".join(str(i + 1) for i in subset) + "}"
             print(f"{label}={m.spec.to_symbol(det)}")
         return 0
 
-    if args.verb == "classify":
-        verdict = classify_epr_z2(args.sequence)
+    if args.verb in ("classify", "classify-pr"):
+        classify = classify_epr_z2 if args.verb == "classify" else classify_pr_char2
+        verdict = classify(args.sequence)
         _print_verdict(verdict, args.json)
         return 0 if verdict.attainable else 1
 
-    if args.verb == "classify-pr":
-        verdict = classify_pr_char2(args.sequence)
-        _print_verdict(verdict, args.json)
-        return 0 if verdict.attainable else 1
-
-    if args.verb == "witness":
+    if args.verb in ("witness", "witness-pr"):
+        witness = witness_epr_z2 if args.verb == "witness" else witness_pr_char2
         try:
-            matrix, recipe = witness_epr_z2(args.sequence)
-        except NotAttainableError as exc:
-            print(exc.verdict.render())
-            return 1
-        stream, close = _open_out(args.output)
-        try:
-            write_witness(matrix, recipe, stream)
-        finally:
-            if close:
-                stream.close()
-        return 0
-
-    if args.verb == "witness-pr":
-        try:
-            matrix, recipe = witness_pr_char2(args.sequence)
+            matrix, recipe = witness(args.sequence)
         except NotAttainableError as exc:
             print(exc.verdict.render())
             return 1
@@ -193,7 +175,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "enumerate":
-        jobs = args.jobs if args.jobs is not None else _default_jobs()
+        jobs = _jobs(args.jobs)
         spec = GF2 if args.field == "gf2" else GF4
         catalog = enumerate_epr(args.n, spec, jobs=jobs, force=args.force)
         stream, close = _open_out(args.catalog)
@@ -205,7 +187,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "verify":
-        jobs = args.jobs if args.jobs is not None else _default_jobs()
+        jobs = _jobs(args.jobs)
         report = compare_with_classifier(args.n, jobs=jobs)
         sys.stdout.write(report.to_text())
         return 0 if report.ok else 1

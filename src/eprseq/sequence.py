@@ -7,16 +7,23 @@ nonzero.  The pr-sequence ``r_0]r_1...r_n`` keeps one bit per order
 (r_k = 1 iff some order-k principal minor is nonzero) plus the flag
 r_0 = 1 iff B has a zero diagonal entry.
 
-Computing either sequence enumerates all 2^n - 1 nonempty principal
-index subsets, so the cost grows as 2^n determinants; a guardrail
-rejects orders above DEFAULT_MAX_ORDER unless lifted explicitly.
+Both sequences are read off one table of all 2^n principal minors,
+built by the characteristic-2 bordering identity in O(n 2^n) field
+operations and 2^n bytes (see principal_minors); a guardrail rejects
+orders above DEFAULT_MAX_ORDER unless lifted explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
-from .matrix import SymMatrix, _generic_det, _gf2_det
+import numpy as np
+
+from .gfield import FieldSpec
+# The elimination kernels stay importable here: bench/tracer.py wraps them by these names.
+from .matrix import SymMatrix, _generic_det, _gf2_det  # noqa: F401
 
 EPR_LETTERS = "ASN"
 DEFAULT_MAX_ORDER = 24
@@ -74,96 +81,70 @@ def pr_of_epr(epr: str, zero_diag: int | bool) -> PrSequence:
     return PrSequence(1 if zero_diag else 0, bits)
 
 
-def _check_order(m: SymMatrix, max_order: int | None) -> int:
+def check_order(n: int, max_order: int | None = DEFAULT_MAX_ORDER) -> None:
+    """Raise OrderLimitError when order n exceeds max_order (None lifts the bound)."""
+    if max_order is not None and n > max_order:
+        raise OrderLimitError(
+            f"order {n} exceeds the guardrail {max_order} "
+            "(the principal-minor table takes 2^n bytes)"
+        )
+
+
+@lru_cache(maxsize=None)
+def _mul_table(spec: FieldSpec) -> np.ndarray:
+    q = range(spec.order)
+    return np.array([[spec.mul(a, b) for b in q] for a in q], np.uint8)
+
+
+def principal_minors(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> np.ndarray:
+    """det B[S] for every index subset S, as a uint8 array indexed by bitmask.
+
+    Bit i selects index i + 1; det B[{}] = 1.  In characteristic 2 the cross
+    terms of c^T adj(A) c cancel in pairs, so with no pivot, for j > max S,
+    det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}].
+    """
+    check_order(m.n, max_order)
+    mul = _mul_table(m.spec)
+    dets = np.ones(1 << m.n, np.uint8)
+    for j, row in enumerate(m.rows):
+        lower, upper = dets[: 1 << j], dets[1 << j : 2 << j]
+        np.take(mul[row[j]], lower, out=upper)
+        for i in range(j):
+            c = mul[row[i], row[i]]
+            if c:  # masks holding bit i take the minor of the mask without it
+                term = lower.reshape(-1, 2, 1 << i)[:, 0]
+                dst = upper.reshape(-1, 2, 1 << i)[:, 1]
+                dst ^= term if c == 1 else mul[c][term]
+    return dets
+
+
+_BYTE_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)
+_POPCOUNT16 = np.add.outer(_BYTE_POPCOUNT, _BYTE_POPCOUNT).ravel()
+
+
+def _nonzero_per_order(m: SymMatrix, max_order: int | None) -> list[int]:
+    """Nonzero principal minors of each order 0..n."""
     if m.n < 1:
         raise ValueError("sequences are defined for order >= 1")
-    if max_order is not None and m.n > max_order:
-        raise OrderLimitError(
-            f"order {m.n} exceeds the guardrail {max_order} "
-            "(cost grows as 2^n determinants); pass max_order=None to override"
-        )
-    return m.n
-
-
-def _subset_dets(m: SymMatrix):
-    """Return a mask -> determinant callable for principal submatrices."""
-    if m.spec.degree == 1:
-        bits = m.bit_rows()
-
-        def det(mask: int) -> int:
-            idx = []
-            w = mask
-            while w:
-                low = w & -w
-                idx.append(low.bit_length() - 1)
-                w ^= low
-            sub = []
-            for i in idx:
-                r = bits[i]
-                x = 0
-                for t, j in enumerate(idx):
-                    x |= ((r >> j) & 1) << t
-                sub.append(x)
-            return _gf2_det(sub, len(idx))
-
-        return det
-
-    rows = m.rows
-    spec = m.spec
-
-    def det(mask: int) -> int:
-        idx = []
-        w = mask
-        while w:
-            low = w & -w
-            idx.append(low.bit_length() - 1)
-            w ^= low
-        grid = [[rows[i][j] for j in idx] for i in idx]
-        return _generic_det(grid, spec)
-
-    return det
+    # Blocks of at most 2^16 masks: bincount widens its input to intp.
+    low = min(m.n, 16)
+    pc = _POPCOUNT16[: 1 << low]
+    counts = np.zeros(m.n + 1, np.int64)
+    for high, block in enumerate(principal_minors(m, max_order).reshape(-1, 1 << low)):
+        top = high.bit_count()
+        counts[top : top + low + 1] += np.bincount(pc[block != 0], minlength=low + 1)
+    return counts.tolist()
 
 
 def compute_epr(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> str:
-    """epr-sequence of a symmetric matrix.
-
-    Subsets are enumerated in increasing bitmask order, aggregated per
-    popcount; once an order has seen both a zero and a nonzero minor its
-    letter is S and further determinants of that order are skipped.
-    """
-    n = _check_order(m, max_order)
-    det = _subset_dets(m)
-    seen_zero = [False] * (n + 1)
-    seen_nonzero = [False] * (n + 1)
-    for mask in range(1, 1 << n):
-        k = mask.bit_count()
-        if seen_zero[k] and seen_nonzero[k]:
-            continue
-        if det(mask):
-            seen_nonzero[k] = True
-        else:
-            seen_zero[k] = True
-    letters = []
-    for k in range(1, n + 1):
-        if seen_nonzero[k] and seen_zero[k]:
-            letters.append("S")
-        elif seen_nonzero[k]:
-            letters.append("A")
-        else:
-            letters.append("N")
-    return "".join(letters)
+    """epr-sequence: letter k says if all, some or none of the order-k minors are nonzero."""
+    counts = _nonzero_per_order(m, max_order)
+    return "".join(
+        "N" if c == 0 else "A" if c == comb(m.n, k) else "S" for k, c in enumerate(counts) if k
+    )
 
 
 def compute_pr(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> PrSequence:
-    """pr-sequence of a symmetric matrix (independent of compute_epr)."""
-    n = _check_order(m, max_order)
-    det = _subset_dets(m)
-    hit = [False] * (n + 1)
-    for mask in range(1, 1 << n):
-        k = mask.bit_count()
-        if hit[k]:
-            continue
-        if det(mask):
-            hit[k] = True
-    bits = "".join("1" if hit[k] else "0" for k in range(1, n + 1))
+    """pr-sequence: bit k is 1 iff some order-k principal minor is nonzero."""
+    bits = "".join("1" if c else "0" for c in _nonzero_per_order(m, max_order)[1:])
     return PrSequence(1 if m.has_zero_diagonal() else 0, bits)

@@ -16,7 +16,7 @@ from typing import TextIO
 from . import matrix as mx
 from .classify import Verdict, classify_epr_z2, classify_pr_char2
 from .matrix import SymMatrix
-from .sequence import PrSequence, compute_epr, compute_pr, parse_epr, parse_pr
+from .sequence import PrSequence, check_order, compute_epr, compute_pr, parse_epr, parse_pr
 
 
 class NotAttainableError(ValueError):
@@ -152,17 +152,19 @@ def _epr_recipe(family: str, word: str) -> tuple[SymMatrix, list[str]]:
 def witness_epr_z2(epr: str) -> tuple[SymMatrix, Recipe]:
     """Symmetric GF(2) matrix attaining the given epr word, with recipe.
 
-    Raises NotAttainableError when the classifier rejects the word.  The
+    Raises NotAttainableError when the classifier rejects the word, and
+    OrderLimitError above DEFAULT_MAX_ORDER before building anything.  The
     result is re-verified with compute_epr before returning.
     """
     word = parse_epr(epr)
     verdict = classify_epr_z2(word)
     if not verdict.attainable:
         raise NotAttainableError(word, verdict)
+    check_order(len(word))
     family = verdict.matched[0]
     built, steps = _epr_recipe(family, word)
     recipe = Recipe(family, tuple(steps))
-    got = compute_epr(built, max_order=None)
+    got = compute_epr(built)
     if got != word:
         raise WitnessMismatchError(
             f"recipe {recipe.render()} built a matrix attaining {got}, wanted {word}"
@@ -205,15 +207,16 @@ def _pr_recipe(family: str, seq: PrSequence) -> tuple[SymMatrix, list[str]]:
 
 
 def witness_pr_char2(pr: PrSequence | str) -> tuple[SymMatrix, Recipe]:
-    """Symmetric GF(2) matrix attaining the given pr-sequence, with recipe."""
+    """GF(2) matrix attaining the given pr-sequence, with recipe; raises as witness_epr_z2."""
     seq = parse_pr(pr) if isinstance(pr, str) else pr
     verdict = classify_pr_char2(seq)
     if not verdict.attainable:
         raise NotAttainableError(str(seq), verdict)
+    check_order(seq.order)
     family = verdict.matched[0]
     built, steps = _pr_recipe(family, seq)
     recipe = Recipe(family, tuple(steps))
-    got = compute_pr(built, max_order=None)
+    got = compute_pr(built)
     if got != seq:
         raise WitnessMismatchError(
             f"recipe {recipe.render()} built a matrix attaining {got}, wanted {seq}"

@@ -1,7 +1,10 @@
 import io
+import time
 from pathlib import Path
 
-from eprseq import read_matrix, witness_epr_z2
+import pytest
+
+from eprseq import identity, read_matrix, witness_epr_z2
 from eprseq.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -162,3 +165,39 @@ def test_byte_stable_output(capsys):
     first = run(capsys, "epr", str(DATA / "nansnn.txt"))
     second = run(capsys, "epr", str(DATA / "nansnn.txt"))
     assert first == second == (0, "NANSNN\n", "")
+
+
+def test_order_above_guardrail_exits_2_before_any_table(capsys, tmp_path):
+    big = tmp_path / "order25.txt"
+    big.write_text(identity(25).to_text())
+    start = time.perf_counter()
+    for argv in (
+        ("epr", str(big)),
+        ("pr", str(big)),
+        ("minors", str(big), "-k", "1"),
+        ("witness", "A" * 25),
+        ("witness-pr", "0]" + "1" * 25),
+        ("witness", "A" * 40),  # re-verifying would need a 2^40-byte table
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "guardrail 24" in err, argv
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_nonpositive_jobs_exit_2(capsys, jobs):
+    for verb in ("enumerate", "verify"):
+        code, out, err = run(capsys, verb, "-n", "2", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert "positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["", "two", "0", "-1", "1.5"])
+def test_malformed_jobs_env_exit_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("EPRSEQ_JOBS", value)
+    code, out, err = run(capsys, "enumerate", "-n", "2")
+    assert (code, out) == (2, "")
+    assert "EPRSEQ_JOBS" in err
+    # an explicit --jobs takes precedence over the environment
+    assert run(capsys, "enumerate", "-n", "2", "--jobs", "1")[0] == 0

@@ -1,7 +1,11 @@
 import random
 from pathlib import Path
 
+import numpy as np
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprseq import (
     GF2,
@@ -13,6 +17,7 @@ from eprseq import (
     compute_epr,
     compute_pr,
     coned_matching,
+    field_make,
     identity,
     loop_split_graph,
     ones,
@@ -23,7 +28,8 @@ from eprseq import (
     read_matrix,
     zeros,
 )
-from oracles import all_symmetric_gf2, naive_epr, naive_pr
+from eprseq.sequence import principal_minors
+from oracles import all_symmetric_gf2, laplace_det, naive_epr, naive_pr, subgrid
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,12 +100,15 @@ def test_order_guardrail():
     assert compute_epr(identity(5), max_order=5) == "AAAAA"
     with pytest.raises(ValueError):
         compute_epr(zeros(0))
+    with pytest.raises(OrderLimitError):
+        principal_minors(big)
+    assert principal_minors(zeros(0)).tolist() == [1]
 
 
 # -- properties -------------------------------------------------------------------
 
 def test_pr_equals_pr_of_epr_exhaustive():
-    # independent enumerations must agree for every GF(2) matrix, n <= 5
+    # both aggregations of the minor table must agree for every GF(2) matrix, n <= 5
     for n in range(1, 6):
         for m in all_symmetric_gf2(n):
             epr = compute_epr(m)
@@ -136,3 +145,40 @@ def test_last_letter_never_s():
         word = compute_epr(m)
         assert word[-1] in "AN"
         assert (word[-1] == "A") == (m.determinant() != 0)
+
+
+# -- the principal-minor kernel against the Laplace oracle ----------------------
+
+@st.composite
+def symmetric_matrices(draw, spec, max_n=7):
+    n = draw(st.integers(1, max_n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(0, spec.order - 1))
+    return SymMatrix(spec, rows)
+
+
+FIELDS = pytest.mark.parametrize("spec", [GF2, GF4, field_make(3)], ids=lambda s: s.name)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_principal_minors_match_laplace(spec, data):
+    m = data.draw(symmetric_matrices(spec))
+    dets = principal_minors(m)
+    assert dets.dtype == np.uint8 and dets.size == 1 << m.n
+    for mask in range(1 << m.n):
+        idx = [i for i in range(m.n) if mask >> i & 1]
+        assert dets[mask] == laplace_det(subgrid(m, idx, idx), spec), idx
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_sequences_match_naive_enumeration(spec, data):
+    m = data.draw(symmetric_matrices(spec))
+    assert compute_epr(m) == naive_epr(m)
+    assert compute_pr(m) == naive_pr(m)

@@ -189,3 +189,24 @@ def test_suite_report_format():
     assert len(lines) >= 16
     name, cases, failures = lines[0].split()
     assert int(cases) > 0 and failures == "0"
+
+
+def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+    import os
+
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    class RecordingPool:  # stands in for ThreadPoolExecutor; starts no thread
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+            raise Stop
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    with pytest.raises(Stop):
+        eng.catalog_gf2(6, jobs=4096)
+    assert seen == [2]
