@@ -1,14 +1,13 @@
-"""Vectorized batch kernels for exhaustive GF(2)/GF(4) verification.
+"""Exhaustive GF(2)/GF(4) sweeps on the batched principal-minor kernel.
 
-A symmetric order-n GF(2) matrix is encoded as the integer whose bits
-are the n(n+1)/2 upper-triangle entries in row-major order; ascending
-code order is the canonical enumeration order.  Determinants of all
-matrices of one order are resolved through lookup tables indexed by
-these codes, built once by batch bit-packed elimination; principal
-submatrix determinants reduce to bit gathers into smaller tables.
-
-GF(4) matrices use the same triangle layout with two bits per entry and
-batch elimination driven by 4x4 multiplication tables.
+A symmetric order-n matrix is encoded as the integer whose bit fields
+are the n(n+1)/2 upper-triangle entries in row-major order, one bit per
+entry over GF(2) and two over GF(4); ascending code order is the
+canonical enumeration order.  A batch of codes is decoded into an
+(n, n, B) entry array and handed to :func:`eprseq.sequence.minor_tables`,
+the char-2 bordering kernel that also computes single-matrix sequences,
+and every letter is read off its (2^n, B) table of principal minors:
+A where every minor of an order is nonzero, N where none is.
 
 Everything here is internal plumbing for :mod:`eprseq.verify`.
 """
@@ -17,11 +16,11 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .gfield import GF4
+from .gfield import GF2, GF4, FieldSpec
+from .sequence import DEFAULT_MAX_ORDER, minor_tables
 
 _MAX_TABLE_ORDER = 6
 
@@ -49,8 +48,164 @@ def pos_of(n: int, i: int, j: int) -> int:
     return _positions(n)[(i, j)]
 
 
+def decode_entries(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarray:
+    """Entries (n, n, B) of the matrices encoded by ``codes``."""
+    ent = np.empty((n, n, codes.size), np.uint8)
+    for (i, j), p in _positions(n).items():
+        ent[i, j] = ent[j, i] = (codes >> (spec.degree * p)) & (spec.order - 1)
+    return ent
+
+
+@lru_cache(maxsize=None)
+def _order_classes(n: int) -> list[np.ndarray]:
+    """The subset masks of each size 1..n."""
+    return [np.array([m for m in range(1 << n) if m.bit_count() == k]) for k in range(1, n + 1)]
+
+
+def code_letters(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarray:
+    """Letter codes (0=N, 1=S, 2=A), shape (n, B), of the matrices encoded by ``codes``.
+
+    Codes go through the kernel in batches whose (2^n, B) minor table
+    stays within 2^DEFAULT_MAX_ORDER bytes, the table of one order-24 matrix.
+    """
+    letters = np.empty((n, codes.size), np.uint8)
+    step = 1 << (DEFAULT_MAX_ORDER - n)
+    for a in range(0, codes.size, step):
+        dets = minor_tables(decode_entries(codes[a : a + step], n, spec), spec)
+        for k, masks in enumerate(_order_classes(n)):
+            minors = dets[masks]  # every order-(k + 1) principal minor
+            some = minors.max(axis=0) != 0
+            every = minors.min(axis=0) != 0
+            letters[k, a : a + step] = some.view(np.uint8) + every  # N=0, S=1, A=2
+    return letters
+
+
+@lru_cache(maxsize=None)
+def letter_arrays(n: int) -> tuple[np.ndarray, ...]:
+    """Letter arrays over all codes of order n (cached; n <= 6)."""
+    if n > _MAX_TABLE_ORDER:
+        raise ValueError(f"letter arrays are built up to order {_MAX_TABLE_ORDER}")
+    letters = code_letters(np.arange(1 << tri(n), dtype=np.uint32), n)
+    letters.setflags(write=False)
+    return tuple(letters)
+
+
+@lru_cache(maxsize=None)
+def det_table(k: int) -> np.ndarray:
+    """det (0/1) of every symmetric k x k GF(2) matrix, indexed by code."""
+    if k == 0:
+        return np.ones(1, np.uint8)
+    table = (letter_arrays(k)[k - 1] == 2).view(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def rank_array(n: int) -> np.ndarray:
+    """Rank of every code: largest order with a nonzero principal minor."""
+    letters = letter_arrays(n)
+    rank = np.zeros(1 << tri(n), np.uint8)
+    for k in range(1, n + 1):
+        rank = np.where(letters[k - 1] != 0, k, rank).astype(np.uint8)
+    rank.setflags(write=False)
+    return rank
+
+
+def subcode_gather(codes: np.ndarray, n: int, alpha: tuple[int, ...]) -> np.ndarray:
+    """Codes of the principal submatrices on 0-based index tuple alpha."""
+    k = len(alpha)
+    if k == n:
+        return codes
+    sub = np.zeros_like(codes)
+    for r in range(k):
+        for s in range(r, k):
+            src = pos_of(n, alpha[r], alpha[s])
+            dst = pos_of(k, r, s)
+            sub |= ((codes >> src) & 1) << dst
+    return sub
+
+
+def letters_to_keys(letters: np.ndarray) -> np.ndarray:
+    key = np.zeros(letters.shape[1], np.uint32)
+    for k, arr in enumerate(letters):
+        key |= arr.astype(np.uint32) << (2 * k)
+    return key
+
+
+def key_to_word(key: int, n: int) -> str:
+    return "".join(_LETTER_CHARS[(key >> (2 * k)) & 3] for k in range(n))
+
+
+def gf2_entries_from_code(code: int, n: int) -> list[list[int]]:
+    ent = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            bit = (code >> pos_of(n, i, j)) & 1
+            ent[i][j] = ent[j][i] = int(bit)
+    return ent
+
+
+def gf4_entries_from_code(code: int, n: int) -> list[list[int]]:
+    ent = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = (code >> (2 * pos_of(n, i, j))) & 3
+            ent[i][j] = ent[j][i] = int(v)
+    return ent
+
+
+def _merge_chunks(results, n):
+    counts: dict[str, int] = {}
+    exemplar: dict[str, int] = {}
+    for keys, idx, cnt, offset in results:
+        for key, first, c in zip(keys.tolist(), idx.tolist(), cnt.tolist()):
+            word = key_to_word(key, n)
+            counts[word] = counts.get(word, 0) + c
+            if word not in exemplar:
+                exemplar[word] = first + offset
+    return counts, exemplar
+
+
+def _catalog(n: int, spec: FieldSpec, jobs: int):
+    """Counts and first-attaining codes of every epr word at order n over spec.
+
+    Work is split into contiguous code ranges (the partition depends on
+    the job count) run on at most os.cpu_count() threads; the merge is
+    commutative, so the result is identical for any job count.
+    """
+    total = 1 << (spec.degree * tri(n))
+    chunk = max(1 << 16, -(-total // max(1, 4 * jobs)))
+    chunk = min(chunk, 1 << 20)  # bound per-chunk memory for the n=7 sweep
+
+    def process(start: int, stop: int):
+        keys = letters_to_keys(code_letters(np.arange(start, stop, dtype=np.uint32), n, spec))
+        uniq, idx, cnt = np.unique(keys, return_index=True, return_counts=True)
+        return uniq, idx, cnt, start
+
+    ranges = [(a, min(a + chunk, total)) for a in range(0, total, chunk)]
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and len(ranges) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda r: process(*r), ranges))
+    else:
+        results = [process(*r) for r in ranges]
+    return _merge_chunks(results, n)
+
+
+def catalog_gf2(n: int, jobs: int = 1):
+    """Counts and first-attaining codes of every GF(2) epr word at order n."""
+    return _catalog(n, GF2, jobs)
+
+
+def catalog_gf4(n: int):
+    """Counts and first-attaining codes over GF(4) at order n (n <= 4)."""
+    return _catalog(n, GF4, 1)
+
+
 # ---------------------------------------------------------------------------
-# GF(2) kernels
+# bit-packed rows for the structural code maps used by the theorem suite
 # ---------------------------------------------------------------------------
 
 def decode_rows(codes: np.ndarray, n: int) -> np.ndarray:
@@ -73,25 +228,6 @@ def encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return codes
 
 
-def batch_det2(rows: np.ndarray) -> np.ndarray:
-    """Boolean nonsingularity of a batch of bit-packed square matrices."""
-    work = rows.copy()
-    batch, k = work.shape
-    ok = np.ones(batch, bool)
-    ar = np.arange(batch)
-    for j in range(k):
-        has = (work[:, j:] >> j) & 1
-        piv = j + has.argmax(axis=1)
-        pivrow = work[ar, piv]
-        work[ar, piv] = work[:, j]
-        work[:, j] = pivrow
-        ok &= ((pivrow >> j) & 1).astype(bool)
-        if j + 1 < k:
-            mask = ((work[:, j + 1 :] >> j) & 1).astype(np.uint16)
-            work[:, j + 1 :] ^= mask * pivrow[:, None]
-    return ok
-
-
 def batch_jordan_inverse2(rows: np.ndarray, k: int) -> np.ndarray:
     """Inverses of a batch of nonsingular bit-packed k x k matrices."""
     batch = rows.shape[0]
@@ -110,213 +246,6 @@ def batch_jordan_inverse2(rows: np.ndarray, k: int) -> np.ndarray:
         aug ^= mask * pivrow[:, None]
     return aug >> k
 
-
-@lru_cache(maxsize=None)
-def det_table(k: int) -> np.ndarray:
-    """det (0/1) of every symmetric k x k GF(2) matrix, indexed by code."""
-    if k > _MAX_TABLE_ORDER:
-        raise ValueError(f"det tables are built up to order {_MAX_TABLE_ORDER}")
-    if k == 0:
-        return np.ones(1, np.uint8)
-    codes = np.arange(1 << tri(k), dtype=np.uint32)
-    table = batch_det2(decode_rows(codes, k)).astype(np.uint8)
-    table.setflags(write=False)
-    return table
-
-
-def subcode_gather(codes: np.ndarray, n: int, alpha: tuple[int, ...]) -> np.ndarray:
-    """Codes of the principal submatrices on 0-based index tuple alpha."""
-    k = len(alpha)
-    if k == n:
-        return codes
-    sub = np.zeros_like(codes)
-    for r in range(k):
-        for s in range(r, k):
-            src = pos_of(n, alpha[r], alpha[s])
-            dst = pos_of(k, r, s)
-            sub |= ((codes >> src) & 1) << dst
-    return sub
-
-
-def _letters_for_codes(codes: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per-order letter codes (0=N, 1=S, 2=A) for a batch of matrices."""
-    letters = []
-    for k in range(1, n + 1):
-        all_nonzero = np.ones(codes.size, bool)
-        any_nonzero = np.zeros(codes.size, bool)
-        for alpha in combinations(range(n), k):
-            if k == n:
-                dets = batch_det2(decode_rows(codes, n)) if n > _MAX_TABLE_ORDER else (
-                    det_table(n)[codes].astype(bool)
-                )
-            else:
-                dets = det_table(k)[subcode_gather(codes, n, alpha)].astype(bool)
-            all_nonzero &= dets
-            any_nonzero |= dets
-        letters.append(
-            np.where(all_nonzero, 2, np.where(any_nonzero, 1, 0)).astype(np.uint8)
-        )
-    return letters
-
-
-@lru_cache(maxsize=None)
-def letter_arrays(n: int) -> tuple[np.ndarray, ...]:
-    """Letter arrays over all codes of order n (cached; n <= 6)."""
-    if n > _MAX_TABLE_ORDER:
-        raise ValueError(f"letter arrays are built up to order {_MAX_TABLE_ORDER}")
-    codes = np.arange(1 << tri(n), dtype=np.uint32)
-    letters = _letters_for_codes(codes, n)
-    for arr in letters:
-        arr.setflags(write=False)
-    return tuple(letters)
-
-
-@lru_cache(maxsize=None)
-def rank_array(n: int) -> np.ndarray:
-    """Rank of every code: largest order with a nonzero principal minor."""
-    letters = letter_arrays(n)
-    rank = np.zeros(1 << tri(n), np.uint8)
-    for k in range(1, n + 1):
-        rank = np.where(letters[k - 1] != 0, k, rank).astype(np.uint8)
-    rank.setflags(write=False)
-    return rank
-
-
-def letters_to_keys(letters: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    key = np.zeros(letters[0].size, np.uint32)
-    for k, arr in enumerate(letters):
-        key |= arr.astype(np.uint32) << (2 * k)
-    return key
-
-
-def key_to_word(key: int, n: int) -> str:
-    return "".join(_LETTER_CHARS[(key >> (2 * k)) & 3] for k in range(n))
-
-
-def gf2_entries_from_code(code: int, n: int) -> list[list[int]]:
-    ent = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            bit = (code >> pos_of(n, i, j)) & 1
-            ent[i][j] = ent[j][i] = int(bit)
-    return ent
-
-
-def _merge_chunks(results, n):
-    counts: dict[str, int] = {}
-    exemplar: dict[str, int] = {}
-    for keys, idx, cnt, offset in results:
-        for key, first, c in zip(keys.tolist(), idx.tolist(), cnt.tolist()):
-            word = key_to_word(key, n)
-            counts[word] = counts.get(word, 0) + c
-            if word not in exemplar:
-                exemplar[word] = first + offset
-    return counts, exemplar
-
-
-def catalog_gf2(n: int, jobs: int = 1):
-    """Counts and first-attaining codes of every epr word at order n.
-
-    Work is split into contiguous code ranges (the partition depends on
-    the job count) run on at most os.cpu_count() threads; the merge is
-    commutative, so the result is identical for any job count.
-    """
-    total = 1 << tri(n)
-    chunk = max(1 << 16, -(-total // max(1, 4 * jobs)))
-    chunk = min(chunk, 1 << 20)  # bound per-chunk memory for the n=7 sweep
-
-    def process(start: int, stop: int):
-        codes = np.arange(start, stop, dtype=np.uint32)
-        letters = _letters_for_codes(codes, n)
-        keys = letters_to_keys(letters)
-        uniq, idx, cnt = np.unique(keys, return_index=True, return_counts=True)
-        return uniq, idx, cnt, start
-
-    ranges = [(a, min(a + chunk, total)) for a in range(0, total, chunk)]
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1 and len(ranges) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: process(*r), ranges))
-    else:
-        results = [process(*r) for r in ranges]
-    return _merge_chunks(results, n)
-
-
-# ---------------------------------------------------------------------------
-# GF(4) kernels
-# ---------------------------------------------------------------------------
-
-MUL4 = np.array([[GF4.mul(a, b) for b in range(4)] for a in range(4)], np.uint8)
-INV4 = np.array([0, GF4.inv(1), GF4.inv(2), GF4.inv(3)], np.uint8)
-
-
-def decode_entries4(codes: np.ndarray, n: int) -> np.ndarray:
-    ent = np.zeros((codes.size, n, n), np.uint8)
-    for i in range(n):
-        for j in range(i, n):
-            v = ((codes >> (2 * pos_of(n, i, j))) & 3).astype(np.uint8)
-            ent[:, i, j] = v
-            ent[:, j, i] = v
-    return ent
-
-
-def batch_det4(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a batch of square GF(4) matrices (entry values 0..3)."""
-    work = mats.copy()
-    batch, k, _ = work.shape
-    det = np.ones(batch, np.uint8)
-    ar = np.arange(batch)
-    for c in range(k):
-        col = work[:, c:, c]
-        piv = c + (col != 0).argmax(axis=1)
-        pivrow = work[ar, piv]
-        work[ar, piv] = work[:, c]
-        work[:, c] = pivrow
-        pv = work[:, c, c]
-        det = MUL4[det, pv]
-        if c + 1 < k:
-            fac = MUL4[work[:, c + 1 :, c], INV4[pv][:, None]]
-            work[:, c + 1 :, :] ^= MUL4[fac[:, :, None], work[:, c : c + 1, :]]
-    return det
-
-
-def gf4_entries_from_code(code: int, n: int) -> list[list[int]]:
-    ent = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = (code >> (2 * pos_of(n, i, j))) & 3
-            ent[i][j] = ent[j][i] = int(v)
-    return ent
-
-
-def catalog_gf4(n: int):
-    """Counts and first-attaining codes over GF(4) at order n (n <= 4)."""
-    total = 1 << (2 * tri(n))
-    codes = np.arange(total, dtype=np.uint32)
-    ent = decode_entries4(codes, n)
-    letters = []
-    for k in range(1, n + 1):
-        all_nonzero = np.ones(total, bool)
-        any_nonzero = np.zeros(total, bool)
-        for alpha in combinations(range(n), k):
-            idx = np.array(alpha)
-            sub = ent[:, idx[:, None], idx[None, :]]
-            dets = batch_det4(sub) != 0
-            all_nonzero &= dets
-            any_nonzero |= dets
-        letters.append(
-            np.where(all_nonzero, 2, np.where(any_nonzero, 1, 0)).astype(np.uint8)
-        )
-    keys = letters_to_keys(letters)
-    uniq, idx, cnt = np.unique(keys, return_index=True, return_counts=True)
-    return _merge_chunks([(uniq, idx, cnt, 0)], n)
-
-
-# ---------------------------------------------------------------------------
-# structural code maps used by the theorem suite
-# ---------------------------------------------------------------------------
 
 _PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << 8)], np.uint8)
 

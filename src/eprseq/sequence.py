@@ -9,12 +9,17 @@ r_0 = 1 iff B has a zero diagonal entry.
 
 Both sequences are read off one table of all 2^n principal minors,
 built by the characteristic-2 bordering identity in O(n 2^n) field
-operations and 2^n bytes (see principal_minors); a guardrail rejects
-orders above DEFAULT_MAX_ORDER unless lifted explicitly.
+operations and 2^n bytes.  The kernel, minor_tables, builds the tables
+of a whole batch of matrices at once; the exhaustive sweeps of
+eprseq._engine feed it decoded batches, and principal_minors is its
+one-matrix call.  A guardrail rejects orders above DEFAULT_MAX_ORDER
+unless lifted explicitly, and no order whose table exceeds physical
+memory is ever attempted.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -81,12 +86,26 @@ def pr_of_epr(epr: str, zero_diag: int | bool) -> PrSequence:
     return PrSequence(1 if zero_diag else 0, bits)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or the guardrail's table size where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 1 << DEFAULT_MAX_ORDER
+
+
 def check_order(n: int, max_order: int | None = DEFAULT_MAX_ORDER) -> None:
-    """Raise OrderLimitError when order n exceeds max_order (None lifts the bound)."""
+    """Raise OrderLimitError above max_order, or when the 2^n-byte table would not
+    fit in physical memory; max_order=None lifts only the first bound."""
     if max_order is not None and n > max_order:
         raise OrderLimitError(
             f"order {n} exceeds the guardrail {max_order} "
             "(the principal-minor table takes 2^n bytes)"
+        )
+    if 1 << n > _physical_memory():
+        raise OrderLimitError(
+            f"order {n} needs a 2^{n}-byte principal-minor table, "
+            "more than this machine's physical memory"
         )
 
 
@@ -96,26 +115,54 @@ def _mul_table(spec: FieldSpec) -> np.ndarray:
     return np.array([[spec.mul(a, b) for b in q] for a in q], np.uint8)
 
 
-def principal_minors(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """det B[S] for every index subset S, as a uint8 array indexed by bitmask.
+def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """det B[S] for every subset S of each matrix in a batch.
 
-    Bit i selects index i + 1; det B[{}] = 1.  In characteristic 2 the cross
-    terms of c^T adj(A) c cancel in pairs, so with no pivot, for j > max S,
-    det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}].
+    ``entries`` is a uint8 array (n, n, B) holding B symmetric matrices, the
+    batch on the last axis; the result is a uint8 array (2^n, B) indexed by
+    bitmask (bit i selects index i + 1; det B[{}] = 1).  In characteristic 2
+    the cross terms of c^T adj(A) c cancel in pairs, so with no pivot, for
+    j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}].
+    A term whose coefficient c is one value in every column is skipped (c = 0),
+    a plain XOR (c = 1) or a lookup in the row of c; otherwise c * v is the XOR
+    over the bits t of v of c * x^t, which avoids a two-dimensional gather.
     """
-    check_order(m.n, max_order)
-    mul = _mul_table(m.spec)
-    dets = np.ones(1 << m.n, np.uint8)
-    for j, row in enumerate(m.rows):
+    n, _, batch = entries.shape
+    mul = _mul_table(spec)
+    coef = mul.diagonal()[entries]  # b_ij^2, and b_jj on the diagonal
+    coef.reshape(n * n, batch)[:: n + 1] = entries.reshape(n * n, batch)[:: n + 1]
+    if batch == 1:  # two reductions would cost more than a small matrix's terms
+        lo = hi = coef.reshape(n, n).tolist()
+    else:
+        lo, hi = coef.min(axis=2).tolist(), coef.max(axis=2).tolist()
+    dets = np.zeros((1 << n, batch), np.uint8)
+    dets[0] = 1
+    scratch = np.empty_like(dets[: 1 << max(n - 1, 0)])
+    for j in range(n):
         lower, upper = dets[: 1 << j], dets[1 << j : 2 << j]
-        np.take(mul[row[j]], lower, out=upper)
-        for i in range(j):
-            c = mul[row[i], row[i]]
-            if c:  # masks holding bit i take the minor of the mask without it
-                term = lower.reshape(-1, 2, 1 << i)[:, 0]
-                dst = upper.reshape(-1, 2, 1 << i)[:, 1]
-                dst ^= term if c == 1 else mul[c][term]
+        for i in range(j + 1):  # i == j is the b_jj term over every S
+            c = hi[j][i]
+            if not c:
+                continue
+            src = lower if i == j else lower.reshape(-1, 2, 1 << i, batch)[:, 0]
+            dst = upper if i == j else upper.reshape(-1, 2, 1 << i, batch)[:, 1]
+            if c == lo[j][i]:
+                dst ^= src if c == 1 else mul[c][src]
+                continue
+            tmp = scratch[: src.size // batch].reshape(src.shape)
+            for t in range(spec.degree):
+                bit = np.right_shift(src, t, out=tmp) if t else src
+                if t + 1 < spec.degree:
+                    bit = np.bitwise_and(bit, 1, out=tmp)
+                np.multiply(bit, mul[coef[j, i], 1 << t], out=tmp)
+                dst ^= tmp
     return dets
+
+
+def principal_minors(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> np.ndarray:
+    """det B[S] for every index subset S of one matrix: the B = 1 minor_tables call."""
+    check_order(m.n, max_order)
+    return minor_tables(np.array(m.rows, np.uint8).reshape(m.n, m.n, 1), m.spec)[:, 0]
 
 
 _BYTE_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)

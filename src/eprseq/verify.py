@@ -128,18 +128,21 @@ def enumerate_epr(
     return EprCatalog(n, spec.name, dict(counts), exemplar)
 
 
-def attained_pr_sequences(n: int) -> set[str]:
-    """Every pr word attained by a symmetric GF(2) matrix of order n."""
-    if not 1 <= n <= 6:
-        raise BoundExceededError(f"pr enumeration is bounded at n <= 6, got {n}")
-    codes = _all_codes(n)
-    letters = eng.letter_arrays(n)
+def attained_pr_sequences(n: int, spec: FieldSpec = GF2) -> set[str]:
+    """Every pr word attained by a symmetric matrix of order n over GF(2) or GF(4)."""
+    bound = {GF2: 6, GF4: 4}.get(spec)
+    if bound is None:
+        raise BoundExceededError(f"pr enumeration supports gf2 and gf4, not {spec.name}")
+    if not 1 <= n <= bound:
+        raise BoundExceededError(f"pr enumeration is bounded at n <= {bound}, got {n}")
+    codes = np.arange(1 << (spec.degree * eng.tri(n)), dtype=np.uint32)
+    letters = eng.letter_arrays(n) if spec == GF2 else eng.code_letters(codes, n, spec)
     zero_diag = np.zeros(codes.size, bool)
     for i in range(n):
-        zero_diag |= ((codes >> eng.pos_of(n, i, i)) & 1) == 0
+        zero_diag |= ((codes >> (spec.degree * eng.pos_of(n, i, i))) & (spec.order - 1)) == 0
     key = zero_diag.astype(np.uint32) << n
     for k in range(1, n + 1):
-        key |= (letters[k - 1][codes] != 0).astype(np.uint32) << (k - 1)
+        key |= (letters[k - 1] != 0).astype(np.uint32) << (k - 1)
     out = set()
     for val in np.unique(key).tolist():
         bits = "".join("1" if (val >> (k - 1)) & 1 else "0" for k in range(1, n + 1))

@@ -185,6 +185,17 @@ def test_order_above_guardrail_exits_2_before_any_table(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_force_refuses_a_table_beyond_physical_memory(capsys, tmp_path):
+    big = tmp_path / "order40.txt"
+    big.write_text(identity(40).to_text())  # a 2^40-byte (1 TiB) minor table
+    start = time.perf_counter()
+    for verb in ("epr", "pr"):
+        code, out, err = run(capsys, verb, str(big), "--force")
+        assert (code, out) == (2, ""), verb
+        assert "physical memory" in err, verb
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_nonpositive_jobs_exit_2(capsys, jobs):
     for verb in ("enumerate", "verify"):

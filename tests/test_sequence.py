@@ -28,7 +28,7 @@ from eprseq import (
     read_matrix,
     zeros,
 )
-from eprseq.sequence import principal_minors
+from eprseq.sequence import minor_tables, principal_minors
 from oracles import all_symmetric_gf2, laplace_det, naive_epr, naive_pr, subgrid
 
 DATA = Path(__file__).parent / "data"
@@ -102,6 +102,8 @@ def test_order_guardrail():
         compute_epr(zeros(0))
     with pytest.raises(OrderLimitError):
         principal_minors(big)
+    with pytest.raises(OrderLimitError, match="physical memory"):
+        compute_epr(identity(40), max_order=None)  # lifting the guardrail keeps the ceiling
     assert principal_minors(zeros(0)).tolist() == [1]
 
 
@@ -182,3 +184,37 @@ def test_sequences_match_naive_enumeration(spec, data):
     m = data.draw(symmetric_matrices(spec))
     assert compute_epr(m) == naive_epr(m)
     assert compute_pr(m) == naive_pr(m)
+
+
+@st.composite
+def matrix_stacks(draw, spec, max_n=5, max_batch=4):
+    """Entries (n, n, B) of B > 1 matrices; each entry position is 0, 1 or one other
+    value in every column, or mixed, so every kind of kernel term runs."""
+    n = draw(st.integers(1, max_n))
+    batch = draw(st.integers(2, max_batch))
+    value = st.integers(0, spec.order - 1)
+    column = st.one_of(
+        st.sampled_from([0, 1]).map(lambda c: [c] * batch),
+        value.map(lambda c: [c] * batch),
+        st.lists(value, min_size=batch, max_size=batch),
+    )
+    entries = np.zeros((n, n, batch), np.uint8)
+    for i in range(n):
+        for j in range(i, n):
+            entries[i, j] = entries[j, i] = draw(column)
+    return entries
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_batched_minor_tables_match_laplace(spec, data):
+    entries = data.draw(matrix_stacks(spec))
+    n, _, batch = entries.shape
+    dets = minor_tables(entries, spec)
+    assert dets.dtype == np.uint8 and dets.shape == (1 << n, batch)
+    for b in range(batch):
+        rows = entries[:, :, b].tolist()
+        for mask in range(1 << n):
+            idx = [i for i in range(n) if mask >> i & 1]
+            assert dets[mask, b] == laplace_det([[rows[i][j] for j in idx] for i in idx], spec), (b, idx)

@@ -7,6 +7,7 @@ from eprseq import (
     GF2,
     GF4,
     BoundExceededError,
+    accepted_pr_sequences,
     SymMatrix,
     attained_pr_sequences,
     compare_with_classifier,
@@ -16,7 +17,7 @@ from eprseq import (
     theorem_suite,
 )
 from eprseq import _engine as eng
-from oracles import all_symmetric_gf2
+from oracles import all_symmetric_gf2, naive_epr
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -97,6 +98,14 @@ def test_compare_with_classifier_small():
         assert report.ok, report.to_text()
 
 
+def test_gf4_pr_words_match_char2_classifier():
+    # classify_pr_char2 claims every field of characteristic 2; check GF(4) exhaustively
+    for n in range(1, 5):
+        assert attained_pr_sequences(n, GF4) == set(accepted_pr_sequences(n))
+    with pytest.raises(BoundExceededError):
+        attained_pr_sequences(5, GF4)
+
+
 def test_attained_pr_matches_library_route():
     for n in (2, 3, 4):
         by_hand = {str(compute_pr(m)) for m in all_symmetric_gf2(n)}
@@ -116,15 +125,26 @@ def test_engine_det_table_matches_library():
 
 
 def test_engine_letters_match_library():
+    # the engine and compute_epr share one kernel, so the Laplace oracle checks both
     rng = random.Random(12)
     for n in range(1, 7):
         letters = eng.letter_arrays(n)
         for _ in range(60):
             code = rng.randrange(1 << (n * (n + 1) // 2))
             m = SymMatrix(GF2, eng.gf2_entries_from_code(code, n))
-            word = compute_epr(m)
             got = "".join("NSA"[letters[k][code]] for k in range(n))
-            assert got == word
+            assert got == naive_epr(m)
+
+
+def test_engine_letters_gf4_sampled():
+    rng = random.Random(16)
+    for n in range(1, 5):
+        codes = np.array(sorted(rng.randrange(1 << (n * (n + 1))) for _ in range(40)), np.uint32)
+        letters = eng.code_letters(codes, n, GF4)
+        for pos, code in enumerate(codes.tolist()):
+            m = SymMatrix(GF4, eng.gf4_entries_from_code(code, n))
+            got = "".join("NSA"[letters[k][pos]] for k in range(n))
+            assert got == naive_epr(m)
 
 
 def test_engine_schur_matches_library():
@@ -160,12 +180,11 @@ def test_engine_letters_order_7_sampled():
     codes = np.array(
         sorted(rng.randrange(1 << 28) for _ in range(40)), np.uint32
     )
-    letters = eng._letters_for_codes(codes, 7)
+    letters = eng.code_letters(codes, 7)
     for pos, code in enumerate(codes.tolist()):
         m = SymMatrix(GF2, eng.gf2_entries_from_code(code, 7))
-        word = compute_epr(m)
         got = "".join("NSA"[letters[k][pos]] for k in range(7))
-        assert got == word
+        assert got == naive_epr(m)
 
 
 # -- theorem suite ----------------------------------------------------------------
