@@ -1,9 +1,10 @@
 """Exhaustive enumeration as the ground truth for the characterization.
 
 Every symmetric GF(2) matrix of order n is visited (the upper triangle
-packed into one integer, resolved through vectorized determinant
-tables), its epr word recorded, and the attained set compared with the
-classifier in both directions.  The two must agree exactly.
+packed into one integer; batches of these codes are decoded and every
+principal minor read off one batched table), its epr word recorded, and
+the attained set compared with the classifier in both directions.  The
+two must agree exactly.
 """
 
 from eprseq import compare_with_classifier, enumerate_epr

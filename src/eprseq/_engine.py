@@ -3,11 +3,16 @@
 A symmetric order-n matrix is encoded as the integer whose bit fields
 are the n(n+1)/2 upper-triangle entries in row-major order, one bit per
 entry over GF(2) and two over GF(4); ascending code order is the
-canonical enumeration order.  A batch of codes is decoded into an
-(n, n, B) entry array and handed to :func:`eprseq.sequence.minor_tables`,
-the char-2 bordering kernel that also computes single-matrix sequences,
-and every letter is read off its (2^n, B) table of principal minors:
-A where every minor of an order is nonzero, N where none is.
+canonical enumeration order.  Only decode_entries, encode_entries and
+code_matrix know this layout: everything else works on (n, n, B) entry
+batches, the batch on the last axis.  A batch of codes is decoded and
+handed to :func:`eprseq.sequence.minor_tables`, the char-2 bordering
+kernel that also computes single-matrix sequences, and every letter is
+read off its (2^n, B) table of principal minors: A where every minor of
+an order is nonzero, N where none is.  The theorem suite's code maps
+(principal submatrices, appended rows, inverses, Schur complements,
+congruences) take entry batches too; inverses come from GF(2)
+Gauss-Jordan elimination, never from the minor table.
 
 Everything here is internal plumbing for :mod:`eprseq.verify`.
 """
@@ -16,10 +21,12 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .gfield import GF2, GF4, FieldSpec
+from .matrix import SymMatrix
 from .sequence import DEFAULT_MAX_ORDER, minor_tables
 
 _MAX_TABLE_ORDER = 6
@@ -31,29 +38,34 @@ def tri(n: int) -> int:
     return n * (n + 1) // 2
 
 
-@lru_cache(maxsize=None)
-def _positions(n: int) -> dict[tuple[int, int], int]:
-    pos = {}
-    p = 0
-    for i in range(n):
-        for j in range(i, n):
-            pos[(i, j)] = p
-            p += 1
-    return pos
-
-
-def pos_of(n: int, i: int, j: int) -> int:
-    if i > j:
-        i, j = j, i
-    return _positions(n)[(i, j)]
+def _layout(n: int, spec: FieldSpec):
+    """(shift, i, j) of every upper-triangle entry, in row-major code order."""
+    for p, (i, j) in enumerate(combinations_with_replacement(range(n), 2)):
+        yield spec.degree * p, i, j
 
 
 def decode_entries(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarray:
     """Entries (n, n, B) of the matrices encoded by ``codes``."""
     ent = np.empty((n, n, codes.size), np.uint8)
-    for (i, j), p in _positions(n).items():
-        ent[i, j] = ent[j, i] = (codes >> (spec.degree * p)) & (spec.order - 1)
+    for shift, i, j in _layout(n, spec):
+        ent[i, j] = ent[j, i] = (codes >> shift) & (spec.order - 1)
     return ent
+
+
+def encode_entries(ent: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
+    """Codes of the symmetric matrices in an (n, n, B) entry batch."""
+    codes = np.zeros(ent.shape[2], np.uint32)
+    for shift, i, j in _layout(ent.shape[0], spec):
+        codes |= ent[i, j].astype(np.uint32) << shift
+    return codes
+
+
+def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
+    """The matrix encoded by one code."""
+    rows = [[0] * n for _ in range(n)]
+    for shift, i, j in _layout(n, spec):
+        rows[i][j] = rows[j][i] = (code >> shift) & (spec.order - 1)
+    return SymMatrix(spec, rows)
 
 
 @lru_cache(maxsize=None)
@@ -111,22 +123,8 @@ def rank_array(n: int) -> np.ndarray:
     return rank
 
 
-def subcode_gather(codes: np.ndarray, n: int, alpha: tuple[int, ...]) -> np.ndarray:
-    """Codes of the principal submatrices on 0-based index tuple alpha."""
-    k = len(alpha)
-    if k == n:
-        return codes
-    sub = np.zeros_like(codes)
-    for r in range(k):
-        for s in range(r, k):
-            src = pos_of(n, alpha[r], alpha[s])
-            dst = pos_of(k, r, s)
-            sub |= ((codes >> src) & 1) << dst
-    return sub
-
-
 def letters_to_keys(letters: np.ndarray) -> np.ndarray:
-    key = np.zeros(letters.shape[1], np.uint32)
+    key = np.zeros(len(letters[0]), np.uint32)
     for k, arr in enumerate(letters):
         key |= arr.astype(np.uint32) << (2 * k)
     return key
@@ -134,24 +132,6 @@ def letters_to_keys(letters: np.ndarray) -> np.ndarray:
 
 def key_to_word(key: int, n: int) -> str:
     return "".join(_LETTER_CHARS[(key >> (2 * k)) & 3] for k in range(n))
-
-
-def gf2_entries_from_code(code: int, n: int) -> list[list[int]]:
-    ent = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            bit = (code >> pos_of(n, i, j)) & 1
-            ent[i][j] = ent[j][i] = int(bit)
-    return ent
-
-
-def gf4_entries_from_code(code: int, n: int) -> list[list[int]]:
-    ent = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = (code >> (2 * pos_of(n, i, j))) & 3
-            ent[i][j] = ent[j][i] = int(v)
-    return ent
 
 
 def _merge_chunks(results, n):
@@ -204,117 +184,51 @@ def catalog_gf4(n: int):
     return _catalog(n, GF4, 1)
 
 
+
+
 # ---------------------------------------------------------------------------
-# bit-packed rows for the structural code maps used by the theorem suite
+# GF(2) code maps of the theorem suite, on entry batches
 # ---------------------------------------------------------------------------
 
-def decode_rows(codes: np.ndarray, n: int) -> np.ndarray:
-    """Bit-packed rows (B, n) of the matrices encoded by ``codes``."""
-    rows = np.zeros((codes.size, n), np.uint16)
-    for i in range(n):
-        acc = np.zeros(codes.size, np.uint32)
-        for j in range(n):
-            acc |= ((codes >> pos_of(n, i, j)) & 1) << j
-        rows[:, i] = acc
-    return rows
+def gather_codes(ent: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    """Codes of ent[idx][:, idx]; index n stands for an appended zero row."""
+    if ent.shape[0] in idx:
+        ent = np.pad(ent, ((0, 1), (0, 1), (0, 0)))
+    return encode_entries(ent[np.ix_(idx, idx)])
 
 
-def encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of decode_rows (assumes each matrix is symmetric)."""
-    codes = np.zeros(rows.shape[0], np.uint32)
-    for i in range(n):
-        for j in range(i, n):
-            codes |= ((rows[:, i].astype(np.uint32) >> j) & 1) << pos_of(n, i, j)
-    return codes
+def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products over GF(2) of (r, t, B) and (t, c, B) 0/1 batches (B may broadcast)."""
+    out = np.zeros((a.shape[0], b.shape[1], max(a.shape[2], b.shape[2])), np.uint8)
+    for t in range(a.shape[1]):
+        out ^= a[:, t, None] & b[None, t]
+    return out
 
 
-def batch_jordan_inverse2(rows: np.ndarray, k: int) -> np.ndarray:
-    """Inverses of a batch of nonsingular bit-packed k x k matrices."""
-    batch = rows.shape[0]
-    aug = rows.astype(np.uint16).copy()
-    for s in range(k):
-        aug[:, s] |= np.uint16(1 << (k + s))
-    ar = np.arange(batch)
+def gf2_inverse(ent: np.ndarray) -> np.ndarray:
+    """Inverses of a (k, k, B) batch of nonsingular GF(2) matrices (Gauss-Jordan)."""
+    k = ent.shape[0]
+    aug = np.zeros((k, 2 * k, ent.shape[2]), np.uint8)
+    aug[:, :k] = ent
+    aug[range(k), range(k, 2 * k)] = 1
     for j in range(k):
-        has = (aug[:, j:] >> j) & 1
-        piv = j + has.argmax(axis=1)
-        pivrow = aug[ar, piv]
-        aug[ar, piv] = aug[:, j]
-        aug[:, j] = pivrow
-        mask = ((aug >> j) & 1).astype(np.uint16)
-        mask[:, j] = 0
-        aug ^= mask * pivrow[:, None]
-    return aug >> k
+        for r in range(j + 1, k):  # a zero pivot takes the first later row with a 1
+            aug[j] ^= aug[r] & (aug[r, j] > aug[j, j])
+        for r in range(k):
+            if r != j:
+                aug[r] ^= aug[j] & aug[r, j]
+    return aug[:, k:]
 
 
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(1 << 8)], np.uint8)
+def schur_entries(ent: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+    """B / B[alpha] for a batch whose pivot blocks B[alpha] are nonsingular."""
+    comp = [i for i in range(ent.shape[0]) if i not in alpha]
+    cross = ent[np.ix_(comp, alpha)]
+    y = gf2_matmul(cross, gf2_inverse(ent[np.ix_(alpha, alpha)]))
+    return ent[np.ix_(comp, comp)] ^ gf2_matmul(y, cross.transpose(1, 0, 2))
 
 
-def compress(rows: np.ndarray, sel_rows: tuple[int, ...], sel_cols: tuple[int, ...]) -> np.ndarray:
-    """Pack entries at (sel_rows x sel_cols) into fresh little bit rows."""
-    out = np.zeros((rows.shape[0], len(sel_rows)), np.uint16)
-    picked = rows[:, sel_rows]
-    for t, j in enumerate(sel_cols):
-        out |= ((picked >> j) & 1) << t
-    return out
-
-
-def batch_schur_codes2(codes: np.ndarray, n: int, alpha: tuple[int, ...]) -> np.ndarray:
-    """Codes of B / B[alpha] for codes whose pivot block is nonsingular."""
-    k = len(alpha)
-    comp = tuple(i for i in range(n) if i not in alpha)
-    m = len(comp)
-    rows = decode_rows(codes, n)
-    block = compress(rows, alpha, alpha)
-    block_inv = batch_jordan_inverse2(block, k)
-    cross = compress(rows, comp, alpha)
-    y = np.zeros_like(cross)
-    for s in range(k):
-        y ^= ((cross >> s) & 1) * block_inv[:, s][:, None]
-    ccodes = np.zeros(codes.size, np.uint32)
-    for r in range(m):
-        for t in range(r, m):
-            base = (rows[:, comp[r]] >> comp[t]) & 1
-            prod = _PARITY[y[:, r] & cross[:, t]]
-            ccodes |= ((base ^ prod).astype(np.uint32)) << pos_of(m, r, t)
-    return ccodes
-
-
-def batch_inverse_codes2(codes: np.ndarray, n: int) -> np.ndarray:
-    """Codes of the inverses of nonsingular codes."""
-    inv_rows = batch_jordan_inverse2(decode_rows(codes, n), n)
-    return encode_rows(inv_rows, n)
-
-
-def append_zero_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros_like(codes)
-    for i in range(n):
-        for j in range(i, n):
-            out |= ((codes >> pos_of(n, i, j)) & 1) << pos_of(n + 1, i, j)
-    return out
-
-
-def append_duplicate_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    out = append_zero_codes(codes, n)
-    for i in range(n):
-        out |= ((codes >> pos_of(n, i, n - 1)) & 1) << pos_of(n + 1, i, n)
-    out |= ((codes >> pos_of(n, n - 1, n - 1)) & 1) << pos_of(n + 1, n, n)
-    return out
-
-
-def congruence_codes(codes: np.ndarray, n: int, e_rows: list[int]) -> np.ndarray:
-    """Codes of E B E^T for a fixed invertible bit-row matrix E."""
-    rows = decode_rows(codes, n)
-    eb = np.zeros_like(rows)
-    for i in range(n):
-        acc = np.zeros(codes.size, np.uint16)
-        for j in range(n):
-            if (e_rows[i] >> j) & 1:
-                acc ^= rows[:, j]
-        eb[:, i] = acc
-    out = np.zeros_like(codes)
-    for i in range(n):
-        for t in range(i, n):
-            bit = _PARITY[eb[:, i] & np.uint16(e_rows[t])]
-            out |= bit.astype(np.uint32) << pos_of(n, i, t)
-    return out
+def congruence_entries(ent: np.ndarray, e: list[list[int]]) -> np.ndarray:
+    """E B E^T for one fixed 0/1 matrix E."""
+    e = np.array(e, np.uint8)[:, :, None]
+    return gf2_matmul(gf2_matmul(e, ent), e.transpose(1, 0, 2))

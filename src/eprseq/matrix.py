@@ -408,11 +408,6 @@ def _xor_sum(values: Iterable[int]) -> int:
     return acc
 
 
-def sym_from_entries(spec: FieldSpec, rows: Iterable[Iterable[int]]) -> SymMatrix:
-    """Validated construction from an n x n element grid."""
-    return SymMatrix(spec, rows)
-
-
 def read_matrix(source: str | TextIO) -> SymMatrix:
     """Parse the exchange format; leading '#' comment lines are skipped.
 

@@ -115,16 +115,7 @@ def enumerate_epr(
     else:
         raise BoundExceededError(f"enumeration supports gf2 and gf4, not {spec.name}")
     counts, exemplar_codes = _catalog_raw(n, spec.name, jobs)
-    if spec == GF2:
-        exemplar = {
-            w: SymMatrix(GF2, eng.gf2_entries_from_code(code, n))
-            for w, code in exemplar_codes.items()
-        }
-    else:
-        exemplar = {
-            w: SymMatrix(GF4, eng.gf4_entries_from_code(code, n))
-            for w, code in exemplar_codes.items()
-        }
+    exemplar = {w: eng.code_matrix(code, n, spec) for w, code in exemplar_codes.items()}
     return EprCatalog(n, spec.name, dict(counts), exemplar)
 
 
@@ -135,12 +126,12 @@ def attained_pr_sequences(n: int, spec: FieldSpec = GF2) -> set[str]:
         raise BoundExceededError(f"pr enumeration supports gf2 and gf4, not {spec.name}")
     if not 1 <= n <= bound:
         raise BoundExceededError(f"pr enumeration is bounded at n <= {bound}, got {n}")
-    codes = np.arange(1 << (spec.degree * eng.tri(n)), dtype=np.uint32)
-    letters = eng.letter_arrays(n) if spec == GF2 else eng.code_letters(codes, n, spec)
-    zero_diag = np.zeros(codes.size, bool)
-    for i in range(n):
-        zero_diag |= ((codes >> (spec.degree * eng.pos_of(n, i, i))) & (spec.order - 1)) == 0
-    key = zero_diag.astype(np.uint32) << n
+    if spec == GF2:
+        letters = eng.letter_arrays(n)
+    else:
+        codes = np.arange(1 << (spec.degree * eng.tri(n)), dtype=np.uint32)
+        letters = eng.code_letters(codes, n, spec)
+    key = (letters[0] != 2).astype(np.uint32) << n  # r0 = 1 iff some diagonal entry is 0
     for k in range(1, n + 1):
         key |= (letters[k - 1] != 0).astype(np.uint32) << (k - 1)
     out = set()
@@ -180,8 +171,8 @@ def _all_codes(n: int) -> np.ndarray:
 def _catalog_words(max_order: int) -> list[tuple[int, str]]:
     out = []
     for n in range(1, max_order + 1):
-        counts, _ = _catalog_raw(n, "gf2", 1)
-        out.extend((n, w) for w in sorted(counts))
+        keys = np.unique(eng.letters_to_keys(eng.letter_arrays(n))).tolist()
+        out.extend((n, w) for w in sorted(eng.key_to_word(key, n) for key in keys))
     return out
 
 
@@ -251,10 +242,9 @@ def _check_inverse(max_n: int) -> CheckResult:
     failures: list[str] = []
     cases = 0
     for n in range(1, max_n + 1):
-        codes = _all_codes(n)
         letters = eng.letter_arrays(n)
-        nz = codes[eng.det_table(n)[codes] == 1]
-        inv_codes = eng.batch_inverse_codes2(nz, n)
+        nz = _all_codes(n)[eng.det_table(n) == 1]
+        inv_codes = eng.encode_entries(eng.gf2_inverse(eng.decode_entries(nz, n)))
         bad = letters[n - 1][inv_codes] != 2
         for j in range(1, n):
             bad |= letters[j - 1][inv_codes] != letters[n - j - 1][nz]
@@ -270,6 +260,7 @@ def _check_inheritance(max_n: int) -> CheckResult:
     cases = 0
     for n in range(2, max_n + 1):
         codes = _all_codes(n)
+        ent = eng.decode_entries(codes, n)
         big = eng.letter_arrays(n)
         for m in range(1, n):
             small = eng.letter_arrays(m)
@@ -279,7 +270,7 @@ def _check_inheritance(max_n: int) -> CheckResult:
             any_a_top = np.zeros(codes.size, bool)
             any_n_top = np.zeros(codes.size, bool)
             for alpha in combinations(range(n), m):
-                sub = eng.subcode_gather(codes, n, alpha)
+                sub = eng.gather_codes(ent, alpha)
                 for i in range(m):
                     li = small[i][sub]
                     all_n[i] &= li == 0
@@ -318,31 +309,33 @@ def _check_nsa(seq_max: int) -> CheckResult:
 
 
 def _schur_cases(max_n: int):
-    """Yield (n, alpha, valid_codes, schur_codes) for every proper pivot set."""
+    """Yield (n, alpha, codes, entries, Schur complement entries) for every proper
+    pivot set alpha, over the codes whose pivot block B[alpha] is nonsingular."""
     for n in range(2, max_n + 1):
         codes = _all_codes(n)
+        ent = eng.decode_entries(codes, n)
         for k in range(1, n):
             table = eng.det_table(k)
             for alpha in combinations(range(n), k):
-                valid = codes[table[eng.subcode_gather(codes, n, alpha)] == 1]
-                ccodes = eng.batch_schur_codes2(valid, n, alpha)
-                yield n, alpha, valid, ccodes
+                valid = table[eng.gather_codes(ent, alpha)] == 1
+                vent = ent[:, :, valid]
+                yield n, alpha, codes[valid], vent, eng.schur_entries(vent, alpha)
 
 
 def _check_schur_identity(max_n: int, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
     """det C[gamma] * det B[alpha] = det B[gamma u alpha]; rank C = rank B - k."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, ccodes in _schur_cases(max_n):
+    for n, alpha, valid, vent, cent in _schur_cases(max_n):
         k = len(alpha)
         m = n - k
         comp = tuple(i for i in range(n) if i not in alpha)
-        bad = eng.rank_array(m)[ccodes] != eng.rank_array(n)[valid] - k
+        bad = eng.rank_array(m)[eng.encode_entries(cent)] != eng.rank_array(n)[valid] - k
         for gsize in range(0, m + 1):
             for gamma in combinations(range(m), gsize):
-                left = eng.det_table(gsize)[eng.subcode_gather(ccodes, m, gamma)]
+                left = eng.det_table(gsize)[eng.gather_codes(cent, gamma)]
                 union = tuple(sorted(alpha + tuple(comp[g] for g in gamma)))
-                right = eng.det_table(gsize + k)[eng.subcode_gather(valid, n, union)]
+                right = eng.det_table(gsize + k)[eng.gather_codes(vent, union)]
                 bad |= left != right
                 cases += int(valid.size)
         for code in valid[bad][:_MAX_FAILURES_KEPT]:
@@ -379,9 +372,10 @@ def _check_schur_letters(max_n: int) -> CheckResult:
     """Schur complement keeps the A/N letters shifted by the pivot size."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, ccodes in _schur_cases(max_n):
+    for n, alpha, valid, _, cent in _schur_cases(max_n):
         k = len(alpha)
         m = n - k
+        ccodes = eng.encode_entries(cent)
         big = eng.letter_arrays(n)
         small = eng.letter_arrays(m)
         bad = np.zeros(valid.size, bool)
@@ -401,6 +395,7 @@ def _check_hyperdet(max_n: int, rng: np.random.Generator, gf4_cases: int) -> Che
     cases = 0
     for n in range(3, max_n + 1):
         codes = _all_codes(n)
+        ent = eng.decode_entries(codes, n)
         for tau in combinations(range(n), 3):
             rest = [x for x in range(n) if x not in tau]
             for rsize in range(len(rest) + 1):
@@ -409,7 +404,7 @@ def _check_hyperdet(max_n: int, rng: np.random.Generator, gf4_cases: int) -> Che
 
                     def dets(extra: tuple[int, ...]) -> np.ndarray:
                         s = tuple(sorted(base + extra))
-                        return eng.det_table(len(s))[eng.subcode_gather(codes, n, s)]
+                        return eng.det_table(len(s))[eng.gather_codes(ent, s)]
 
                     total = (
                         (dets(()) & dets((i, j, k)))
@@ -459,7 +454,7 @@ def _check_terminal_an_minors(max_n: int) -> CheckResult:
         full = tuple(range(1, n + 1))
         for code in sel.tolist():
             cases += 1
-            m = SymMatrix(GF2, eng.gf2_entries_from_code(code, n))
+            m = eng.code_matrix(code, n)
             ok = all(
                 m.minor([x for x in full if x != i], [x for x in full if x != j]) != 0
                 for i in full
@@ -476,10 +471,11 @@ def _check_append_transforms(max_n: int, rng: np.random.Generator, gf4_cases: in
     cases = 0
     for n in range(1, max_n + 1):
         codes = _all_codes(n)
+        ent = eng.decode_entries(codes, n)
         big = eng.letter_arrays(n + 1)
         small = eng.letter_arrays(n)
-        dup = eng.append_duplicate_codes(codes, n)
-        zero = eng.append_zero_codes(codes, n)
+        dup = eng.gather_codes(ent, (*range(n), n - 1))
+        zero = eng.gather_codes(ent, (*range(n), n))
         bad = big[n][dup] != 0
         bad |= big[n][zero] != 0
         bad |= big[0][dup] != small[0][codes]
@@ -524,17 +520,17 @@ def _check_congruence(max_n: int, rng: np.random.Generator, gf4_cases: int) -> C
     cases = 0
     for n in range(2, max_n + 1):
         codes = _all_codes(n)
+        ent = eng.decode_entries(codes, n)
         letters = eng.letter_arrays(n)
         for _ in range(3):
             grid = _rand_invertible(rng, n, GF2)
-            e_rows = [sum(bit << j for j, bit in enumerate(row)) for row in grid]
-            new_codes = eng.congruence_codes(codes, n, e_rows)
+            new_codes = eng.encode_entries(eng.congruence_entries(ent, grid))
             bad = np.zeros(codes.size, bool)
             for k in range(1, n + 1):
                 bad |= (letters[k - 1][new_codes] != 0) != (letters[k - 1][codes] != 0)
             cases += int(codes.size)
             for code in codes[bad][:_MAX_FAILURES_KEPT]:
-                _keep(failures, _serialize_code(n, int(code)) + f" E={e_rows}")
+                _keep(failures, _serialize_code(n, int(code)) + f" E={grid}")
     for _ in range(gf4_cases):
         n = int(rng.integers(1, 5))
         b = _rand_sym(rng, n, GF4)

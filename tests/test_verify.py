@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from eprseq import (
     GF4,
     BoundExceededError,
     accepted_pr_sequences,
-    SymMatrix,
     attained_pr_sequences,
     compare_with_classifier,
     compute_epr,
@@ -17,6 +17,7 @@ from eprseq import (
     theorem_suite,
 )
 from eprseq import _engine as eng
+from eprseq import verify
 from oracles import all_symmetric_gf2, naive_epr
 
 
@@ -120,7 +121,7 @@ def test_engine_det_table_matches_library():
         table = eng.det_table(n)
         codes = [rng.randrange(1 << (n * (n + 1) // 2)) for _ in range(200)]
         for code in codes:
-            m = SymMatrix(GF2, eng.gf2_entries_from_code(code, n))
+            m = eng.code_matrix(code, n)
             assert int(table[code]) == m.determinant()
 
 
@@ -131,7 +132,7 @@ def test_engine_letters_match_library():
         letters = eng.letter_arrays(n)
         for _ in range(60):
             code = rng.randrange(1 << (n * (n + 1) // 2))
-            m = SymMatrix(GF2, eng.gf2_entries_from_code(code, n))
+            m = eng.code_matrix(code, n)
             got = "".join("NSA"[letters[k][code]] for k in range(n))
             assert got == naive_epr(m)
 
@@ -142,7 +143,7 @@ def test_engine_letters_gf4_sampled():
         codes = np.array(sorted(rng.randrange(1 << (n * (n + 1))) for _ in range(40)), np.uint32)
         letters = eng.code_letters(codes, n, GF4)
         for pos, code in enumerate(codes.tolist()):
-            m = SymMatrix(GF4, eng.gf4_entries_from_code(code, n))
+            m = eng.code_matrix(code, n, GF4)
             got = "".join("NSA"[letters[k][pos]] for k in range(n))
             assert got == naive_epr(m)
 
@@ -152,15 +153,15 @@ def test_engine_schur_matches_library():
     for n in (3, 4, 5):
         for _ in range(40):
             code = rng.randrange(1 << (n * (n + 1) // 2))
-            m = SymMatrix(GF2, eng.gf2_entries_from_code(code, n))
+            m = eng.code_matrix(code, n)
             k = rng.randint(1, n - 1)
             alpha = tuple(sorted(rng.sample(range(1, n + 1), k)))
             if m.principal_submatrix(alpha).determinant() == 0:
                 continue
-            codes = np.array([code], np.uint32)
+            ent = eng.decode_entries(np.array([code], np.uint32), n)
             alpha0 = tuple(a - 1 for a in alpha)
-            ccode = int(eng.batch_schur_codes2(codes, n, alpha0)[0])
-            got = SymMatrix(GF2, eng.gf2_entries_from_code(ccode, n - k))
+            ccode = int(eng.encode_entries(eng.schur_entries(ent, alpha0))[0])
+            got = eng.code_matrix(ccode, n - k)
             assert got == m.schur_complement(alpha)
 
 
@@ -170,7 +171,7 @@ def test_engine_rank_matches_library():
         ranks = eng.rank_array(n)
         for _ in range(60):
             code = rng.randrange(1 << (n * (n + 1) // 2))
-            m = SymMatrix(GF2, eng.gf2_entries_from_code(code, n))
+            m = eng.code_matrix(code, n)
             assert int(ranks[code]) == m.rank()
 
 
@@ -182,9 +183,72 @@ def test_engine_letters_order_7_sampled():
     )
     letters = eng.code_letters(codes, 7)
     for pos, code in enumerate(codes.tolist()):
-        m = SymMatrix(GF2, eng.gf2_entries_from_code(code, 7))
+        m = eng.code_matrix(code, 7)
         got = "".join("NSA"[letters[k][pos]] for k in range(7))
         assert got == naive_epr(m)
+
+
+# -- code layout and entry-batch code maps ------------------------------------------
+
+def _grid(ent, b):
+    """Matrix b of an (n, n, B) entry batch as a tuple of rows."""
+    return tuple(tuple(row) for row in ent[:, :, b].tolist())
+
+
+def test_code_layout_round_trips():
+    rng = random.Random(17)
+    for spec, top in ((GF2, 6), (GF4, 4)):
+        for n in range(1, top + 1):
+            codes = np.arange(1 << (spec.degree * n * (n + 1) // 2), dtype=np.uint32)
+            ent = eng.decode_entries(codes, n, spec)
+            assert (ent == ent.transpose(1, 0, 2)).all() and ent.max() < spec.order
+            assert (eng.encode_entries(ent, spec) == codes).all()
+            for code in rng.sample(range(codes.size), min(codes.size, 100)):
+                assert eng.code_matrix(code, n, spec).rows == _grid(ent, code)
+    # row-major upper triangle, as the independent enumeration in oracles lays it out
+    for n in range(1, 5):
+        for code, m in enumerate(all_symmetric_gf2(n)):
+            assert eng.code_matrix(code, n) == m
+
+
+def test_gather_codes_match_library_exhaustive():
+    for n in range(1, 5):
+        mats = list(all_symmetric_gf2(n))
+        ent = eng.decode_entries(np.arange(len(mats), dtype=np.uint32), n)
+        assert (eng.gather_codes(ent, ()) == 0).all()
+        for k in range(1, n + 1):
+            for alpha in combinations(range(n), k):
+                sub = eng.gather_codes(ent, alpha).tolist()
+                labels = tuple(a + 1 for a in alpha)
+                for code, m in enumerate(mats):
+                    assert eng.code_matrix(sub[code], k) == m.principal_submatrix(labels)
+        zero = eng.gather_codes(ent, (*range(n), n)).tolist()
+        dup = eng.gather_codes(ent, (*range(n), n - 1)).tolist()
+        for code, m in enumerate(mats):
+            assert eng.code_matrix(zero[code], n + 1) == m.append_zero()
+            assert eng.code_matrix(dup[code], n + 1) == m.append_duplicate_last()
+
+
+def test_gf2_inverse_matches_library_exhaustive():
+    for n in range(1, 5):
+        mats = [m for m in all_symmetric_gf2(n) if m.determinant() == 1]
+        inv = eng.gf2_inverse(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
+        for b, m in enumerate(mats):
+            assert _grid(inv, b) == m.inverse().rows
+
+
+def test_congruence_entries_match_matmul_exhaustive():
+    rng = np.random.default_rng(18)
+    for n in range(1, 5):
+        mats = list(all_symmetric_gf2(n))
+        ent = np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0)
+        for _ in range(2):
+            e = verify._rand_invertible(rng, n, GF2)
+            et = [list(col) for col in zip(*e)]
+            got = eng.congruence_entries(ent, e)
+            for b, m in enumerate(mats):
+                want = verify._fe_matmul(verify._fe_matmul(e, [list(r) for r in m.rows], GF2), et, GF2)
+                assert _grid(got, b) == tuple(map(tuple, want))
 
 
 # -- theorem suite ----------------------------------------------------------------
