@@ -5,14 +5,17 @@ are the n(n+1)/2 upper-triangle entries in row-major order, one bit per
 entry over GF(2) and two over GF(4); ascending code order is the
 canonical enumeration order.  Only decode_entries, encode_entries and
 code_matrix know this layout: everything else works on (n, n, B) entry
-batches, the batch on the last axis.  A batch of codes is decoded and
-handed to :func:`eprseq.sequence.minor_tables`, the char-2 bordering
-kernel that also computes single-matrix sequences, and every letter is
-read off its (2^n, B) table of principal minors: A where every minor of
-an order is nonzero, N where none is.  The theorem suite's code maps
-(principal submatrices, appended rows, inverses, Schur complements,
-congruences) take entry batches too; inverses come from GF(2)
-Gauss-Jordan elimination, never from the minor table.
+batches, the batch on the last axis.  Row 0 takes the lowest bits, so
+each run of 2^(q n) consecutive codes (q bits per entry) shares its
+trailing block A = B[1:, 1:].  The border sweep (sweep_keys) hands the
+decoded A's to :func:`eprseq.sequence.minor_tables`, the char-2
+bordering kernel that also computes single-matrix sequences, and reads
+the letters of all 2^(q n) matrices bordering one A off A's packed table
+and one border word per matrix: A where every minor of an order is
+nonzero, N where none is.  The theorem suite's code maps (principal
+submatrices, appended rows, inverses, Schur complements, congruences)
+take entry batches too; inverses come from GF(2) Gauss-Jordan
+elimination, never from the minor table.
 
 Everything here is internal plumbing for :mod:`eprseq.verify`.
 """
@@ -27,7 +30,7 @@ import numpy as np
 
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import SymMatrix
-from .sequence import DEFAULT_MAX_ORDER, minor_tables
+from .sequence import minor_tables
 
 _MAX_TABLE_ORDER = 6
 
@@ -69,27 +72,71 @@ def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
 
 
 @lru_cache(maxsize=None)
-def _order_classes(n: int) -> list[np.ndarray]:
-    """The subset masks of each size 1..n."""
-    return [np.array([m for m in range(1 << n) if m.bit_count() == k]) for k in range(1, n + 1)]
+def _subset_masks(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks of words holding one q-bit field per subset T of a trailing block's
+    n - 1 indices, at bit q*T: (bit 0 of the fields of each size 0..n, the
+    whole fields of the T without index a, for each a < n - 1)."""
+    sizes, without = [0] * (n + 1), [0] * (n - 1)
+    for t in range(1 << (n - 1)):
+        sizes[t.bit_count()] |= 1 << (q * t)
+        for a in range(n - 1):
+            if not t >> a & 1:
+                without[a] |= ((1 << q) - 1) << (q * t)
+    return tuple(sizes), tuple(without)
 
 
-def code_letters(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarray:
-    """Letter codes (0=N, 1=S, 2=A), shape (n, B), of the matrices encoded by ``codes``.
+def _times_x(word: np.ndarray, e: int, low: int) -> np.ndarray:
+    """x^e times every GF(4) field of a packed word (x^2 = x + 1); low masks bit 0."""
+    for _ in range(e):
+        a, b = word & low, (word >> 1) & low
+        word = b | ((a ^ b) << 1)  # x (a + b x) = b + (a + b) x
+    return word
 
-    Codes go through the kernel in batches whose (2^n, B) minor table
-    stays within 2^DEFAULT_MAX_ORDER bytes, the table of one order-24 matrix.
+
+def sweep_keys(start: int, stop: int, n: int, spec: FieldSpec = GF2) -> np.ndarray:
+    """Letter keys (letter k in bits 2k-2, 2k-1; 0=N, 1=S, 2=A) of codes start..stop-1.
+
+    Row 0 of B takes the lowest q*n code bits (q = spec.degree), so both
+    bounds being multiples of 2^(q n) makes the range whole runs of codes
+    that share their trailing block A = B[1:, 1:].  The minors without
+    index 0 are A's: one minor_tables call per A, packed into one word of
+    q-bit fields.  The minors with index 0 are
+    det B[{0} u T] = b_00 det A[T] + sum_{i in T} b_0i^2 det A[T - {i}],
+    GF(2)-linear in the bits of row 0, so their word U(r) for row bits r
+    is the XOR of one column word per set bit: bit t of b_00 multiplies
+    A's word by x^t, bit t of b_0i (Frobenius: b^2 is additive) multiplies
+    A's word shifted onto the T holding i by x^(2t).  Every U(r) comes by
+    doubling, U <- [U, U ^ col], so r ascends in code order; a letter is
+    read off mask tests on A's word and U(r).
     """
-    letters = np.empty((n, codes.size), np.uint8)
-    step = 1 << (DEFAULT_MAX_ORDER - n)
-    for a in range(0, codes.size, step):
-        dets = minor_tables(decode_entries(codes[a : a + step], n, spec), spec)
-        for k, masks in enumerate(_order_classes(n)):
-            minors = dets[masks]  # every order-(k + 1) principal minor
-            some = minors.max(axis=0) != 0
-            every = minors.min(axis=0) != 0
-            letters[k, a : a + step] = some.view(np.uint8) + every  # N=0, S=1, A=2
-    return letters
+    q = spec.degree
+    dtype = np.uint32 if q << (n - 1) <= 32 else np.uint64
+    sizes, without = _subset_masks(n, q)
+    low = sum(sizes)  # bit 0 of every field
+    blocks = np.arange(start >> (q * n), stop >> (q * n), dtype=np.uint32)
+    word = np.zeros(blocks.size, dtype)
+    for t, row in enumerate(minor_tables(decode_entries(blocks, n - 1, spec), spec)):
+        word |= row.astype(dtype) << (q * t)
+    u = np.empty((blocks.size, 1 << (q * n)), dtype)
+    u[:, 0] = 0
+    width = 1
+    for p in range(n):
+        base = word if p == 0 else (word & without[p - 1]) << (q << (p - 1))
+        for t in range(q):
+            col = _times_x(base, t if p == 0 else 2 * t, low)
+            np.bitwise_xor(u[:, :width], col[:, None], out=u[:, width : 2 * width])
+            width *= 2
+    if q > 1:  # fold each field's value onto its bit 0: nonzero or not
+        word = (word | word >> 1) & low
+        u = (u | u >> 1) & low
+    keys = np.zeros(u.shape, np.uint16)
+    for k in range(1, n + 1):
+        m, ma = sizes[k - 1], sizes[k]
+        hit = u & m
+        every = (hit == m) & ((word & ma) == ma)[:, None]
+        some = (hit != 0) | ((word & ma) != 0)[:, None]
+        keys |= (some.view(np.uint8) + every).astype(np.uint16) << (2 * k - 2)
+    return keys.ravel()
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +144,11 @@ def letter_arrays(n: int) -> tuple[np.ndarray, ...]:
     """Letter arrays over all codes of order n (cached; n <= 6)."""
     if n > _MAX_TABLE_ORDER:
         raise ValueError(f"letter arrays are built up to order {_MAX_TABLE_ORDER}")
-    letters = code_letters(np.arange(1 << tri(n), dtype=np.uint32), n)
-    letters.setflags(write=False)
-    return tuple(letters)
+    keys = sweep_keys(0, 1 << tri(n), n)
+    letters = tuple(((keys >> (2 * k)) & 3).astype(np.uint8) for k in range(n))
+    for arr in letters:
+        arr.setflags(write=False)
+    return letters
 
 
 @lru_cache(maxsize=None)
@@ -149,18 +198,22 @@ def _merge_chunks(results, n):
 def _catalog(n: int, spec: FieldSpec, jobs: int):
     """Counts and first-attaining codes of every epr word at order n over spec.
 
-    Work is split into contiguous code ranges (the partition depends on
-    the job count) run on at most os.cpu_count() threads; the merge is
-    commutative, so the result is identical for any job count.
+    Work is split into contiguous code ranges of whole trailing blocks
+    (the partition depends on the job count) run on at most
+    os.cpu_count() threads; the merge is commutative, so the result is
+    identical for any job count.
     """
+    block = 1 << (spec.degree * n)  # the codes sharing one trailing block
     total = 1 << (spec.degree * tri(n))
     chunk = max(1 << 16, -(-total // max(1, 4 * jobs)))
-    chunk = min(chunk, 1 << 20)  # bound per-chunk memory for the n=7 sweep
+    chunk = -(-min(chunk, 1 << 20) // block) * block  # bounds per-chunk memory for the gated sweeps
 
     def process(start: int, stop: int):
-        keys = letters_to_keys(code_letters(np.arange(start, stop, dtype=np.uint32), n, spec))
-        uniq, idx, cnt = np.unique(keys, return_index=True, return_counts=True)
-        return uniq, idx, cnt, start
+        keys = sweep_keys(start, stop, n, spec)
+        cnt = np.bincount(keys, minlength=1 << (2 * n))
+        present = np.flatnonzero(cnt)
+        first = np.array([np.argmax(keys == key) for key in present.tolist()])
+        return present, first, cnt[present], start
 
     ranges = [(a, min(a + chunk, total)) for a in range(0, total, chunk)]
     workers = min(jobs, os.cpu_count() or 1)
@@ -179,9 +232,9 @@ def catalog_gf2(n: int, jobs: int = 1):
     return _catalog(n, GF2, jobs)
 
 
-def catalog_gf4(n: int):
-    """Counts and first-attaining codes over GF(4) at order n (n <= 4)."""
-    return _catalog(n, GF4, 1)
+def catalog_gf4(n: int, jobs: int = 1):
+    """Counts and first-attaining codes of every GF(4) epr word at order n."""
+    return _catalog(n, GF4, jobs)
 
 
 

@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=("gf2", "gf4"), default="gf2")
     p.add_argument("--catalog", default=None, metavar="FILE")
     p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--force", action="store_true", help="allow the gated n=7 run")
+    p.add_argument("--force", action="store_true", help="allow the gated GF(2) n=7 and GF(4) n=5 runs")
 
     p = sub.add_parser("verify", help="enumeration vs classifier at order N")
     p.add_argument("-n", type=int, required=True, metavar="N")

@@ -25,7 +25,7 @@ from . import _engine as eng
 from .classify import classify_epr_z2, rule_violations
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import SymMatrix, complete_graph, loop_complete_graph, loop_split_graph, pendant_loop_complete
-from .sequence import compute_epr, compute_pr
+from .sequence import compute_epr, compute_pr, pr_of_epr
 
 DEFAULT_SEED = 1729
 _MAX_FAILURES_KEPT = 20
@@ -89,7 +89,8 @@ class SuiteReport:
 def _catalog_raw(n: int, field_name: str, jobs: int):
     if field_name == "gf2":
         return eng.catalog_gf2(n, jobs=jobs)
-    return eng.catalog_gf4(n)
+    # bench/tracer.py wraps catalog_gf4 as a one-argument call, the jobs = 1 case
+    return eng.catalog_gf4(n) if jobs == 1 else eng.catalog_gf4(n, jobs=jobs)
 
 
 def enumerate_epr(
@@ -97,48 +98,34 @@ def enumerate_epr(
 ) -> EprCatalog:
     """Catalog of every epr word attained at order n over GF(2) or GF(4).
 
-    GF(2) is bounded at n <= 6, with n == 7 gated behind ``force=True``
-    (268M matrices); GF(4) is bounded at n <= 4.
+    GF(2) is bounded at n <= 6 and GF(4) at n <= 4; one order more, GF(2)
+    n == 7 (2^28 matrices) or GF(4) n == 5 (2^30), is gated behind
+    ``force=True``.
     """
     if n < 1:
         raise BoundExceededError("enumeration needs order >= 1")
-    if spec == GF2:
-        if n == 7 and not force:
-            raise BoundExceededError(
-                "GF(2) enumeration at n = 7 visits 2^28 matrices; pass force=True"
-            )
-        if n > 7:
-            raise BoundExceededError(f"GF(2) enumeration is bounded at n <= 7, got {n}")
-    elif spec == GF4:
-        if n > 4:
-            raise BoundExceededError(f"GF(4) enumeration is bounded at n <= 4, got {n}")
-    else:
+    gate = {GF2: 7, GF4: 5}.get(spec)
+    if gate is None:
         raise BoundExceededError(f"enumeration supports gf2 and gf4, not {spec.name}")
+    label = f"GF({spec.order})"
+    if n > gate:
+        raise BoundExceededError(f"{label} enumeration is bounded at n <= {gate}, got {n}")
+    if n == gate and not force:
+        raise BoundExceededError(
+            f"{label} enumeration at n = {gate} visits 2^{spec.degree * eng.tri(gate)} matrices; "
+            "pass force=True"
+        )
     counts, exemplar_codes = _catalog_raw(n, spec.name, jobs)
     exemplar = {w: eng.code_matrix(code, n, spec) for w, code in exemplar_codes.items()}
     return EprCatalog(n, spec.name, dict(counts), exemplar)
 
 
-def attained_pr_sequences(n: int, spec: FieldSpec = GF2) -> set[str]:
-    """Every pr word attained by a symmetric matrix of order n over GF(2) or GF(4)."""
-    bound = {GF2: 6, GF4: 4}.get(spec)
-    if bound is None:
-        raise BoundExceededError(f"pr enumeration supports gf2 and gf4, not {spec.name}")
-    if not 1 <= n <= bound:
-        raise BoundExceededError(f"pr enumeration is bounded at n <= {bound}, got {n}")
-    if spec == GF2:
-        letters = eng.letter_arrays(n)
-    else:
-        codes = np.arange(1 << (spec.degree * eng.tri(n)), dtype=np.uint32)
-        letters = eng.code_letters(codes, n, spec)
-    key = (letters[0] != 2).astype(np.uint32) << n  # r0 = 1 iff some diagonal entry is 0
-    for k in range(1, n + 1):
-        key |= (letters[k - 1] != 0).astype(np.uint32) << (k - 1)
-    out = set()
-    for val in np.unique(key).tolist():
-        bits = "".join("1" if (val >> (k - 1)) & 1 else "0" for k in range(1, n + 1))
-        out.add(f"{(val >> n) & 1}]{bits}")
-    return out
+def attained_pr_sequences(n: int, spec: FieldSpec = GF2, *, force: bool = False) -> set[str]:
+    """Every pr word attained by a symmetric matrix of order n over GF(2) or GF(4),
+    read off the attained epr words (r0 = 1 iff letter 1 is not A), under
+    the bounds of :func:`enumerate_epr`."""
+    words = enumerate_epr(n, spec, force=force).counts
+    return {str(pr_of_epr(w, w[0] != "A")) for w in words}
 
 
 def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
@@ -171,7 +158,7 @@ def _all_codes(n: int) -> np.ndarray:
 def _catalog_words(max_order: int) -> list[tuple[int, str]]:
     out = []
     for n in range(1, max_order + 1):
-        keys = np.unique(eng.letters_to_keys(eng.letter_arrays(n))).tolist()
+        keys = np.flatnonzero(np.bincount(eng.letters_to_keys(eng.letter_arrays(n)))).tolist()
         out.extend((n, w) for w in sorted(eng.key_to_word(key, n) for key in keys))
     return out
 
@@ -224,11 +211,11 @@ def _fe_matmul(a: list[list[int]], b: list[list[int]], spec: FieldSpec) -> list[
 # the sixteen checks
 # ---------------------------------------------------------------------------
 
-def _check_nn(seq_max: int) -> CheckResult:
+def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
     """Two consecutive Ns force N for the rest of every attained word."""
     failures: list[str] = []
     cases = 0
-    for n, w in _catalog_words(seq_max):
+    for n, w in words:
         cases += 1
         for k in range(n - 1):
             if w[k] == "N" and w[k + 1] == "N" and set(w[k:]) != {"N"}:
@@ -293,11 +280,11 @@ def _check_inheritance(max_n: int) -> CheckResult:
     return CheckResult("inheritance", cases, failures)
 
 
-def _check_nsa(seq_max: int) -> CheckResult:
+def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
     """NSA never occurs; ASN is never followed by a later A."""
     failures: list[str] = []
     cases = 0
-    for n, w in _catalog_words(seq_max):
+    for n, w in words:
         cases += 1
         if "NSA" in w:
             _keep(failures, f"{n}:{w}")
@@ -308,9 +295,10 @@ def _check_nsa(seq_max: int) -> CheckResult:
     return CheckResult("nsa-prohibition", cases, failures)
 
 
-def _schur_cases(max_n: int):
-    """Yield (n, alpha, codes, entries, Schur complement entries) for every proper
+def _schur_cases(max_n: int) -> list:
+    """(n, alpha, codes, entries, Schur complement entries) for every proper
     pivot set alpha, over the codes whose pivot block B[alpha] is nonsingular."""
+    cases = []
     for n in range(2, max_n + 1):
         codes = _all_codes(n)
         ent = eng.decode_entries(codes, n)
@@ -319,14 +307,15 @@ def _schur_cases(max_n: int):
             for alpha in combinations(range(n), k):
                 valid = table[eng.gather_codes(ent, alpha)] == 1
                 vent = ent[:, :, valid]
-                yield n, alpha, codes[valid], vent, eng.schur_entries(vent, alpha)
+                cases.append((n, alpha, codes[valid], vent, eng.schur_entries(vent, alpha)))
+    return cases
 
 
-def _check_schur_identity(max_n: int, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
+def _check_schur_identity(schur_cases: list, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
     """det C[gamma] * det B[alpha] = det B[gamma u alpha]; rank C = rank B - k."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, vent, cent in _schur_cases(max_n):
+    for n, alpha, valid, vent, cent in schur_cases:
         k = len(alpha)
         m = n - k
         comp = tuple(i for i in range(n) if i not in alpha)
@@ -368,11 +357,11 @@ def _check_schur_identity(max_n: int, rng: np.random.Generator, gf4_cases: int) 
     return CheckResult("schur-complement-identity", cases, failures)
 
 
-def _check_schur_letters(max_n: int) -> CheckResult:
+def _check_schur_letters(schur_cases: list) -> CheckResult:
     """Schur complement keeps the A/N letters shifted by the pivot size."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, _, cent in _schur_cases(max_n):
+    for n, alpha, valid, _, cent in schur_cases:
         k = len(alpha)
         m = n - k
         ccodes = eng.encode_entries(cent)
@@ -500,11 +489,11 @@ def _check_append_transforms(max_n: int, rng: np.random.Generator, gf4_cases: in
     return CheckResult("append-transforms", cases, failures)
 
 
-def _check_na_ns_parity(seq_max: int) -> CheckResult:
+def _check_na_ns_parity(words: list[tuple[int, str]]) -> CheckResult:
     """NA/NS starts at odd positions only, with N at every odd position."""
     failures: list[str] = []
     cases = 0
-    for n, w in _catalog_words(seq_max):
+    for n, w in words:
         cases += 1
         for k in range(n - 1):
             if w[k] == "N" and w[k + 1] in "AS":
@@ -594,11 +583,11 @@ def _check_pendant_loop_endpoints() -> CheckResult:
     return CheckResult("pendant-loop-endpoints", cases, failures)
 
 
-def _check_attained_rule_soundness(seq_max: int) -> CheckResult:
+def _check_attained_rule_soundness(words: list[tuple[int, str]]) -> CheckResult:
     """No attained word violates any prohibition rule."""
     failures: list[str] = []
     cases = 0
-    for n, w in _catalog_words(seq_max):
+    for n, w in words:
         cases += 1
         hits = rule_violations(w)
         if hits:
@@ -617,24 +606,25 @@ def theorem_suite(
     """
     if not 2 <= max_n <= 5:
         raise ValueError(f"max_n must be in [2, 5], got {max_n}")
-    seq_max = min(max_n + 1, 6)
+    words = _catalog_words(min(max_n + 1, 6))
+    schur_cases = _schur_cases(max_n)
     rng = np.random.default_rng(seed)
     checks = [
-        _check_nn(seq_max),
+        _check_nn(words),
         _check_inverse(max_n),
         _check_inheritance(max_n),
-        _check_nsa(seq_max),
-        _check_schur_identity(max_n, rng, gf4_cases),
-        _check_schur_letters(max_n),
+        _check_nsa(words),
+        _check_schur_identity(schur_cases, rng, gf4_cases),
+        _check_schur_letters(schur_cases),
         _check_hyperdet(max_n, rng, gf4_cases),
         _check_terminal_an_minors(max_n),
         _check_append_transforms(max_n, rng, gf4_cases),
-        _check_na_ns_parity(seq_max),
+        _check_na_ns_parity(words),
         _check_congruence(max_n, rng, gf4_cases),
         _check_complete_graph_epr(),
         _check_loop_split_det(),
         _check_loop_complete_nonsingular(),
         _check_pendant_loop_endpoints(),
-        _check_attained_rule_soundness(seq_max),
+        _check_attained_rule_soundness(words),
     ]
     return SuiteReport(checks, seed=seed)

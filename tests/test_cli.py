@@ -117,6 +117,43 @@ def test_enumerate_gated_bound(capsys):
     assert "force" in err
 
 
+def test_enumerate_gf4_order_5_gated(capsys):
+    code, out, err = run(capsys, "enumerate", "--field", "gf4", "-n", "5")
+    assert code == 2
+    assert out == "" and "force" in err
+
+
+def _gated_catalog(capsys, tmp_path, *args):
+    """Catalog text of a gated --force run, the same at --jobs 1 and 2."""
+    texts = []
+    for jobs in ("1", "2"):
+        target = tmp_path / f"cat{jobs}.txt"
+        code, _, _ = run(capsys, "enumerate", *args, "--force", "--jobs", jobs, "--catalog", str(target))
+        assert code == 0
+        texts.append(target.read_text())
+    assert texts[0] == texts[1]
+    return {w: int(c) for w, c in (line.split() for line in texts[0].splitlines())}
+
+
+@pytest.mark.slow
+def test_gated_gf2_order_7_catalog(capsys, tmp_path):
+    from eprseq import accepted_epr_sequences
+
+    counts = _gated_catalog(capsys, tmp_path, "-n", "7")
+    assert len(counts) == 27
+    assert set(counts) == set(accepted_epr_sequences(7))
+    assert sum(counts.values()) == 1 << 28
+
+
+@pytest.mark.slow
+def test_gated_gf4_order_5_catalog(capsys, tmp_path):
+    from eprseq import GF4, accepted_pr_sequences, attained_pr_sequences
+
+    counts = _gated_catalog(capsys, tmp_path, "--field", "gf4", "-n", "5")
+    assert sum(counts.values()) == 4 ** 15
+    assert attained_pr_sequences(5, GF4, force=True) == set(accepted_pr_sequences(5))
+
+
 def test_verify_verb(capsys):
     code, out, _ = run(capsys, "verify", "-n", "3")
     assert code == 0

@@ -18,6 +18,7 @@ from eprseq import (
 )
 from eprseq import _engine as eng
 from eprseq import verify
+from eprseq.sequence import minor_tables
 from oracles import all_symmetric_gf2, naive_epr
 
 
@@ -66,10 +67,11 @@ def test_catalog_export_format():
 
 
 def test_enumerate_jobs_independent():
-    a = enumerate_epr(4, jobs=1)
-    b = enumerate_epr(4, jobs=3)
-    assert a.counts == b.counts
-    assert {w: m for w, m in a.exemplar.items()} == b.exemplar
+    for n in (4, 6):  # at n = 6, 3 jobs give chunks rounded up to whole trailing blocks
+        a = enumerate_epr(n, jobs=1)
+        b = enumerate_epr(n, jobs=3)
+        assert a.counts == b.counts
+        assert {w: m for w, m in a.exemplar.items()} == b.exemplar
 
 
 def test_enumerate_bounds():
@@ -78,7 +80,9 @@ def test_enumerate_bounds():
     with pytest.raises(BoundExceededError):
         enumerate_epr(8, force=True)
     with pytest.raises(BoundExceededError):
-        enumerate_epr(5, GF4)
+        enumerate_epr(5, GF4)  # gated without force
+    with pytest.raises(BoundExceededError):
+        enumerate_epr(6, GF4, force=True)
     with pytest.raises(BoundExceededError):
         enumerate_epr(0)
 
@@ -137,15 +141,54 @@ def test_engine_letters_match_library():
             assert got == naive_epr(m)
 
 
+def _sweep_words(codes, n, spec=GF2):
+    """epr words of single codes, each read off the sweep of its trailing block."""
+    block = 1 << (spec.degree * n)
+    words = []
+    for code in codes:
+        start = code - code % block
+        words.append(eng.key_to_word(int(eng.sweep_keys(start, start + block, n, spec)[code - start]), n))
+    return words
+
+
 def test_engine_letters_gf4_sampled():
     rng = random.Random(16)
     for n in range(1, 5):
         codes = np.array(sorted(rng.randrange(1 << (n * (n + 1))) for _ in range(40)), np.uint32)
-        letters = eng.code_letters(codes, n, GF4)
+        words = _sweep_words(codes.tolist(), n, GF4)
         for pos, code in enumerate(codes.tolist()):
             m = eng.code_matrix(code, n, GF4)
-            got = "".join("NSA"[letters[k][pos]] for k in range(n))
+            got = words[pos]
             assert got == naive_epr(m)
+
+
+def _table_keys(codes, n, spec):
+    """Letter keys read off each code's own full minor table, one order at a time."""
+    dets = minor_tables(eng.decode_entries(codes, n, spec), spec)
+    keys = np.zeros(codes.size, np.uint32)
+    for k in range(1, n + 1):
+        minors = dets[[m for m in range(1 << n) if m.bit_count() == k]] != 0
+        keys |= (minors.any(axis=0).astype(np.uint32) + minors.all(axis=0)) << (2 * k - 2)
+    return keys
+
+
+def test_sweep_matches_per_code_tables_exhaustive():
+    for spec, top in ((GF2, 5), (GF4, 3)):
+        for n in range(1, top + 1):
+            codes = np.arange(1 << (spec.degree * n * (n + 1) // 2), dtype=np.uint32)
+            keys = eng.sweep_keys(0, codes.size, n, spec)
+            assert (keys == _table_keys(codes, n, spec)).all()
+
+
+def test_sweep_whole_blocks_match_laplace():
+    rng = random.Random(19)
+    for spec, n, blocks in ((GF2, 7, 2), (GF4, 1, 1), (GF4, 2, 1), (GF4, 3, 1), (GF4, 4, 1), (GF4, 5, 1)):
+        q = spec.degree
+        for _ in range(blocks):
+            start = rng.randrange(1 << (q * (n - 1) * n // 2)) << (q * n)
+            keys = eng.sweep_keys(start, start + (1 << (q * n)), n, spec).tolist()
+            for r, key in enumerate(keys):
+                assert eng.key_to_word(key, n) == naive_epr(eng.code_matrix(start + r, n, spec))
 
 
 def test_engine_schur_matches_library():
@@ -181,10 +224,10 @@ def test_engine_letters_order_7_sampled():
     codes = np.array(
         sorted(rng.randrange(1 << 28) for _ in range(40)), np.uint32
     )
-    letters = eng.code_letters(codes, 7)
+    words = _sweep_words(codes.tolist(), 7)
     for pos, code in enumerate(codes.tolist()):
         m = eng.code_matrix(code, 7)
-        got = "".join("NSA"[letters[k][pos]] for k in range(7))
+        got = words[pos]
         assert got == naive_epr(m)
 
 
