@@ -237,8 +237,6 @@ def catalog_gf4(n: int, jobs: int = 1):
     return _catalog(n, GF4, jobs)
 
 
-
-
 # ---------------------------------------------------------------------------
 # GF(2) code maps of the theorem suite, on entry batches
 # ---------------------------------------------------------------------------

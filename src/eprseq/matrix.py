@@ -2,8 +2,11 @@
 
 A :class:`SymMatrix` is an immutable order-n symmetric matrix over a
 :class:`~eprseq.gfield.FieldSpec`.  Entries are stored densely as field
-elements; over GF(2) every operation additionally has a fast path that
-packs each row into one Python int and eliminates with word XORs.
+elements, and determinants, ranks, minors and inverses come from one
+elimination over every field; there is no separate GF(2) path.  These
+kernels are the independent check on the char-2 bordering kernel of
+:mod:`eprseq.sequence`.  The bit-packed ``_gf2_det`` is unused and kept
+only because ``bench/tracer.py`` wraps it by name.
 
 Index sets handed to the public operations are 1-based, matching the
 usual B[alpha] notation for principal submatrices.  All operations are
@@ -75,26 +78,6 @@ def _gf2_det(rows: list[int], k: int) -> int:
             if rows[r] & bit:
                 rows[r] ^= prow
     return 1
-
-
-def _gf2_rank(rows: list[int], k: int, ncols: int) -> int:
-    rank = 0
-    for c in range(ncols):
-        bit = 1 << c
-        p = -1
-        for r in range(rank, k):
-            if rows[r] & bit:
-                p = r
-                break
-        if p < 0:
-            continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        prow = rows[rank]
-        for r in range(rank + 1, k):
-            if rows[r] & bit:
-                rows[r] ^= prow
-        rank += 1
-    return rank
 
 
 def _generic_det(grid: list[list[int]], spec: FieldSpec) -> int:
@@ -195,7 +178,7 @@ def _generic_inverse(grid: list[list[int]], spec: FieldSpec) -> list[list[int]]:
 class SymMatrix:
     """Immutable symmetric matrix over a small binary field."""
 
-    __slots__ = ("spec", "n", "rows", "_bits")
+    __slots__ = ("spec", "n", "rows")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[int]]):
         grid = tuple(tuple(row) for row in rows)
@@ -212,7 +195,6 @@ class SymMatrix:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", grid)
-        object.__setattr__(self, "_bits", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SymMatrix is immutable")
@@ -224,18 +206,6 @@ class SymMatrix:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"entry ({i},{j}) out of range 1..{self.n}")
         return self.rows[i - 1][j - 1]
-
-    def bit_rows(self) -> tuple[int, ...]:
-        """GF(2) rows packed into ints; bit j of row i is the (i, j) entry."""
-        if self.spec is not GF2 and self.spec.degree != 1:
-            raise ValueError("bit_rows is defined for GF(2) matrices only")
-        cached = object.__getattribute__(self, "_bits")
-        if cached is None:
-            cached = tuple(
-                sum(bit << j for j, bit in enumerate(row)) for row in self.rows
-            )
-            object.__setattr__(self, "_bits", cached)
-        return cached
 
     def has_zero_diagonal(self) -> bool:
         return any(self.rows[i][i] == 0 for i in range(self.n))
@@ -257,25 +227,9 @@ class SymMatrix:
 
     def determinant(self) -> int:
         """Exact determinant; the order-0 determinant is 1."""
-        if self.spec.degree == 1:
-            return self._det_via_bits()
-        return self._det_via_elimination()
-
-    def _det_via_bits(self) -> int:
-        return _gf2_det(list(self.bit_rows()), self.n)
-
-    def _det_via_elimination(self) -> int:
         return _generic_det([list(r) for r in self.rows], self.spec)
 
     def rank(self) -> int:
-        if self.spec.degree == 1:
-            return self._rank_via_bits()
-        return self._rank_via_elimination()
-
-    def _rank_via_bits(self) -> int:
-        return _gf2_rank(list(self.bit_rows()), self.n, self.n)
-
-    def _rank_via_elimination(self) -> int:
         return _generic_rank([list(r) for r in self.rows], self.spec)
 
     def inverse(self) -> "SymMatrix":
@@ -299,16 +253,6 @@ class SymMatrix:
         ci = _index_set(col_set, self.n, "cols")
         if len(ri) != len(ci):
             raise ValueError(f"minor needs |rows| == |cols|, got {len(ri)} and {len(ci)}")
-        if self.spec.degree == 1:
-            bits = self.bit_rows()
-            sub = []
-            for i in ri:
-                r = bits[i - 1]
-                x = 0
-                for t, j in enumerate(ci):
-                    x |= ((r >> (j - 1)) & 1) << t
-                sub.append(x)
-            return _gf2_det(sub, len(ri))
         grid = [[self.rows[i - 1][j - 1] for j in ci] for i in ri]
         return _generic_det(grid, self.spec)
 

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .gfield import FieldSpec
-# The elimination kernels stay importable here: bench/tracer.py wraps them by these names.
+# _generic_det and _gf2_det are unused here: bench/tracer.py wraps them by these names.
 from .matrix import SymMatrix, _generic_det, _gf2_det  # noqa: F401
 
 EPR_LETTERS = "ASN"

@@ -24,8 +24,15 @@ import numpy as np
 from . import _engine as eng
 from .classify import classify_epr_z2, rule_violations
 from .gfield import GF2, GF4, FieldSpec
-from .matrix import SymMatrix, complete_graph, loop_complete_graph, loop_split_graph, pendant_loop_complete
-from .sequence import compute_epr, compute_pr, pr_of_epr
+from .matrix import (
+    SymMatrix,
+    _generic_rank,
+    complete_graph,
+    loop_complete_graph,
+    loop_split_graph,
+    pendant_loop_complete,
+)
+from .sequence import compute_epr, compute_pr, minor_tables, pr_of_epr, principal_minors
 
 DEFAULT_SEED = 1729
 _MAX_FAILURES_KEPT = 20
@@ -155,6 +162,17 @@ def _all_codes(n: int) -> np.ndarray:
     return np.arange(1 << eng.tri(n), dtype=np.uint32)
 
 
+def _gf2_minor_tables(max_n: int) -> list[np.ndarray]:
+    """Entry n is the (2^n, codes) table of every principal minor of every
+    symmetric GF(2) matrix of order n, n = 0..max_n."""
+    return [minor_tables(eng.decode_entries(_all_codes(n), n), GF2) for n in range(max_n + 1)]
+
+
+def _mask(idx, base: int = 0) -> int:
+    """Minor-table row of the index set idx, whose first index is base."""
+    return sum(1 << (i - base) for i in idx)
+
+
 def _catalog_words(max_order: int) -> list[tuple[int, str]]:
     out = []
     for n in range(1, max_order + 1):
@@ -183,8 +201,6 @@ def _rand_sym(rng: np.random.Generator, n: int, spec: FieldSpec) -> SymMatrix:
 
 
 def _rand_invertible(rng: np.random.Generator, n: int, spec: FieldSpec) -> list[list[int]]:
-    from .matrix import _generic_rank
-
     q = spec.order
     while True:
         grid = [[int(rng.integers(0, q)) for _ in range(n)] for _ in range(n)]
@@ -295,49 +311,51 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
     return CheckResult("nsa-prohibition", cases, failures)
 
 
-def _schur_cases(max_n: int) -> list:
-    """(n, alpha, codes, entries, Schur complement entries) for every proper
-    pivot set alpha, over the codes whose pivot block B[alpha] is nonsingular."""
+def _schur_cases(tables: list[np.ndarray]) -> list:
+    """(n, alpha, valid, entries, Schur complement entries) for every proper
+    pivot set alpha, where the mask valid picks the codes of order n whose
+    pivot block B[alpha] is nonsingular."""
     cases = []
-    for n in range(2, max_n + 1):
-        codes = _all_codes(n)
-        ent = eng.decode_entries(codes, n)
+    for n in range(2, len(tables)):
+        ent = eng.decode_entries(_all_codes(n), n)
         for k in range(1, n):
-            table = eng.det_table(k)
             for alpha in combinations(range(n), k):
-                valid = table[eng.gather_codes(ent, alpha)] == 1
+                valid = tables[n][_mask(alpha)] == 1
                 vent = ent[:, :, valid]
-                cases.append((n, alpha, codes[valid], vent, eng.schur_entries(vent, alpha)))
+                cases.append((n, alpha, valid, vent, eng.schur_entries(vent, alpha)))
     return cases
 
 
-def _check_schur_identity(schur_cases: list, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
+def _check_schur_identity(
+    schur_cases: list, tables: list[np.ndarray], rng: np.random.Generator, gf4_cases: int
+) -> CheckResult:
     """det C[gamma] * det B[alpha] = det B[gamma u alpha]; rank C = rank B - k."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, vent, cent in schur_cases:
+    for n, alpha, valid, _, cent in schur_cases:
         k = len(alpha)
         m = n - k
         comp = tuple(i for i in range(n) if i not in alpha)
-        bad = eng.rank_array(m)[eng.encode_entries(cent)] != eng.rank_array(n)[valid] - k
+        ccodes = eng.encode_entries(cent)
+        bad = eng.rank_array(m)[ccodes] != eng.rank_array(n)[valid] - k
         for gsize in range(0, m + 1):
             for gamma in combinations(range(m), gsize):
-                left = eng.det_table(gsize)[eng.gather_codes(cent, gamma)]
-                union = tuple(sorted(alpha + tuple(comp[g] for g in gamma)))
-                right = eng.det_table(gsize + k)[eng.gather_codes(vent, union)]
+                left = tables[m][_mask(gamma), ccodes]
+                right = tables[n][_mask(alpha) | _mask(comp[g] for g in gamma), valid]
                 bad |= left != right
-                cases += int(valid.size)
-        for code in valid[bad][:_MAX_FAILURES_KEPT]:
+                cases += int(ccodes.size)
+        for code in np.flatnonzero(valid)[bad][:_MAX_FAILURES_KEPT]:
             _keep(failures, _serialize_code(n, int(code)) + f" alpha={alpha}")
     # GF(4): the quotient genuinely divides by a non-unit determinant.
     for _ in range(gf4_cases):
         n = int(rng.integers(2, 6))
         b = _rand_sym(rng, n, GF4)
+        dets = principal_minors(b).tolist()
         pivots = [
             a
             for size in range(1, n)
             for a in combinations(range(1, n + 1), size)
-            if b.principal_submatrix(a).determinant() != 0
+            if dets[_mask(a, 1)] != 0
         ]
         if not pivots:
             continue
@@ -347,10 +365,10 @@ def _check_schur_identity(schur_cases: list, rng: np.random.Generator, gf4_cases
         gamma = tuple(
             j + 1 for j in range(len(labels)) if rng.integers(0, 2)
         )
-        da = b.principal_submatrix(alpha).determinant()
-        left = c.principal_submatrix(gamma).determinant()
+        da = dets[_mask(alpha, 1)]
+        left = int(principal_minors(c)[_mask(gamma, 1)])
         union = tuple(sorted(alpha + tuple(labels[g - 1] for g in gamma)))
-        right = b.principal_submatrix(union).determinant()
+        right = dets[_mask(union, 1)]
         cases += 1
         if GF4.mul(left, da) != right or c.rank() != b.rank() - len(alpha):
             _keep(failures, f"gf4 schur {b!r} alpha={alpha} gamma={gamma}")
@@ -367,42 +385,37 @@ def _check_schur_letters(schur_cases: list) -> CheckResult:
         ccodes = eng.encode_entries(cent)
         big = eng.letter_arrays(n)
         small = eng.letter_arrays(m)
-        bad = np.zeros(valid.size, bool)
+        bad = np.zeros(ccodes.size, bool)
         for j in range(1, m + 1):
             top = big[j + k - 1][valid]
             fixed = (top == 0) | (top == 2)
             bad |= fixed & (small[j - 1][ccodes] != top)
-        cases += int(valid.size) * m
-        for code in valid[bad][:_MAX_FAILURES_KEPT]:
+        cases += int(ccodes.size) * m
+        for code in np.flatnonzero(valid)[bad][:_MAX_FAILURES_KEPT]:
             _keep(failures, _serialize_code(n, int(code)) + f" alpha={alpha}")
     return CheckResult("schur-complement-letters", cases, failures)
 
 
-def _check_hyperdet(max_n: int, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
+def _check_hyperdet(tables: list[np.ndarray], rng: np.random.Generator, gf4_cases: int) -> CheckResult:
     """Four-term squared principal-minor identity in characteristic 2."""
     failures: list[str] = []
     cases = 0
-    for n in range(3, max_n + 1):
-        codes = _all_codes(n)
-        ent = eng.decode_entries(codes, n)
+    for n in range(3, len(tables)):
+        dets = tables[n]
         for tau in combinations(range(n), 3):
             rest = [x for x in range(n) if x not in tau]
+            i, j, k = (1 << t for t in tau)
             for rsize in range(len(rest) + 1):
                 for base in combinations(rest, rsize):
-                    i, j, k = tau
-
-                    def dets(extra: tuple[int, ...]) -> np.ndarray:
-                        s = tuple(sorted(base + extra))
-                        return eng.det_table(len(s))[eng.gather_codes(ent, s)]
-
+                    s = _mask(base)
                     total = (
-                        (dets(()) & dets((i, j, k)))
-                        ^ (dets((i,)) & dets((j, k)))
-                        ^ (dets((j,)) & dets((i, k)))
-                        ^ (dets((k,)) & dets((i, j)))
+                        (dets[s] & dets[s | i | j | k])
+                        ^ (dets[s | i] & dets[s | j | k])
+                        ^ (dets[s | j] & dets[s | i | k])
+                        ^ (dets[s | k] & dets[s | i | j])
                     )
-                    cases += int(codes.size)
-                    for code in codes[total != 0][:_MAX_FAILURES_KEPT]:
+                    cases += dets.shape[1]
+                    for code in np.flatnonzero(total)[:_MAX_FAILURES_KEPT]:
                         _keep(
                             failures,
                             _serialize_code(n, int(code)) + f" tau={tau} I={base}",
@@ -414,9 +427,10 @@ def _check_hyperdet(max_n: int, rng: np.random.Generator, gf4_cases: int) -> Che
         tau = tuple(sorted(rng.choice(n, size=3, replace=False).tolist()))
         rest = [x for x in range(n) if x not in tau]
         base = tuple(x for x in rest if rng.integers(0, 2))
+        dets = principal_minors(b).tolist()
 
         def sq_det(extra: tuple[int, ...]) -> int:
-            d = b.principal_submatrix(tuple(x + 1 for x in sorted(base + extra))).determinant()
+            d = dets[_mask(base + extra)]
             return mul(d, d)
 
         i, j, k = tau
@@ -607,16 +621,17 @@ def theorem_suite(
     if not 2 <= max_n <= 5:
         raise ValueError(f"max_n must be in [2, 5], got {max_n}")
     words = _catalog_words(min(max_n + 1, 6))
-    schur_cases = _schur_cases(max_n)
+    tables = _gf2_minor_tables(max_n)
+    schur_cases = _schur_cases(tables)
     rng = np.random.default_rng(seed)
     checks = [
         _check_nn(words),
         _check_inverse(max_n),
         _check_inheritance(max_n),
         _check_nsa(words),
-        _check_schur_identity(schur_cases, rng, gf4_cases),
+        _check_schur_identity(schur_cases, tables, rng, gf4_cases),
         _check_schur_letters(schur_cases),
-        _check_hyperdet(max_n, rng, gf4_cases),
+        _check_hyperdet(tables, rng, gf4_cases),
         _check_terminal_an_minors(max_n),
         _check_append_transforms(max_n, rng, gf4_cases),
         _check_na_ns_parity(words),

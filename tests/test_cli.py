@@ -169,6 +169,14 @@ def test_check_theorems_prints_seed(capsys):
     assert len(lines) == 17  # seed line + one line per check
 
 
+@pytest.mark.parametrize("max_n, seed", [(4, 3), (2, 11)])
+def test_check_theorems_matches_golden_output(capsys, max_n, seed):
+    """Case counts pin the rng call order and every check's case loop."""
+    code, out, _ = run(capsys, "check-theorems", "--max-n", str(max_n), "--seed", str(seed))
+    assert code == 0
+    assert out == (DATA / f"check_theorems_n{max_n}_seed{seed}.out").read_text()
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-verb"]) == 2
     assert main([]) == 2

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from eprseq import (
@@ -25,7 +26,8 @@ from eprseq import (
     wide_clique_matching,
     zeros,
 )
-from oracles import all_symmetric_gf2, laplace_det
+from eprseq.sequence import principal_minors
+from oracles import all_symmetric_gf2, laplace_det, subgrid
 
 
 def matmul(a, b, spec):
@@ -109,17 +111,23 @@ def test_rank_examples():
     assert perfect_matching(6).rank() == 6
 
 
-def test_bit_and_generic_paths_agree():
+def _random_sym(rng, spec, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randrange(spec.order)
+    return SymMatrix(spec, rows)
+
+
+def test_elimination_agrees_with_minor_kernel():
+    # a symmetric matrix's rank is the largest order of a nonsingular principal submatrix
     rng = random.Random(99)
-    for trial in range(10_000):
-        n = rng.randint(1, 12) if trial % 10 else rng.randint(13, 32)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randint(0, 1)
-        m = SymMatrix(GF2, rows)
-        assert m._det_via_bits() == m._det_via_elimination()
-        assert m._rank_via_bits() == m._rank_via_elimination()
+    for trial in range(6_000):
+        spec = GF2 if trial % 2 else GF4
+        m = _random_sym(rng, spec, rng.randint(1, 12) if trial % 20 else rng.randint(13, 18))
+        table = principal_minors(m)
+        assert m.determinant() == table[-1]
+        assert m.rank() == np.bitwise_count(np.flatnonzero(table)).max()
 
 
 # -- submatrices and minors ---------------------------------------------------
@@ -144,6 +152,17 @@ def test_minor():
     assert m.minor([1, 2, 3, 4], [1, 2, 3, 4]) == m.determinant()
     with pytest.raises(ValueError):
         m.minor([1], [1, 2])
+
+
+def test_minor_matches_laplace_sampled():
+    rng = random.Random(5)
+    for trial in range(2_000):
+        spec = GF2 if trial % 2 else GF4
+        m = _random_sym(rng, spec, rng.randint(1, 5))
+        k = rng.randint(0, m.n)
+        rows, cols = sorted(rng.sample(range(m.n), k)), sorted(rng.sample(range(m.n), k))
+        want = laplace_det(subgrid(m, rows, cols), spec)
+        assert m.minor([i + 1 for i in rows], [j + 1 for j in cols]) == want
 
 
 # -- inverse -------------------------------------------------------------------
