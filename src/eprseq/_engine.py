@@ -14,8 +14,9 @@ the letters of all 2^(q n) matrices bordering one A off A's packed table
 and one border word per matrix: A where every minor of an order is
 nonzero, N where none is.  The theorem suite's code maps (principal
 submatrices, appended rows, inverses, Schur complements, congruences)
-take entry batches too; inverses come from GF(2) Gauss-Jordan
-elimination, never from the minor table.
+take entry batches too; inverses, and the order-(n-1) minors of the
+terminal-AN check, come from GF(2) Gauss-Jordan elimination, never from
+the minor table.
 
 Everything here is internal plumbing for :mod:`eprseq.verify`.
 """
@@ -256,26 +257,40 @@ def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gf2_inverse(ent: np.ndarray) -> np.ndarray:
-    """Inverses of a (k, k, B) batch of nonsingular GF(2) matrices (Gauss-Jordan)."""
+def gf2_inverse(ent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(det, inverse) of a (k, k, B) batch of GF(2) matrices (Gauss-Jordan).
+
+    The inverse is meaningful only where det is 1.
+    """
     k = ent.shape[0]
     aug = np.zeros((k, 2 * k, ent.shape[2]), np.uint8)
     aug[:, :k] = ent
     aug[range(k), range(k, 2 * k)] = 1
+    det = np.ones(ent.shape[2], np.uint8)
     for j in range(k):
         for r in range(j + 1, k):  # a zero pivot takes the first later row with a 1
             aug[j] ^= aug[r] & (aug[r, j] > aug[j, j])
+        det &= aug[j, j]
         for r in range(k):
             if r != j:
                 aug[r] ^= aug[j] & aug[r, j]
-    return aug[:, k:]
+    return det, aug[:, k:]
+
+
+def deleted_minors(ent: np.ndarray) -> np.ndarray:
+    """(n, n, B) GF(2) minors: entry (i, j) is det of ent without row i and column j."""
+    n = ent.shape[0]
+    keep = [[r for r in range(n) if r != i] for i in range(n)]
+    return np.array(
+        [[gf2_inverse(ent[np.ix_(keep[i], keep[j])])[0] for j in range(n)] for i in range(n)]
+    )
 
 
 def schur_entries(ent: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
     """B / B[alpha] for a batch whose pivot blocks B[alpha] are nonsingular."""
     comp = [i for i in range(ent.shape[0]) if i not in alpha]
     cross = ent[np.ix_(comp, alpha)]
-    y = gf2_matmul(cross, gf2_inverse(ent[np.ix_(alpha, alpha)]))
+    y = gf2_matmul(cross, gf2_inverse(ent[np.ix_(alpha, alpha)])[1])
     return ent[np.ix_(comp, comp)] ^ gf2_matmul(y, cross.transpose(1, 0, 2))
 
 

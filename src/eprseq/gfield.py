@@ -91,12 +91,6 @@ class FieldSpec:
         """Field addition: XOR of coefficient vectors.  add(a, a) == 0."""
         return a ^ b
 
-    # Characteristic 2: subtraction and negation coincide with addition.
-    sub = add
-
-    def neg(self, a: int) -> int:
-        return a
-
     def mul(self, a: int, b: int) -> int:
         """Shift-xor product reduced by the modulus."""
         acc = 0
@@ -116,9 +110,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         return self._inverse_table[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     @cached_property
     def _inverse_table(self) -> tuple[int, ...]:

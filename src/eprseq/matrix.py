@@ -2,11 +2,12 @@
 
 A :class:`SymMatrix` is an immutable order-n symmetric matrix over a
 :class:`~eprseq.gfield.FieldSpec`.  Entries are stored densely as field
-elements, and determinants, ranks, minors and inverses come from one
-elimination over every field; there is no separate GF(2) path.  These
-kernels are the independent check on the char-2 bordering kernel of
+elements, and every operation that eliminates (determinant, rank,
+minor, inverse, Schur complement) runs the one routine ``_eliminate``
+over every field; there is no separate GF(2) path.  It is the
+independent check on the char-2 bordering kernel of
 :mod:`eprseq.sequence`.  The bit-packed ``_gf2_det`` is unused and kept
-only because ``bench/tracer.py`` wraps it by name.
+for the benchmark only: ``bench/tracer.py`` wraps it by name.
 
 Index sets handed to the public operations are 1-based, matching the
 usual B[alpha] notation for principal submatrices.  All operations are
@@ -80,95 +81,51 @@ def _gf2_det(rows: list[int], k: int) -> int:
     return 1
 
 
-def _generic_det(grid: list[list[int]], spec: FieldSpec) -> int:
-    """Determinant of a square entry grid by elimination (destructive).
+def _eliminate(grid: list[list[int]], spec: FieldSpec, pivots: Iterable[int]) -> tuple[int, int]:
+    """Eliminate a square entry grid on the pivot columns (destructive).
 
-    Row swaps carry no sign change in characteristic 2.
+    Each pivot column c pivots on the first unused row of ``pivots`` with
+    a nonzero entry in c; a multiple of that row is then added to every
+    other unused row, rows outside ``pivots`` included, to clear their
+    entry in c.  Returns (rank, det) of the pivot block grid[pivots][pivots]:
+    det is the product of the pivots, since row order carries no sign in
+    characteristic 2, and 0 when some column found no pivot.  The rows
+    and columns outside ``pivots`` end up holding the Schur complement
+    of that block.
     """
-    k = len(grid)
+    mul = spec.mul
+    inv = spec.inv
+    pivots = list(pivots)
+    free = pivots[:]
+    unused = list(range(len(grid)))
     det = 1
-    mul = spec.mul
-    inv = spec.inv
-    for c in range(k):
-        p = -1
-        for r in range(c, k):
-            if grid[r][c]:
-                p = r
-                break
-        if p < 0:
-            return 0
-        if p != c:
-            grid[c], grid[p] = grid[p], grid[c]
-        piv = grid[c][c]
-        det = mul(det, piv)
-        pinv = inv(piv)
-        prow = grid[c]
-        for r in range(c + 1, k):
-            f = grid[r][c]
-            if f:
-                f = mul(f, pinv)
-                row = grid[r]
-                for j in range(c, k):
-                    row[j] ^= mul(f, prow[j])
-    return det
-
-
-def _generic_rank(grid: list[list[int]], spec: FieldSpec) -> int:
-    if not grid:
-        return 0
-    k = len(grid)
-    ncols = len(grid[0])
-    mul = spec.mul
-    inv = spec.inv
-    rank = 0
-    for c in range(ncols):
-        p = -1
-        for r in range(rank, k):
-            if grid[r][c]:
-                p = r
-                break
-        if p < 0:
+    for c in pivots:
+        p = next((r for r in free if grid[r][c]), None)
+        if p is None:
+            det = 0
             continue
-        grid[rank], grid[p] = grid[p], grid[rank]
-        prow = grid[rank]
+        free.remove(p)
+        unused.remove(p)
+        prow = grid[p]
+        det = mul(det, prow[c])
         pinv = inv(prow[c])
-        for r in range(rank + 1, k):
+        for r in unused:
             f = grid[r][c]
             if f:
                 f = mul(f, pinv)
                 row = grid[r]
-                for j in range(c, ncols):
-                    row[j] ^= mul(f, prow[j])
-        rank += 1
-    return rank
+                for j, x in enumerate(prow):
+                    if x:
+                        row[j] ^= mul(f, x)
+    return len(pivots) - len(free), det
 
 
-def _generic_inverse(grid: list[list[int]], spec: FieldSpec) -> list[list[int]]:
-    """Gauss-Jordan inverse of a square entry grid (destructive)."""
-    k = len(grid)
-    mul = spec.mul
-    inv = spec.inv
-    aug = [row + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(grid)]
-    for c in range(k):
-        p = -1
-        for r in range(c, k):
-            if aug[r][c]:
-                p = r
-                break
-        if p < 0:
-            raise SingularMatrixError("matrix is singular")
-        if p != c:
-            aug[c], aug[p] = aug[p], aug[c]
-        pinv = inv(aug[c][c])
-        aug[c] = [mul(pinv, x) for x in aug[c]]
-        prow = aug[c]
-        for r in range(k):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                row = aug[r]
-                for j in range(c, 2 * k):
-                    row[j] ^= mul(f, prow[j])
-    return [row[k:] for row in aug]
+def _generic_det(grid: list[list[int]], spec: FieldSpec) -> int:
+    """Determinant of a square entry grid (destructive).
+
+    ``bench/tracer.py`` counts ``matrix.det.calls`` by this name.
+    """
+    return _eliminate(grid, spec, range(len(grid)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +187,19 @@ class SymMatrix:
         return _generic_det([list(r) for r in self.rows], self.spec)
 
     def rank(self) -> int:
-        return _generic_rank([list(r) for r in self.rows], self.spec)
+        return _eliminate([list(r) for r in self.rows], self.spec, range(self.n))[0]
 
     def inverse(self) -> "SymMatrix":
-        """Inverse matrix; raises SingularMatrixError when det == 0."""
-        inv = _generic_inverse([list(r) for r in self.rows], self.spec)
-        return SymMatrix(self.spec, inv)
+        """Inverse matrix, the Schur complement of B in [[B, I], [I, 0]].
+
+        Raises SingularMatrixError when det == 0.
+        """
+        n = self.n
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        grid = [list(r) + e for r, e in zip(self.rows, eye)] + [e + [0] * n for e in eye]
+        if _eliminate(grid, self.spec, range(n))[1] == 0:
+            raise SingularMatrixError("matrix is singular")
+        return SymMatrix(self.spec, [row[n:] for row in grid[n:]])
 
     # -- submatrices ---------------------------------------------------------
 
@@ -264,39 +228,15 @@ class SymMatrix:
         Returns B(alpha) - B[comp, alpha] B[alpha]^{-1} B[alpha, comp]
         (minus is plus in characteristic 2), an order n-|alpha| symmetric
         matrix whose positions are renumbered 1..n-|alpha| in the original
-        order; recover labels with :func:`complement_labels`.
+        order; recover labels with :func:`complement_labels`.  Eliminating
+        on alpha leaves it in the complement block.
         """
         a = _index_set(alpha, self.n, "alpha")
-        if not a:
-            return self
-        comp = complement_labels(self.n, a)
-        block = [[self.rows[i - 1][j - 1] for j in a] for i in a]
-        try:
-            block_inv = _generic_inverse(block, self.spec)
-        except SingularMatrixError:
-            raise SingularMatrixError(
-                f"pivot block at {set(a)} is singular"
-            ) from None
-        mul = self.spec.mul
-        k = len(a)
-        cross = [[self.rows[i - 1][j - 1] for j in a] for i in comp]
-        # Y = cross @ block_inv
-        y = [
-            [
-                _xor_sum(mul(cross[r][s], block_inv[s][t]) for s in range(k))
-                for t in range(k)
-            ]
-            for r in range(len(comp))
-        ]
-        out = []
-        for r, i in enumerate(comp):
-            row = []
-            for t, j in enumerate(comp):
-                acc = self.rows[i - 1][j - 1]
-                acc ^= _xor_sum(mul(y[r][s], cross[t][s]) for s in range(k))
-                row.append(acc)
-            out.append(row)
-        return SymMatrix(self.spec, out)
+        grid = [list(r) for r in self.rows]
+        if _eliminate(grid, self.spec, [i - 1 for i in a])[1] == 0:
+            raise SingularMatrixError(f"pivot block at {set(a)} is singular")
+        comp = [i - 1 for i in complement_labels(self.n, a)]
+        return SymMatrix(self.spec, [[grid[i][j] for j in comp] for i in comp])
 
     def direct_sum(self, other: "SymMatrix") -> "SymMatrix":
         if self.spec != other.spec:
@@ -343,13 +283,6 @@ class SymMatrix:
 
     def write(self, stream: TextIO) -> None:
         stream.write(self.to_text())
-
-
-def _xor_sum(values: Iterable[int]) -> int:
-    acc = 0
-    for v in values:
-        acc ^= v
-    return acc
 
 
 def read_matrix(source: str | TextIO) -> SymMatrix:

@@ -26,7 +26,7 @@ from .classify import classify_epr_z2, rule_violations
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import (
     SymMatrix,
-    _generic_rank,
+    _eliminate,
     complete_graph,
     loop_complete_graph,
     loop_split_graph,
@@ -204,7 +204,7 @@ def _rand_invertible(rng: np.random.Generator, n: int, spec: FieldSpec) -> list[
     q = spec.order
     while True:
         grid = [[int(rng.integers(0, q)) for _ in range(n)] for _ in range(n)]
-        if _generic_rank([row[:] for row in grid], spec) == n:
+        if _eliminate([row[:] for row in grid], spec, range(n))[0] == n:
             return grid
 
 
@@ -247,7 +247,7 @@ def _check_inverse(max_n: int) -> CheckResult:
     for n in range(1, max_n + 1):
         letters = eng.letter_arrays(n)
         nz = _all_codes(n)[eng.det_table(n) == 1]
-        inv_codes = eng.encode_entries(eng.gf2_inverse(eng.decode_entries(nz, n)))
+        inv_codes = eng.encode_entries(eng.gf2_inverse(eng.decode_entries(nz, n))[1])
         bad = letters[n - 1][inv_codes] != 2
         for j in range(1, n):
             bad |= letters[j - 1][inv_codes] != letters[n - j - 1][nz]
@@ -454,17 +454,10 @@ def _check_terminal_an_minors(max_n: int) -> CheckResult:
         codes = _all_codes(n)
         letters = eng.letter_arrays(n)
         sel = codes[(letters[n - 2][codes] == 2) & (letters[n - 1][codes] == 0)]
-        full = tuple(range(1, n + 1))
-        for code in sel.tolist():
-            cases += 1
-            m = eng.code_matrix(code, n)
-            ok = all(
-                m.minor([x for x in full if x != i], [x for x in full if x != j]) != 0
-                for i in full
-                for j in full
-            )
-            if not ok:
-                _keep(failures, _serialize_code(n, code))
+        bad = (eng.deleted_minors(eng.decode_entries(sel, n)) == 0).any(axis=(0, 1))
+        cases += int(sel.size)
+        for code in sel[bad][:_MAX_FAILURES_KEPT].tolist():
+            _keep(failures, _serialize_code(n, code))
     return CheckResult("terminal-an-full-minors", cases, failures)
 
 

@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 from eprseq import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +42,13 @@ def test_traced_check_theorems_run(capsys, monkeypatch):
     cases = dict(line.split()[:2] for line in plain.splitlines()[1:])
     gf2_dets = int(cases["loop-split-determinant"]) + int(cases["loop-complete-nonsingular"])
     assert tracer.counts["matrix.det.calls"] >= gf2_dets > 0
+
+
+@pytest.mark.parametrize("word", ["ASASA", "ASAN", "SSSAN"])  # inverse, A8 and S4 Schur recipes
+def test_traced_witness_run(capsys, monkeypatch, word):
+    assert cli.main(["witness", word]) == 0
+    plain = capsys.readouterr().out
+    code, tracer = traced_main(monkeypatch, ["witness", word])
+    assert (code, capsys.readouterr().out) == (0, plain)
+    assert "matrix.construct" in {s.name for s in tracer.spans}
+    assert tracer.counts["gfield.mul.calls"] > 0  # the elimination ran under the tracer

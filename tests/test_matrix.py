@@ -15,6 +15,7 @@ from eprseq import (
     complete_graph,
     coned_matching,
     construct_named,
+    field_make,
     identity,
     loop_biclique,
     loop_complete_graph,
@@ -236,6 +237,46 @@ def test_schur_identity_exhaustive_order4():
 def test_schur_complement_empty_pivot():
     m = complete_graph(4)
     assert m.schur_complement([]) == m
+
+
+@pytest.mark.parametrize("spec", [GF4, field_make(3)], ids=["gf4", "gf8"])
+def test_schur_and_inverse_follow_sylvester(spec):
+    # Sylvester's determinant identity: (B / B[a])_ij = det B[a+i, a+j] / det B[a],
+    # and B^-1_ij = det B[i', j'] / det B (cofactors carry no sign in char 2)
+    rng = random.Random(8 + spec.degree)
+    mul, inv = spec.mul, spec.inv
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randrange(spec.order)
+        m = SymMatrix(spec, rows)
+        for k in range(n + 1):
+            alpha = sorted(rng.sample(range(n), k))
+            piv = laplace_det(subgrid(m, alpha, alpha), spec)
+            labels = [a + 1 for a in alpha]
+            if piv == 0:
+                with pytest.raises(SingularMatrixError):
+                    m.schur_complement(labels)
+                continue
+            comp = [i for i in range(n) if i not in alpha]
+            want = [
+                [mul(laplace_det(subgrid(m, alpha + [i], alpha + [j]), spec), inv(piv)) for j in comp]
+                for i in comp
+            ]
+            assert [list(r) for r in m.schur_complement(labels).rows] == want
+        det = laplace_det(subgrid(m, range(n), range(n)), spec)
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+            continue
+        keep = [[r for r in range(n) if r != i] for i in range(n)]
+        want = [
+            [mul(laplace_det(subgrid(m, keep[i], keep[j]), spec), inv(det)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert [list(r) for r in m.inverse().rows] == want
 
 
 def test_complement_labels():

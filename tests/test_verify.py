@@ -19,7 +19,7 @@ from eprseq import (
 from eprseq import _engine as eng
 from eprseq import verify
 from eprseq.sequence import minor_tables
-from oracles import all_symmetric_gf2, naive_epr
+from oracles import all_symmetric_gf2, laplace_det, naive_epr, subgrid
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -275,9 +275,23 @@ def test_gather_codes_match_library_exhaustive():
 def test_gf2_inverse_matches_library_exhaustive():
     for n in range(1, 5):
         mats = [m for m in all_symmetric_gf2(n) if m.determinant() == 1]
-        inv = eng.gf2_inverse(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
+        det, inv = eng.gf2_inverse(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
+        assert det.tolist() == [1] * len(mats)
         for b, m in enumerate(mats):
             assert _grid(inv, b) == m.inverse().rows
+
+
+def test_deleted_minors_match_laplace_exhaustive():
+    for n in range(1, 5):
+        mats = list(all_symmetric_gf2(n))
+        minors = eng.deleted_minors(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
+        assert minors.shape == (n, n, len(mats))
+        for i in range(n):
+            rows = [r for r in range(n) if r != i]
+            for j in range(n):
+                cols = [c for c in range(n) if c != j]
+                want = [laplace_det(subgrid(m, rows, cols), GF2) for m in mats]
+                assert minors[i, j].tolist() == want
 
 
 def test_congruence_entries_match_matmul_exhaustive():
