@@ -51,16 +51,6 @@ from .sequence import (
     parse_pr,
     pr_of_epr,
 )
-from .verify import (
-    BoundExceededError,
-    CheckResult,
-    EprCatalog,
-    SuiteReport,
-    attained_pr_sequences,
-    compare_with_classifier,
-    enumerate_epr,
-    theorem_suite,
-)
 from .witness import (
     NotAttainableError,
     Recipe,
@@ -71,6 +61,28 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+# Served on first use (PEP 562): eprseq.verify imports numpy, which the
+# single-matrix code paths never need.
+_VERIFY_NAMES = frozenset({
+    "BoundExceededError",
+    "CheckResult",
+    "EprCatalog",
+    "SuiteReport",
+    "attained_pr_sequences",
+    "compare_with_classifier",
+    "enumerate_epr",
+    "theorem_suite",
+})
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EPR_FAMILIES",

@@ -8,11 +8,11 @@ code_matrix know this layout: everything else works on (n, n, B) entry
 batches, the batch on the last axis.  Row 0 takes the lowest bits, so
 each run of 2^(q n) consecutive codes (q bits per entry) shares its
 trailing block A = B[1:, 1:].  The border sweep (sweep_keys) hands the
-decoded A's to :func:`eprseq.sequence.minor_tables`, the char-2
-bordering kernel that also computes single-matrix sequences, and reads
-the letters of all 2^(q n) matrices bordering one A off A's packed table
-and one border word per matrix: A where every minor of an order is
-nonzero, N where none is.  The theorem suite's code maps (principal
+decoded A's to minor_tables, the batched char-2 bordering kernel
+(eprseq.sequence.minor_planes computes the same table for one matrix
+without numpy), and reads the letters of all 2^(q n) matrices bordering
+one A off A's packed table and one border word per matrix: A where every
+minor of an order is nonzero, N where none is.  The theorem suite's code maps (principal
 submatrices, appended rows, inverses, Schur complements, congruences)
 take entry batches too; inverses, and the order-(n-1) minors of the
 terminal-AN check, come from GF(2) Gauss-Jordan elimination, never from
@@ -31,11 +31,57 @@ import numpy as np
 
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import SymMatrix
-from .sequence import minor_tables
 
 _MAX_TABLE_ORDER = 6
 
 _LETTER_CHARS = "NSA"  # letter codes 0, 1, 2
+
+
+@lru_cache(maxsize=None)
+def _mul_table(spec: FieldSpec) -> np.ndarray:
+    q = range(spec.order)
+    return np.array([[spec.mul(a, b) for b in q] for a in q], np.uint8)
+
+
+def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """det B[S] for every subset S of each matrix in a batch.
+
+    ``entries`` is a uint8 array (n, n, B) holding B symmetric matrices, the
+    batch on the last axis; the result is a uint8 array (2^n, B) indexed by
+    bitmask (bit i selects index i + 1; det B[{}] = 1).  In characteristic 2
+    the cross terms of c^T adj(A) c cancel in pairs, so with no pivot, for
+    j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}].
+    A term whose coefficient c is one value in every column is skipped (c = 0),
+    a plain XOR (c = 1) or a lookup in the row of c; otherwise c * v is the XOR
+    over the bits t of v of c * x^t, which avoids a two-dimensional gather.
+    """
+    n, _, batch = entries.shape
+    mul = _mul_table(spec)
+    coef = mul.diagonal()[entries]  # b_ij^2, and b_jj on the diagonal
+    coef.reshape(n * n, batch)[:: n + 1] = entries.reshape(n * n, batch)[:: n + 1]
+    lo, hi = coef.min(axis=2).tolist(), coef.max(axis=2).tolist()
+    dets = np.zeros((1 << n, batch), np.uint8)
+    dets[0] = 1
+    scratch = np.empty_like(dets[: 1 << max(n - 1, 0)])
+    for j in range(n):
+        lower, upper = dets[: 1 << j], dets[1 << j : 2 << j]
+        for i in range(j + 1):  # i == j is the b_jj term over every S
+            c = hi[j][i]
+            if not c:
+                continue
+            src = lower if i == j else lower.reshape(-1, 2, 1 << i, batch)[:, 0]
+            dst = upper if i == j else upper.reshape(-1, 2, 1 << i, batch)[:, 1]
+            if c == lo[j][i]:
+                dst ^= src if c == 1 else mul[c][src]
+                continue
+            tmp = scratch[: src.size // batch].reshape(src.shape)
+            for t in range(spec.degree):
+                bit = np.right_shift(src, t, out=tmp) if t else src
+                if t + 1 < spec.degree:
+                    bit = np.bitwise_and(bit, 1, out=tmp)
+                np.multiply(bit, mul[coef[j, i], 1 << t], out=tmp)
+                dst ^= tmp
+    return dets
 
 
 def tri(n: int) -> int:

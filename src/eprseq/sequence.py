@@ -9,12 +9,13 @@ r_0 = 1 iff B has a zero diagonal entry.
 
 Both sequences are read off one table of all 2^n principal minors,
 built by the characteristic-2 bordering identity in O(n 2^n) field
-operations and 2^n bytes.  The kernel, minor_tables, builds the tables
-of a whole batch of matrices at once; the exhaustive sweeps of
-eprseq._engine feed it decoded batches, and principal_minors is its
-one-matrix call.  A guardrail rejects orders above DEFAULT_MAX_ORDER
-unless lifted explicitly, and no order whose table exceeds physical
-memory is ever attempted.
+operations.  This module computes it for one matrix, bit-sliced: over
+GF(2^k) the table is k Python ints of 2^n bits (minor_planes), counted
+per order with int.bit_count, so the single-matrix paths never import
+numpy.  The batched numpy kernel for the exhaustive sweeps is
+eprseq._engine.minor_tables.  A guardrail rejects orders above
+DEFAULT_MAX_ORDER unless lifted explicitly, and no order whose 2^n-byte
+table exceeds physical memory is ever attempted.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-
-import numpy as np
 
 from .gfield import FieldSpec
 # _generic_det and _gf2_det are unused here: bench/tracer.py wraps them by these names.
@@ -109,78 +108,109 @@ def check_order(n: int, max_order: int | None = DEFAULT_MAX_ORDER) -> None:
         )
 
 
+_BLOCK = 16  # log2 of the subsets per cached mask and per counting block
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @lru_cache(maxsize=None)
-def _mul_table(spec: FieldSpec) -> np.ndarray:
-    q = range(spec.order)
-    return np.array([[spec.mul(a, b) for b in q] for a in q], np.uint8)
+def _field_tables(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """(b^2 for each b, and for each c the pairs (s, t) where c x^t has bit s)."""
+    q, d = range(spec.order), range(spec.degree)
+    squares = tuple(spec.mul(b, b) for b in q)
+    pairs = tuple(tuple((s, t) for t in d for s in d if spec.mul(c, 1 << t) >> s & 1) for c in q)
+    return squares, pairs
 
 
-def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """det B[S] for every subset S of each matrix in a batch.
+def _lacks(i: int, j: int) -> int:
+    """The bits S < 2^j without bit i, for i < j."""
+    mask, width = (1 << (1 << i)) - 1, 2 << i
+    while width < 1 << j:
+        mask |= mask << width
+        width <<= 1
+    return mask
 
-    ``entries`` is a uint8 array (n, n, B) holding B symmetric matrices, the
-    batch on the last axis; the result is a uint8 array (2^n, B) indexed by
-    bitmask (bit i selects index i + 1; det B[{}] = 1).  In characteristic 2
-    the cross terms of c^T adj(A) c cancel in pairs, so with no pivot, for
-    j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}].
-    A term whose coefficient c is one value in every column is skipped (c = 0),
-    a plain XOR (c = 1) or a lookup in the row of c; otherwise c * v is the XOR
-    over the bits t of v of c * x^t, which avoids a two-dimensional gather.
+
+@lru_cache(maxsize=None)
+def _block_lacks() -> tuple[int, ...]:
+    """_lacks(i, 16) for each i < 16, cached; wider masks are rebuilt per row, never kept."""
+    return tuple(_lacks(i, _BLOCK) for i in range(_BLOCK))
+
+
+def minor_planes(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> list[int]:
+    """det B[S] for every index subset S of one matrix, bit-sliced.
+
+    Plane t is an int of 2^n bits whose bit S (bit i of S selects index i + 1)
+    is bit t of det B[S].  The subsets of {0..j-1} hold bits below 2^j, and
+    in characteristic 2, for j > max S,
+    det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}],
+    so row j adds U << 2^j with U = b_jj L + sum_i b_ij^2 ((L & lacks_i) << 2^i),
+    L the planes so far and lacks_i the subsets without i.  Multiplying the
+    planes by a constant c is a fixed XOR of planes: c x^t has bit s.
     """
-    n, _, batch = entries.shape
-    mul = _mul_table(spec)
-    coef = mul.diagonal()[entries]  # b_ij^2, and b_jj on the diagonal
-    coef.reshape(n * n, batch)[:: n + 1] = entries.reshape(n * n, batch)[:: n + 1]
-    if batch == 1:  # two reductions would cost more than a small matrix's terms
-        lo = hi = coef.reshape(n, n).tolist()
-    else:
-        lo, hi = coef.min(axis=2).tolist(), coef.max(axis=2).tolist()
-    dets = np.zeros((1 << n, batch), np.uint8)
-    dets[0] = 1
-    scratch = np.empty_like(dets[: 1 << max(n - 1, 0)])
-    for j in range(n):
-        lower, upper = dets[: 1 << j], dets[1 << j : 2 << j]
-        for i in range(j + 1):  # i == j is the b_jj term over every S
-            c = hi[j][i]
-            if not c:
-                continue
-            src = lower if i == j else lower.reshape(-1, 2, 1 << i, batch)[:, 0]
-            dst = upper if i == j else upper.reshape(-1, 2, 1 << i, batch)[:, 1]
-            if c == lo[j][i]:
-                dst ^= src if c == 1 else mul[c][src]
-                continue
-            tmp = scratch[: src.size // batch].reshape(src.shape)
-            for t in range(spec.degree):
-                bit = np.right_shift(src, t, out=tmp) if t else src
-                if t + 1 < spec.degree:
-                    bit = np.bitwise_and(bit, 1, out=tmp)
-                np.multiply(bit, mul[coef[j, i], 1 << t], out=tmp)
-                dst ^= tmp
-    return dets
-
-
-def principal_minors(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """det B[S] for every index subset S of one matrix: the B = 1 minor_tables call."""
     check_order(m.n, max_order)
-    return minor_tables(np.array(m.rows, np.uint8).reshape(m.n, m.n, 1), m.spec)[:, 0]
+    squares, pairs = _field_tables(m.spec)
+    planes = [1] + [0] * (m.spec.degree - 1)
+    lacks = _block_lacks()
+    for j, row in enumerate(m.rows):
+        upper = [0] * len(planes)
+        for s, t in pairs[row[j]]:
+            upper[s] ^= planes[t]
+        for i in range(j):
+            c = squares[row[i]]
+            if c:
+                mask = lacks[i] if j <= _BLOCK else _lacks(i, j)
+                for s, t in pairs[c]:
+                    upper[s] ^= (planes[t] & mask) << (1 << i)
+        for t, u in enumerate(upper):
+            planes[t] |= u << (1 << j)
+    return planes
 
 
-_BYTE_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)
-_POPCOUNT16 = np.add.outer(_BYTE_POPCOUNT, _BYTE_POPCOUNT).ravel()
+def principal_minors(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> memoryview:
+    """det B[S] for every index subset S of one matrix: byte S of 2^n bytes."""
+    size = 1 << m.n
+    table = 0
+    for t, plane in enumerate(minor_planes(m, max_order)):
+        bits = format(plane, f"0{size}b").encode().translate(_BIT_BYTES)  # bit S at byte size-1-S
+        table |= int.from_bytes(bits, "big") << t
+    return memoryview(table.to_bytes(size, "little"))
+
+
+@lru_cache(maxsize=None)
+def _size_masks(low: int) -> tuple[int, ...]:
+    """For each k = 0..low, the bits S < 2^low of the subsets of size k."""
+    if low == 0:
+        return (1,)
+    half = _size_masks(low - 1)
+    shift = 1 << (low - 1)
+    return tuple(
+        (half[k] if k < low else 0) | (half[k - 1] << shift if k else 0) for k in range(low + 1)
+    )
 
 
 def _nonzero_per_order(m: SymMatrix, max_order: int | None) -> list[int]:
     """Nonzero principal minors of each order 0..n."""
     if m.n < 1:
         raise ValueError("sequences are defined for order >= 1")
-    # Blocks of at most 2^16 masks: bincount widens its input to intp.
-    low = min(m.n, 16)
-    pc = _POPCOUNT16[: 1 << low]
-    counts = np.zeros(m.n + 1, np.int64)
-    for high, block in enumerate(principal_minors(m, max_order).reshape(-1, 1 << low)):
-        top = high.bit_count()
-        counts[top : top + low + 1] += np.bincount(pc[block != 0], minlength=low + 1)
-    return counts.tolist()
+    nonzero = 0
+    for plane in minor_planes(m, max_order):
+        nonzero |= plane
+    # Blocks of at most 2^16 subsets, so no size mask is wider than 2^16 bits.
+    low = min(m.n, _BLOCK)
+    sizes = _size_masks(low)
+    if low == m.n:
+        blocks = [nonzero]
+    else:
+        raw = memoryview(nonzero.to_bytes(1 << (m.n - 3), "little"))
+        step = 1 << (low - 3)
+        blocks = (int.from_bytes(raw[o : o + step], "little") for o in range(0, len(raw), step))
+    counts = [0] * (m.n + 1)
+    for high, block in enumerate(blocks):
+        if block:
+            top = high.bit_count()
+            for k, mask in enumerate(sizes):
+                counts[top + k] += (block & mask).bit_count()
+    return counts
 
 
 def compute_epr(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> str:

@@ -32,7 +32,7 @@ from .matrix import (
     loop_split_graph,
     pendant_loop_complete,
 )
-from .sequence import compute_epr, compute_pr, minor_tables, pr_of_epr, principal_minors
+from .sequence import compute_epr, compute_pr, pr_of_epr, principal_minors
 
 DEFAULT_SEED = 1729
 _MAX_FAILURES_KEPT = 20
@@ -165,7 +165,7 @@ def _all_codes(n: int) -> np.ndarray:
 def _gf2_minor_tables(max_n: int) -> list[np.ndarray]:
     """Entry n is the (2^n, codes) table of every principal minor of every
     symmetric GF(2) matrix of order n, n = 0..max_n."""
-    return [minor_tables(eng.decode_entries(_all_codes(n), n), GF2) for n in range(max_n + 1)]
+    return [eng.minor_tables(eng.decode_entries(_all_codes(n), n), GF2) for n in range(max_n + 1)]
 
 
 def _mask(idx, base: int = 0) -> int:

@@ -1,0 +1,44 @@
+"""The single-matrix verbs run without numpy; the sweeps still load it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).parent / "data"
+
+SCRIPT = """
+import contextlib, io, sys
+import eprseq
+import eprseq.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+assert run("witness", "NSNA")[0] == 0
+assert run("witness-pr", "1]010")[0] == 0
+assert run("epr", "{gf4}") == (0, "SASN\\n")
+assert run("pr", "{gf4}") == (0, "1]1110\\n")
+assert run("minors", "{gf4}", "-k", "2")[0] == 0
+assert run("classify", "NSNA")[0] == 0
+assert "numpy" not in sys.modules, "a single-matrix verb loaded numpy"
+assert run("enumerate", "-n", "3")[0] == 0
+assert "numpy" in sys.modules, "enumerate ran without numpy"
+missing = [name for name in eprseq.__all__ if not hasattr(eprseq, name)]
+assert not missing, missing
+"""
+
+
+def test_single_matrix_verbs_never_import_numpy():
+    script = SCRIPT.replace("{gf4}", str(DATA / "sasn.txt"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

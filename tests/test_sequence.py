@@ -28,7 +28,8 @@ from eprseq import (
     read_matrix,
     zeros,
 )
-from eprseq.sequence import minor_tables, principal_minors
+from eprseq._engine import minor_tables
+from eprseq.sequence import _nonzero_per_order, principal_minors
 from oracles import all_symmetric_gf2, laplace_det, naive_epr, naive_pr, subgrid
 
 DATA = Path(__file__).parent / "data"
@@ -171,7 +172,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 def test_principal_minors_match_laplace(spec, data):
     m = data.draw(symmetric_matrices(spec))
     dets = principal_minors(m)
-    assert dets.dtype == np.uint8 and dets.size == 1 << m.n
+    assert len(dets) == 1 << m.n
     for mask in range(1 << m.n):
         idx = [i for i in range(m.n) if mask >> i & 1]
         assert dets[mask] == laplace_det(subgrid(m, idx, idx), spec), idx
@@ -218,3 +219,36 @@ def test_batched_minor_tables_match_laplace(spec, data):
         for mask in range(1 << n):
             idx = [i for i in range(n) if mask >> i & 1]
             assert dets[mask, b] == laplace_det([[rows[i][j] for j in idx] for i in idx], spec), (b, idx)
+
+
+# -- the one-matrix bit-sliced kernel against the batched numpy kernel ----------
+
+def _table_counts(column):
+    """Nonzero minors of each order 0..n, read off one column of minor_tables."""
+    n = column.size.bit_length() - 1
+    counts = np.zeros(n + 1, np.int64)
+    for start in range(0, column.size, 1 << 16):  # small index arrays at order 24
+        subsets = start + np.flatnonzero(column[start : start + (1 << 16)])
+        counts += np.bincount(np.bitwise_count(subsets), minlength=n + 1)
+    return counts.tolist()
+
+
+@FIELDS
+@PROPERTY
+@given(data=st.data())
+def test_bit_sliced_kernel_matches_batched_kernel(spec, data):
+    entries = data.draw(matrix_stacks(spec, max_n=10))
+    dets = minor_tables(entries, spec)
+    for b in range(entries.shape[2]):
+        m = SymMatrix(spec, entries[:, :, b].tolist())
+        assert principal_minors(m).tolist() == dets[:, b].tolist()
+        assert _nonzero_per_order(m, None) == _table_counts(dets[:, b])
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, 20), (GF4, 14), (GF2, 24)], ids=["gf2-20", "gf4-14", "gf2-24"])
+def test_bit_sliced_counts_match_batched_kernel_at_scale(spec, n):
+    # GF(2) n=20 and n=24 count in 16 and 256 blocks of 2^16 subsets, the last one holding
+    # subsets of 8 indices above 16; GF(4) n=14 counts two bit-planes in one block
+    m = rand_sym(random.Random(n), n, spec)
+    column = minor_tables(np.array(m.rows, np.uint8)[:, :, None], spec)[:, 0]
+    assert _nonzero_per_order(m, None) == _table_counts(column)

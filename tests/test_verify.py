@@ -18,7 +18,7 @@ from eprseq import (
 )
 from eprseq import _engine as eng
 from eprseq import verify
-from eprseq.sequence import minor_tables
+from eprseq._engine import minor_tables
 from oracles import all_symmetric_gf2, laplace_det, naive_epr, subgrid
 
 
