@@ -14,7 +14,7 @@ diagnostics and cross-checking, never as the accept/reject decision.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .sequence import PrSequence, parse_epr, parse_pr
 
@@ -60,25 +60,19 @@ _ORDER1_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class RuleHit:
+class RuleHit(namedtuple("RuleHit", "rule positions")):
     """A violated prohibition rule with the offending 1-based positions."""
 
-    rule: str
-    positions: tuple[int, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.rule}@{','.join(map(str, self.positions))}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "attainable matched violations note", defaults=((), (), ""))):
     """Outcome of a classification query."""
 
-    attainable: bool
-    matched: tuple[str, ...] = ()
-    violations: tuple[RuleHit, ...] = ()
-    note: str = ""
+    __slots__ = ()
 
     def render(self) -> str:
         if self.attainable:

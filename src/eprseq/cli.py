@@ -19,6 +19,10 @@ attainable or check failures, 2 usage or parse errors.  ``--jobs``
 (default from EPRSEQ_JOBS, a positive integer) splits enumeration into
 ranges run on at most os.cpu_count() threads; output is byte-identical
 for every job count.
+
+This module imports no other eprseq module at load time: each verb
+imports what it runs when it runs, so ``epr`` never loads the classifier
+and only the sweep verbs load numpy (through eprseq.verify).
 """
 
 from __future__ import annotations
@@ -26,13 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import combinations
-
-from .classify import classify_epr_z2, classify_pr_char2
-from .gfield import GF2, GF4
-from .matrix import MatrixFormatError, SymMatrix, read_matrix
-from .sequence import DEFAULT_MAX_ORDER, OrderLimitError, compute_epr, compute_pr, minor_planes
-from .witness import NotAttainableError, witness_epr_z2, witness_pr_char2, write_witness
 
 
 def _jobs(arg: int | None) -> int:
@@ -43,7 +40,9 @@ def _jobs(arg: int | None) -> int:
     return int(raw)
 
 
-def _read_matrix_arg(path: str) -> SymMatrix:
+def _read_matrix_arg(path: str):
+    from .matrix import read_matrix
+
     if path == "-":
         return read_matrix(sys.stdin.read())
     with open(path, "r", encoding="utf-8") as fh:
@@ -119,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except (MatrixFormatError, OrderLimitError, ValueError) as exc:
+    except ValueError as exc:  # MatrixFormatError and OrderLimitError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -129,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.verb in ("epr", "pr"):
+        from .sequence import DEFAULT_MAX_ORDER, compute_epr, compute_pr
+
         m = _read_matrix_arg(args.file)
         compute = compute_epr if args.verb == "epr" else compute_pr
         print(compute(m, max_order=None if args.force else DEFAULT_MAX_ORDER))
@@ -139,21 +140,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not 0 <= args.k <= m.n:
             print(f"error: -k must be in 0..{m.n}", file=sys.stderr)
             return 2
-        planes = [p.to_bytes(max(1, 1 << m.n >> 3), "little") for p in minor_planes(m)]
-        for subset in combinations(range(m.n), args.k):
-            s = sum(1 << i for i in subset)
-            det = sum((plane[s >> 3] >> (s & 7) & 1) << t for t, plane in enumerate(planes))
-            label = "{" + ",".join(str(i + 1) for i in subset) + "}"
-            print(f"{label}={m.spec.to_symbol(det)}")
+        _write_minors(m, args.k)
         return 0
 
     if args.verb in ("classify", "classify-pr"):
+        from .classify import classify_epr_z2, classify_pr_char2
+
         classify = classify_epr_z2 if args.verb == "classify" else classify_pr_char2
         verdict = classify(args.sequence)
         _print_verdict(verdict, args.json)
         return 0 if verdict.attainable else 1
 
     if args.verb in ("witness", "witness-pr"):
+        from .witness import NotAttainableError, witness_epr_z2, witness_pr_char2, write_witness
+
         witness = witness_epr_z2 if args.verb == "witness" else witness_pr_char2
         try:
             matrix, recipe = witness(args.sequence)
@@ -168,8 +168,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                 stream.close()
         return 0
 
-    # verify needs numpy: import it only for the verbs that use it, at call time
     if args.verb == "enumerate":
+        from .gfield import GF2, GF4
         from .verify import enumerate_epr
 
         jobs = _jobs(args.jobs)
@@ -201,6 +201,29 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.ok else 1
 
     raise AssertionError(f"unhandled verb {args.verb!r}")
+
+
+def _write_minors(m, k: int) -> None:
+    """One "{i,j,...}=value" line per order-k principal minor, subsets in lexicographic order."""
+    from itertools import combinations
+
+    from .sequence import minor_planes
+
+    planes = [p.to_bytes(max(1, 1 << m.n >> 3), "little") for p in minor_planes(m)]
+    symbols = [m.spec.to_symbol(v) for v in range(m.spec.order)]
+    masks = map(sum, combinations([1 << i for i in range(m.n)], k))
+    labels = map(",".join, combinations([str(i + 1) for i in range(m.n)], k))
+    lines = []
+    for s, label in zip(masks, labels):
+        byte, bit = s >> 3, s & 7
+        det = 0
+        for t, plane in enumerate(planes):
+            det |= (plane[byte] >> bit & 1) << t
+        lines.append(f"{{{label}}}={symbols[det]}\n")
+        if len(lines) == 1 << 16:  # bounds the text held for C(24, 12)-line listings
+            sys.stdout.write("".join(lines))
+            lines.clear()
+    sys.stdout.write("".join(lines))
 
 
 def _print_verdict(verdict, as_json: bool) -> None:

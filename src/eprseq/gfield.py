@@ -13,8 +13,8 @@ and z*z = w under the default modulus z^2 + z + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 
 MAX_DEGREE = 8
 
@@ -62,8 +62,7 @@ def _default_modulus(degree: int) -> int:
     raise FieldError(f"no irreducible polynomial of degree {degree}")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "degree modulus")):
     """Arithmetic context for GF(2^degree).
 
     Immutable; instances are safe to share between threads.  Use
@@ -71,8 +70,7 @@ class FieldSpec:
     is validated.
     """
 
-    degree: int
-    modulus: int
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -109,22 +107,7 @@ class FieldSpec:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.name}")
-        return self._inverse_table[a]
-
-    @cached_property
-    def _inverse_table(self) -> tuple[int, ...]:
-        table = [0] * self.order
-        for a in range(1, self.order):
-            for b in range(1, self.order):
-                if self.mul(a, b) == 1:
-                    table[a] = b
-                    break
-            else:
-                raise FieldError(
-                    f"element {a} has no inverse; modulus 0b{self.modulus:b} "
-                    "is not irreducible"
-                )
-        return tuple(table)
+        return _inverse_table(self)[a]
 
     def to_symbol(self, a: int) -> str:
         """Canonical text symbol; defined for gf2 and gf4 only."""
@@ -153,6 +136,22 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
+def _inverse_table(spec: FieldSpec) -> tuple[int, ...]:
+    table = [0] * spec.order
+    for a in range(1, spec.order):
+        for b in range(1, spec.order):
+            if spec.mul(a, b) == 1:
+                table[a] = b
+                break
+        else:
+            raise FieldError(
+                f"element {a} has no inverse; modulus 0b{spec.modulus:b} "
+                "is not irreducible"
+            )
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
 def field_make(degree: int, modulus: int | str = "default") -> FieldSpec:
     """Build a GF(2^degree) context.
 
@@ -174,7 +173,7 @@ def field_make(degree: int, modulus: int | str = "default") -> FieldSpec:
     if degree > 1 and not _is_irreducible(modulus):
         raise FieldError(f"modulus 0b{modulus:b} is reducible")
     spec = FieldSpec(degree, modulus)
-    spec._inverse_table  # force the existence check for every nonzero element
+    _inverse_table(spec)  # force the existence check for every nonzero element
     return spec
 
 

@@ -17,7 +17,7 @@ pure; instances are safe to share between threads.
 from __future__ import annotations
 
 import io
-from typing import Iterable, TextIO
+from collections.abc import Iterable
 
 from .gfield import GF2, GF4, FieldSpec
 
@@ -281,11 +281,11 @@ class SymMatrix:
         lines += [" ".join(sym(x) for x in row) for row in self.rows]
         return "\n".join(lines) + "\n"
 
-    def write(self, stream: TextIO) -> None:
+    def write(self, stream: io.TextIOBase) -> None:
         stream.write(self.to_text())
 
 
-def read_matrix(source: str | TextIO) -> SymMatrix:
+def read_matrix(source: str | io.TextIOBase) -> SymMatrix:
     """Parse the exchange format; leading '#' comment lines are skipped.
 
     Anything else malformed raises MatrixFormatError with a 1-based

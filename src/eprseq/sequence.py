@@ -14,14 +14,17 @@ GF(2^k) the table is k Python ints of 2^n bits (minor_planes), counted
 per order with int.bit_count, so the single-matrix paths never import
 numpy.  The batched numpy kernel for the exhaustive sweeps is
 eprseq._engine.minor_tables.  A guardrail rejects orders above
-DEFAULT_MAX_ORDER unless lifted explicitly, and no order whose 2^n-byte
-table exceeds physical memory is ever attempted.
+DEFAULT_MAX_ORDER unless lifted explicitly; it bounds the time, about
+n 2^n bit-plane operations.  A ceiling that is never lifted refuses any
+order whose 2^n bytes exceed physical memory: the k <= 8 planes of 2^n
+bits fit in 2^n bytes (as does principal_minors' byte table), so the
+ceiling bounds the working set, with room to spare over GF(2).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -47,18 +50,17 @@ def parse_epr(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class PrSequence:
+class PrSequence(namedtuple("PrSequence", "r0 bits")):
     """r0 flag plus the bit word r_1 ... r_n, rendered as "r0]bits"."""
 
-    r0: int
-    bits: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r0 not in (0, 1):
-            raise ValueError(f"r0 must be 0 or 1, got {self.r0!r}")
-        if not self.bits or any(b not in "01" for b in self.bits):
-            raise ValueError(f"pr bits must be a nonempty 0/1 word, got {self.bits!r}")
+    def __new__(cls, r0: int, bits: str):
+        if r0 not in (0, 1):
+            raise ValueError(f"r0 must be 0 or 1, got {r0!r}")
+        if not bits or any(b not in "01" for b in bits):
+            raise ValueError(f"pr bits must be a nonempty 0/1 word, got {bits!r}")
+        return super().__new__(cls, r0, bits)
 
     @property
     def order(self) -> int:
@@ -94,16 +96,17 @@ def _physical_memory() -> int:
 
 
 def check_order(n: int, max_order: int | None = DEFAULT_MAX_ORDER) -> None:
-    """Raise OrderLimitError above max_order, or when the 2^n-byte table would not
-    fit in physical memory; max_order=None lifts only the first bound."""
+    """Raise OrderLimitError above max_order (the time bound), or when 2^n bytes,
+    a bound on the minor planes, exceed physical memory; max_order=None lifts
+    only the first bound."""
     if max_order is not None and n > max_order:
         raise OrderLimitError(
             f"order {n} exceeds the guardrail {max_order} "
-            "(the principal-minor table takes 2^n bytes)"
+            "(the principal-minor table has 2^n entries, built in about n 2^n steps)"
         )
     if 1 << n > _physical_memory():
         raise OrderLimitError(
-            f"order {n} needs a 2^{n}-byte principal-minor table, "
+            f"order {n} is refused: its principal-minor planes are bounded by 2^{n} bytes, "
             "more than this machine's physical memory"
         )
 

@@ -10,8 +10,8 @@ it aborts loudly rather than returning a wrong certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TextIO
+from collections import namedtuple
+from io import TextIOBase
 
 from . import matrix as mx
 from .classify import Verdict, classify_epr_z2, classify_pr_char2
@@ -32,12 +32,10 @@ class WitnessMismatchError(RuntimeError):
     """A recipe produced a matrix that fails re-verification (a bug)."""
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(namedtuple("Recipe", "form steps")):
     """Construction provenance: matched form plus ordered directives."""
 
-    form: str
-    steps: tuple[str, ...]
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.form}: " + "; ".join(self.steps)
@@ -47,7 +45,7 @@ def recipe_header(recipe: Recipe) -> str:
     return f"# recipe: {recipe.render()}\n"
 
 
-def write_witness(m: SymMatrix, recipe: Recipe, stream: TextIO) -> None:
+def write_witness(m: SymMatrix, recipe: Recipe, stream: TextIOBase) -> None:
     """Serialize a witness: recipe comment header plus the matrix text."""
     stream.write(recipe_header(recipe))
     stream.write(m.to_text())

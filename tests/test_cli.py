@@ -1,11 +1,14 @@
 import io
+import random
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from eprseq import identity, read_matrix, witness_epr_z2
+from eprseq import GF2, GF4, SymMatrix, identity, read_matrix, witness_epr_z2
 from eprseq.cli import main
+from oracles import laplace_det, subgrid
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,6 +83,29 @@ def test_minors_listing(capsys):
     code, out, _ = run(capsys, "minors", str(DATA / "aan.txt"), "-k", "2")
     assert code == 0
     assert out.splitlines() == ["{1,2}=z", "{1,3}=w", "{2,3}=1"]
+
+
+def test_minors_match_the_laplace_oracle(capsys, tmp_path):
+    """Every K in 0..n: subsets in itertools.combinations order, values by Laplace."""
+    rng = random.Random(20)
+    for spec, orders in ((GF2, range(1, 8)), (GF4, range(1, 6))):
+        for n in orders:
+            grid = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    grid[i][j] = grid[j][i] = rng.randrange(spec.order)
+            m = SymMatrix(spec, grid)
+            path = tmp_path / f"{spec.name}_{n}.txt"
+            path.write_text(m.to_text())
+            for k in range(n + 1):
+                code, out, _ = run(capsys, "minors", str(path), "-k", str(k))
+                assert code == 0
+                want = [
+                    "{" + ",".join(str(i + 1) for i in sub) + "}="
+                    + spec.to_symbol(laplace_det(subgrid(m, sub, sub), spec))
+                    for sub in combinations(range(n), k)
+                ]
+                assert out.splitlines() == want, (spec.name, n, k)
 
 
 def test_minors_bad_k(capsys):

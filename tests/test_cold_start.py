@@ -1,4 +1,5 @@
-"""The single-matrix verbs run without numpy; the sweeps still load it."""
+"""Each verb loads only what it runs: the single-matrix verbs never import numpy,
+`epr`, `pr` and `minors` never the classifier, and no single-matrix verb dataclasses."""
 
 import os
 import subprocess
@@ -13,22 +14,30 @@ import contextlib, io, sys
 import eprseq
 import eprseq.cli as cli
 
+def not_loaded(*names):
+    loaded = [name for name in names if name in sys.modules]
+    assert not loaded, loaded
+
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(list(argv))
     return code, out.getvalue()
 
-assert run("witness", "NSNA")[0] == 0
-assert run("witness-pr", "1]010")[0] == 0
+SUBMODULES = tuple(f"eprseq.{m}" for m in ("classify", "witness", "matrix", "sequence", "gfield"))
+not_loaded(*SUBMODULES, "dataclasses", "inspect")
 assert run("epr", "{gf4}") == (0, "SASN\\n")
 assert run("pr", "{gf4}") == (0, "1]1110\\n")
 assert run("minors", "{gf4}", "-k", "2")[0] == 0
+not_loaded("eprseq.classify", "eprseq.witness")
+assert run("witness", "NSNA")[0] == 0
+assert run("witness-pr", "1]010")[0] == 0
 assert run("classify", "NSNA")[0] == 0
-assert "numpy" not in sys.modules, "a single-matrix verb loaded numpy"
+not_loaded("dataclasses", "numpy")
 assert run("enumerate", "-n", "3")[0] == 0
 assert "numpy" in sys.modules, "enumerate ran without numpy"
 missing = [name for name in eprseq.__all__ if not hasattr(eprseq, name)]
 assert not missing, missing
+assert set(eprseq.__all__) <= set(dir(eprseq))
 """
 
 
