@@ -14,9 +14,10 @@ without numpy), and reads the letters of all 2^(q n) matrices bordering
 one A off A's packed table and one border word per matrix: A where every
 minor of an order is nonzero, N where none is.  The theorem suite's code maps (principal
 submatrices, appended rows, inverses, Schur complements, congruences)
-take entry batches too; inverses, and the order-(n-1) minors of the
-terminal-AN check, come from GF(2) Gauss-Jordan elimination, never from
-the minor table.
+take entry batches too, over any GF(2^k): products are bit-sliced as in
+minor_tables, and inverses, and the order-(n-1) minors of the
+terminal-AN check, come from batched Gauss-Jordan elimination, never
+from the minor table.
 
 Everything here is internal plumbing for :mod:`eprseq.verify`.
 """
@@ -210,13 +211,25 @@ def det_table(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def rank_array(n: int) -> np.ndarray:
-    """Rank of every code: largest order with a nonzero principal minor."""
-    letters = letter_arrays(n)
-    rank = np.zeros(1 << tri(n), np.uint8)
-    for k in range(1, n + 1):
-        rank = np.where(letters[k - 1] != 0, k, rank).astype(np.uint8)
+    """Rank of every code of order n."""
+    rank = ranks(letter_arrays(n))
     rank.setflags(write=False)
     return rank
+
+
+def ranks(letters) -> np.ndarray:
+    """Rank of each matrix: the largest order with a nonzero principal minor."""
+    rank = np.zeros(len(letters[0]), np.uint8)
+    for k, arr in enumerate(letters, 1):
+        rank[arr != 0] = k
+    return rank
+
+
+def table_letters(dets: np.ndarray) -> list[np.ndarray]:
+    """Letters (0=N, 1=S, 2=A) of orders 1..n of each column of a (2^n, B) minor table."""
+    size = np.array([s.bit_count() for s in range(len(dets))])
+    nonzero = [dets[size == k] != 0 for k in range(1, size[-1] + 1)]
+    return [nz.any(axis=0).view(np.uint8) + nz.all(axis=0) for nz in nonzero]
 
 
 def letters_to_keys(letters: np.ndarray) -> np.ndarray:
@@ -285,28 +298,39 @@ def catalog_gf4(n: int, jobs: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# GF(2) code maps of the theorem suite, on entry batches
+# code maps of the theorem suite, on entry batches over any GF(2^k)
 # ---------------------------------------------------------------------------
 
-def gather_codes(ent: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
-    """Codes of ent[idx][:, idx]; index n stands for an appended zero row."""
+def gather_entries(ent: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    """Entries of ent[idx][:, idx]; index n stands for an appended zero row."""
     if ent.shape[0] in idx:
         ent = np.pad(ent, ((0, 1), (0, 1), (0, 0)))
-    return encode_entries(ent[np.ix_(idx, idx)])
+    return ent[np.ix_(idx, idx)]
 
 
-def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products over GF(2) of (r, t, B) and (t, c, B) 0/1 batches (B may broadcast)."""
-    out = np.zeros((a.shape[0], b.shape[1], max(a.shape[2], b.shape[2])), np.uint8)
-    for t in range(a.shape[1]):
-        out ^= a[:, t, None] & b[None, t]
+def times(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
+    """a * b entrywise over spec (broadcasting), bit-sliced as in minor_tables:
+    the XOR over the bits t of b of a x^t, which over GF(2) is a & b."""
+    if spec.degree == 1:
+        return a & b
+    out = a * (b & 1)
+    for t in range(1, spec.degree):
+        out ^= _mul_table(spec)[a, 1 << t] * (b >> t & 1)
     return out
 
 
-def gf2_inverse(ent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(det, inverse) of a (k, k, B) batch of GF(2) matrices (Gauss-Jordan).
+def matmul(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
+    """Products over spec of (r, t, B) and (t, c, B) batches (B may broadcast)."""
+    out = np.zeros((a.shape[0], b.shape[1], max(a.shape[2], b.shape[2])), np.uint8)
+    for t in range(a.shape[1]):
+        out ^= times(a[:, t, None], b[None, t], spec)
+    return out
 
-    The inverse is meaningful only where det is 1.
+
+def inverse(ent: np.ndarray, spec: FieldSpec = GF2) -> tuple[np.ndarray, np.ndarray]:
+    """(det, inverse) of a (k, k, B) batch of matrices over spec (Gauss-Jordan).
+
+    The inverse is meaningful only where det is nonzero.
     """
     k = ent.shape[0]
     aug = np.zeros((k, 2 * k, ent.shape[2]), np.uint8)
@@ -314,33 +338,36 @@ def gf2_inverse(ent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     aug[range(k), range(k, 2 * k)] = 1
     det = np.ones(ent.shape[2], np.uint8)
     for j in range(k):
-        for r in range(j + 1, k):  # a zero pivot takes the first later row with a 1
-            aug[j] ^= aug[r] & (aug[r, j] > aug[j, j])
-        det &= aug[j, j]
+        for r in range(j + 1, k):  # while the pivot is zero, add each later row to its row
+            aug[j] ^= aug[r] * (aug[j, j] == 0).view(np.uint8)
+        det = times(det, aug[j, j], spec)
+        if spec.degree > 1:  # over GF(2) every nonzero pivot is already 1
+            recip = (_mul_table(spec) == 1).argmax(axis=1).astype(np.uint8)  # 1/c, and 0 for 0
+            aug[j] = times(recip[aug[j, j]], aug[j], spec)
         for r in range(k):
             if r != j:
-                aug[r] ^= aug[j] & aug[r, j]
+                aug[r] ^= times(aug[r, j], aug[j], spec)
     return det, aug[:, k:]
 
 
-def deleted_minors(ent: np.ndarray) -> np.ndarray:
-    """(n, n, B) GF(2) minors: entry (i, j) is det of ent without row i and column j."""
+def deleted_minors(ent: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
+    """(n, n, B) minors: entry (i, j) is det of ent without row i and column j."""
     n = ent.shape[0]
     keep = [[r for r in range(n) if r != i] for i in range(n)]
     return np.array(
-        [[gf2_inverse(ent[np.ix_(keep[i], keep[j])])[0] for j in range(n)] for i in range(n)]
+        [[inverse(ent[np.ix_(keep[i], keep[j])], spec)[0] for j in range(n)] for i in range(n)]
     )
 
 
-def schur_entries(ent: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+def schur_entries(ent: np.ndarray, alpha: tuple[int, ...], spec: FieldSpec = GF2) -> np.ndarray:
     """B / B[alpha] for a batch whose pivot blocks B[alpha] are nonsingular."""
     comp = [i for i in range(ent.shape[0]) if i not in alpha]
     cross = ent[np.ix_(comp, alpha)]
-    y = gf2_matmul(cross, gf2_inverse(ent[np.ix_(alpha, alpha)])[1])
-    return ent[np.ix_(comp, comp)] ^ gf2_matmul(y, cross.transpose(1, 0, 2))
+    y = matmul(cross, inverse(ent[np.ix_(alpha, alpha)], spec)[1], spec)
+    return ent[np.ix_(comp, comp)] ^ matmul(y, cross.transpose(1, 0, 2), spec)
 
 
-def congruence_entries(ent: np.ndarray, e: list[list[int]]) -> np.ndarray:
-    """E B E^T for one fixed 0/1 matrix E."""
-    e = np.array(e, np.uint8)[:, :, None]
-    return gf2_matmul(gf2_matmul(e, ent), e.transpose(1, 0, 2))
+def congruence_entries(ent: np.ndarray, e, spec: FieldSpec = GF2) -> np.ndarray:
+    """E B E^T for one matrix E (n, n) or a batch of them (n, n, B)."""
+    e = np.asarray(e, np.uint8).reshape(len(e), len(e), -1)
+    return matmul(matmul(e, ent, spec), e.transpose(1, 0, 2), spec)

@@ -195,8 +195,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .verify import DEFAULT_SEED, theorem_suite
 
         seed = DEFAULT_SEED if args.seed is None else args.seed
-        print(f"seed {seed}")
         report = theorem_suite(max_n=args.max_n, seed=seed, gf4_cases=args.gf4_cases)
+        print(f"seed {seed}")
         sys.stdout.write(report.to_text())
         return 0 if report.ok else 1
 

@@ -17,8 +17,8 @@ eprseq._engine.minor_tables.  A guardrail rejects orders above
 DEFAULT_MAX_ORDER unless lifted explicitly; it bounds the time, about
 n 2^n bit-plane operations.  A ceiling that is never lifted refuses any
 order whose 2^n bytes exceed physical memory: the k <= 8 planes of 2^n
-bits fit in 2^n bytes (as does principal_minors' byte table), so the
-ceiling bounds the working set, with room to spare over GF(2).
+bits fit in 2^n bytes, so the ceiling bounds the working set, with room
+to spare over GF(2).
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ def check_order(n: int, max_order: int | None = DEFAULT_MAX_ORDER) -> None:
 
 
 _BLOCK = 16  # log2 of the subsets per cached mask and per counting block
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +150,15 @@ def minor_planes(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> lis
     planes by a constant c is a fixed XOR of planes: c x^t has bit s.
     """
     check_order(m.n, max_order)
-    squares, pairs = _field_tables(m.spec)
-    planes = [1] + [0] * (m.spec.degree - 1)
+    return _planes(m.rows, m.spec)
+
+
+def _planes(rows, spec: FieldSpec) -> list[int]:
+    """minor_planes of the matrix with these rows, unchecked."""
+    squares, pairs = _field_tables(spec)
+    planes = [1] + [0] * (spec.degree - 1)
     lacks = _block_lacks()
-    for j, row in enumerate(m.rows):
+    for j, row in enumerate(rows):
         upper = [0] * len(planes)
         for s, t in pairs[row[j]]:
             upper[s] ^= planes[t]
@@ -167,16 +171,6 @@ def minor_planes(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> lis
         for t, u in enumerate(upper):
             planes[t] |= u << (1 << j)
     return planes
-
-
-def principal_minors(m: SymMatrix, max_order: int | None = DEFAULT_MAX_ORDER) -> memoryview:
-    """det B[S] for every index subset S of one matrix: byte S of 2^n bytes."""
-    size = 1 << m.n
-    table = 0
-    for t, plane in enumerate(minor_planes(m, max_order)):
-        bits = format(plane, f"0{size}b").encode().translate(_BIT_BYTES)  # bit S at byte size-1-S
-        table |= int.from_bytes(bits, "big") << t
-    return memoryview(table.to_bytes(size, "little"))
 
 
 @lru_cache(maxsize=None)

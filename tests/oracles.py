@@ -26,6 +26,18 @@ def laplace_det(rows, spec):
     return acc
 
 
+def matmul(a, b, spec):
+    """Product of two entry grids (lists of rows) over spec."""
+    out = [[0] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            acc = 0
+            for t, x in enumerate(row):
+                acc ^= spec.mul(x, b[t][j])
+            out[i][j] = acc
+    return out
+
+
 def subgrid(m, row_idx, col_idx):
     return [[m.rows[i][j] for j in col_idx] for i in row_idx]
 

@@ -195,6 +195,14 @@ def test_check_theorems_prints_seed(capsys):
     assert len(lines) == 17  # seed line + one line per check
 
 
+@pytest.mark.parametrize("cases", ["-3", "100001"])
+def test_check_theorems_refuses_gf4_case_counts_out_of_range(capsys, cases):
+    # a negative count would run no GF(4) case; a huge one would hold every drawn case in memory
+    code, out, err = run(capsys, "check-theorems", "--max-n", "2", "--gf4-cases", cases)
+    assert code == 2 and out == ""
+    assert f"gf4_cases must be in [0, 10^5], got {cases}" in err
+
+
 @pytest.mark.parametrize("max_n, seed", [(4, 3), (2, 11)])
 def test_check_theorems_matches_golden_output(capsys, max_n, seed):
     """Case counts pin the rng call order and every check's case loop."""

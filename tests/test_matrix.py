@@ -27,20 +27,8 @@ from eprseq import (
     wide_clique_matching,
     zeros,
 )
-from eprseq.sequence import principal_minors
-from oracles import all_symmetric_gf2, laplace_det, subgrid
-
-
-def matmul(a, b, spec):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for t in range(n):
-                acc ^= spec.mul(a[i][t], b[t][j])
-            out[i][j] = acc
-    return out
+from eprseq.sequence import minor_planes
+from oracles import all_symmetric_gf2, laplace_det, matmul, subgrid
 
 
 # -- construction -----------------------------------------------------------
@@ -126,9 +114,15 @@ def test_elimination_agrees_with_minor_kernel():
     for trial in range(6_000):
         spec = GF2 if trial % 2 else GF4
         m = _random_sym(rng, spec, rng.randint(1, 12) if trial % 20 else rng.randint(13, 18))
-        table = principal_minors(m)
-        assert m.determinant() == table[-1]
-        assert m.rank() == np.bitwise_count(np.flatnonzero(table)).max()
+        planes = minor_planes(m)
+        full = (1 << m.n) - 1
+        assert m.determinant() == sum((p >> full & 1) << t for t, p in enumerate(planes))
+        nonzero = 0
+        for p in planes:
+            nonzero |= p
+        raw = np.frombuffer(nonzero.to_bytes(max(1, (1 << m.n) // 8), "little"), np.uint8)
+        subsets = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+        assert m.rank() == np.bitwise_count(subsets).max()
 
 
 # -- submatrices and minors ---------------------------------------------------

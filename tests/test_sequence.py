@@ -28,8 +28,8 @@ from eprseq import (
     read_matrix,
     zeros,
 )
-from eprseq._engine import minor_tables
-from eprseq.sequence import _nonzero_per_order, principal_minors
+from eprseq._engine import minor_tables, table_letters
+from eprseq.sequence import _nonzero_per_order, minor_planes
 from oracles import all_symmetric_gf2, laplace_det, naive_epr, naive_pr, subgrid
 
 DATA = Path(__file__).parent / "data"
@@ -102,10 +102,10 @@ def test_order_guardrail():
     with pytest.raises(ValueError):
         compute_epr(zeros(0))
     with pytest.raises(OrderLimitError):
-        principal_minors(big)
+        minor_planes(big)
     with pytest.raises(OrderLimitError, match="physical memory"):
         compute_epr(identity(40), max_order=None)  # lifting the guardrail keeps the ceiling
-    assert principal_minors(zeros(0)).tolist() == [1]
+    assert minor_planes(zeros(0)) == [1]
 
 
 # -- properties -------------------------------------------------------------------
@@ -162,6 +162,11 @@ def symmetric_matrices(draw, spec, max_n=7):
     return SymMatrix(spec, rows)
 
 
+def _plane_dets(planes, n):
+    """det B[S] for S = 0 .. 2^n - 1, read bit by bit off the planes of minor_planes."""
+    return [sum((p >> s & 1) << t for t, p in enumerate(planes)) for s in range(1 << n)]
+
+
 FIELDS = pytest.mark.parametrize("spec", [GF2, GF4, field_make(3)], ids=lambda s: s.name)
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -171,7 +176,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 @given(data=st.data())
 def test_principal_minors_match_laplace(spec, data):
     m = data.draw(symmetric_matrices(spec))
-    dets = principal_minors(m)
+    dets = _plane_dets(minor_planes(m), m.n)
     assert len(dets) == 1 << m.n
     for mask in range(1 << m.n):
         idx = [i for i in range(m.n) if mask >> i & 1]
@@ -185,6 +190,61 @@ def test_sequences_match_naive_enumeration(spec, data):
     m = data.draw(symmetric_matrices(spec))
     assert compute_epr(m) == naive_epr(m)
     assert compute_pr(m) == naive_pr(m)
+
+
+# -- invariance properties: each word read through both kernels and the oracle ------
+
+def _epr_every_way(m):
+    """The epr word of m through minor_planes, minor_tables and the Laplace oracle."""
+    dets = minor_tables(np.array(m.rows, np.uint8)[:, :, None], m.spec)
+    batched = "".join("NSA"[letter[0]] for letter in table_letters(dets))
+    words = {compute_epr(m), batched, naive_epr(m)}
+    assert len(words) == 1, words
+    return words.pop()
+
+
+def _entrywise(m, f):
+    """The matrix with entries f(i, j, b_ij)."""
+    rows = [[f(i, j, x) for j, x in enumerate(row)] for i, row in enumerate(m.rows)]
+    return SymMatrix(m.spec, rows)
+
+
+INVARIANCE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@FIELDS
+@INVARIANCE
+@given(data=st.data())
+def test_epr_invariant_under_permutation_similarity(spec, data):
+    m = data.draw(symmetric_matrices(spec, max_n=5))
+    p = data.draw(st.permutations(range(m.n)))
+    assert _epr_every_way(_entrywise(m, lambda i, j, x: m.rows[p[i]][p[j]])) == _epr_every_way(m)
+
+
+@FIELDS
+@INVARIANCE
+@given(data=st.data())
+def test_epr_invariant_under_diagonal_congruence(spec, data):
+    m = data.draw(symmetric_matrices(spec, max_n=5))
+    d = data.draw(st.lists(st.integers(1, spec.order - 1), min_size=m.n, max_size=m.n))
+    dbd = _entrywise(m, lambda i, j, x: spec.mul(spec.mul(d[i], x), d[j]))
+    assert _epr_every_way(dbd) == _epr_every_way(m)
+
+
+@FIELDS
+@INVARIANCE
+@given(data=st.data())
+def test_epr_invariant_under_frobenius(spec, data):
+    m = data.draw(symmetric_matrices(spec, max_n=5))
+    assert _epr_every_way(_entrywise(m, lambda i, j, x: spec.mul(x, x))) == _epr_every_way(m)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4], ids=lambda s: s.name)
+@PROPERTY
+@given(data=st.data())
+def test_text_round_trip(spec, data):
+    m = data.draw(symmetric_matrices(spec))
+    assert read_matrix(m.to_text()) == m
 
 
 @st.composite
@@ -241,7 +301,7 @@ def test_bit_sliced_kernel_matches_batched_kernel(spec, data):
     dets = minor_tables(entries, spec)
     for b in range(entries.shape[2]):
         m = SymMatrix(spec, entries[:, :, b].tolist())
-        assert principal_minors(m).tolist() == dets[:, b].tolist()
+        assert _plane_dets(minor_planes(m), m.n) == dets[:, b].tolist()
         assert _nonzero_per_order(m, None) == _table_counts(dets[:, b])
 
 

@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -8,18 +10,22 @@ from eprseq import (
     GF2,
     GF4,
     BoundExceededError,
+    SymMatrix,
     accepted_pr_sequences,
     attained_pr_sequences,
     compare_with_classifier,
     compute_epr,
     compute_pr,
     enumerate_epr,
+    field_make,
     theorem_suite,
 )
 from eprseq import _engine as eng
 from eprseq import verify
 from eprseq._engine import minor_tables
-from oracles import all_symmetric_gf2, laplace_det, naive_epr, subgrid
+from oracles import all_symmetric_gf2, laplace_det, matmul, naive_epr, subgrid
+
+GF8 = field_make(3)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -193,19 +199,20 @@ def test_sweep_whole_blocks_match_laplace():
 
 def test_engine_schur_matches_library():
     rng = random.Random(13)
-    for n in (3, 4, 5):
-        for _ in range(40):
-            code = rng.randrange(1 << (n * (n + 1) // 2))
-            m = eng.code_matrix(code, n)
-            k = rng.randint(1, n - 1)
-            alpha = tuple(sorted(rng.sample(range(1, n + 1), k)))
-            if m.principal_submatrix(alpha).determinant() == 0:
-                continue
-            ent = eng.decode_entries(np.array([code], np.uint32), n)
-            alpha0 = tuple(a - 1 for a in alpha)
-            ccode = int(eng.encode_entries(eng.schur_entries(ent, alpha0))[0])
-            got = eng.code_matrix(ccode, n - k)
-            assert got == m.schur_complement(alpha)
+    for spec in (GF2, GF4):
+        for n in (3, 4, 5):
+            for _ in range(40):
+                code = rng.randrange(1 << (spec.degree * n * (n + 1) // 2))
+                m = eng.code_matrix(code, n, spec)
+                k = rng.randint(1, n - 1)
+                alpha = tuple(sorted(rng.sample(range(1, n + 1), k)))
+                if m.principal_submatrix(alpha).determinant() == 0:
+                    continue
+                ent = eng.decode_entries(np.array([code], np.uint32), n, spec)
+                alpha0 = tuple(a - 1 for a in alpha)
+                ccode = int(eng.encode_entries(eng.schur_entries(ent, alpha0, spec), spec)[0])
+                got = eng.code_matrix(ccode, n - k, spec)
+                assert got == m.schur_complement(alpha)
 
 
 def test_engine_rank_matches_library():
@@ -258,27 +265,49 @@ def test_gather_codes_match_library_exhaustive():
     for n in range(1, 5):
         mats = list(all_symmetric_gf2(n))
         ent = eng.decode_entries(np.arange(len(mats), dtype=np.uint32), n)
-        assert (eng.gather_codes(ent, ()) == 0).all()
+        assert (eng.encode_entries(eng.gather_entries(ent, ())) == 0).all()
         for k in range(1, n + 1):
             for alpha in combinations(range(n), k):
-                sub = eng.gather_codes(ent, alpha).tolist()
+                sub = eng.encode_entries(eng.gather_entries(ent, alpha)).tolist()
                 labels = tuple(a + 1 for a in alpha)
                 for code, m in enumerate(mats):
                     assert eng.code_matrix(sub[code], k) == m.principal_submatrix(labels)
-        zero = eng.gather_codes(ent, (*range(n), n)).tolist()
-        dup = eng.gather_codes(ent, (*range(n), n - 1)).tolist()
+        zero = eng.encode_entries(eng.gather_entries(ent, (*range(n), n))).tolist()
+        dup = eng.encode_entries(eng.gather_entries(ent, (*range(n), n - 1))).tolist()
         for code, m in enumerate(mats):
             assert eng.code_matrix(zero[code], n + 1) == m.append_zero()
             assert eng.code_matrix(dup[code], n + 1) == m.append_duplicate_last()
 
 
+def _sampled_batches(seed, fields=(GF4, GF8), orders=range(1, 6), batch=60):
+    """(spec, matrices, (n, n, B) entries) of seeded random symmetric matrices."""
+    rng = random.Random(seed)
+    for spec in fields:
+        for n in orders:
+            mats = []
+            for _ in range(batch):
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = rows[j][i] = rng.randrange(spec.order)
+                mats.append(SymMatrix(spec, rows))
+            yield spec, mats, np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0)
+
+
 def test_gf2_inverse_matches_library_exhaustive():
     for n in range(1, 5):
         mats = [m for m in all_symmetric_gf2(n) if m.determinant() == 1]
-        det, inv = eng.gf2_inverse(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
+        det, inv = eng.inverse(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
         assert det.tolist() == [1] * len(mats)
         for b, m in enumerate(mats):
             assert _grid(inv, b) == m.inverse().rows
+    # sampled GF(4) and GF(8) batches, singular columns included
+    for spec, mats, ent in _sampled_batches(20):
+        det, inv = eng.inverse(ent, spec)
+        assert det.tolist() == [m.determinant() for m in mats]
+        for b, m in enumerate(mats):
+            if det[b]:
+                assert _grid(inv, b) == m.inverse().rows
 
 
 def test_deleted_minors_match_laplace_exhaustive():
@@ -292,6 +321,13 @@ def test_deleted_minors_match_laplace_exhaustive():
                 cols = [c for c in range(n) if c != j]
                 want = [laplace_det(subgrid(m, rows, cols), GF2) for m in mats]
                 assert minors[i, j].tolist() == want
+    for spec, mats, ent in _sampled_batches(23, orders=range(1, 5), batch=20):
+        n = ent.shape[0]
+        minors = eng.deleted_minors(ent, spec)
+        for i, j in np.ndindex(n, n):
+            rows, cols = [r for r in range(n) if r != i], [c for c in range(n) if c != j]
+            want = [laplace_det(subgrid(m, rows, cols), spec) for m in mats]
+            assert minors[i, j].tolist() == want
 
 
 def test_congruence_entries_match_matmul_exhaustive():
@@ -304,8 +340,31 @@ def test_congruence_entries_match_matmul_exhaustive():
             et = [list(col) for col in zip(*e)]
             got = eng.congruence_entries(ent, e)
             for b, m in enumerate(mats):
-                want = verify._fe_matmul(verify._fe_matmul(e, [list(r) for r in m.rows], GF2), et, GF2)
+                want = matmul(matmul(e, [list(r) for r in m.rows], GF2), et, GF2)
                 assert _grid(got, b) == tuple(map(tuple, want))
+    # sampled GF(4) and GF(8) batches: one E for the batch, then one E per column
+    for spec, mats, ent in _sampled_batches(21):
+        n = ent.shape[0]
+        grids = [verify._rand_invertible(rng, n, spec) for _ in mats]
+        one = eng.congruence_entries(ent, grids[0], spec)
+        each = eng.congruence_entries(ent, np.array(grids, np.uint8).transpose(1, 2, 0), spec)
+        for b, m in enumerate(mats):
+            for got, e in ((one, grids[0]), (each, grids[b])):
+                et = [list(c) for c in zip(*e)]
+                want = matmul(matmul(e, [list(r) for r in m.rows], spec), et, spec)
+                assert _grid(got, b) == tuple(map(tuple, want))
+
+
+def test_engine_maps_match_library_sampled():
+    # Schur complements of sampled GF(4) and GF(8) batches against SymMatrix.schur_complement
+    for spec, mats, ent in _sampled_batches(22, orders=range(2, 6)):
+        n = ent.shape[0]
+        for alpha in combinations(range(n), n // 2):
+            labels = tuple(a + 1 for a in alpha)
+            keep = [b for b, m in enumerate(mats) if m.principal_submatrix(labels).determinant()]
+            got = eng.schur_entries(ent[:, :, keep], alpha, spec)
+            for col, b in enumerate(keep):
+                assert _grid(got, col) == mats[b].schur_complement(labels).rows
 
 
 # -- theorem suite ----------------------------------------------------------------
@@ -329,6 +388,87 @@ def test_suite_report_format():
     assert len(lines) >= 16
     name, cases, failures = lines[0].split()
     assert int(cases) > 0 and failures == "0"
+
+
+# -- fault injection: each batched GF(4) path reports a wrong component ------------
+
+def _parse(failure, pattern):
+    """The literal fields of a failure string that fully matches pattern."""
+    match = re.fullmatch(pattern, failure)
+    assert match, failure
+    return [ast.literal_eval(group) for group in match.groups()]
+
+
+def _det(m, labels):
+    return m.principal_submatrix(labels).determinant()
+
+
+def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
+    orig = eng.schur_entries
+    monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec: orig(ent, alpha, spec) ^ 1)
+    result = verify._check_schur_identity([], [], np.random.default_rng(3), 100)
+    assert 0 < len(result.failures) <= 20 and result.cases > 0
+    for failure in result.failures:
+        rows, alpha, gamma = _parse(
+            failure, r"gf4 schur SymMatrix\(gf4, (\[.*\])\) alpha=(\(.*\)) gamma=(\(.*\))"
+        )
+        b = SymMatrix(GF4, rows)
+        c = SymMatrix(GF4, [[x ^ 1 for x in row] for row in b.schur_complement(alpha).rows])
+        labels = [i for i in range(1, b.n + 1) if i not in alpha]
+        union = sorted(alpha + tuple(labels[g - 1] for g in gamma))
+        left = GF4.mul(_det(c, gamma), _det(b, alpha))
+        assert left != _det(b, union) or c.rank() != b.rank() - len(alpha)
+
+
+def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
+    orig = eng.minor_tables
+    monkeypatch.setattr(eng, "minor_tables", lambda ent, spec: orig(ent, spec) ^ 1)
+    result = verify._check_hyperdet([], np.random.default_rng(4), 100)
+    assert 0 < len(result.failures) <= 20 and result.cases == 100
+    for failure in result.failures:
+        rows, tau, base = _parse(
+            failure, r"gf4 hyperdet SymMatrix\(gf4, (\[.*\])\) tau=(\(.*\)) I=(\(.*\))"
+        )
+        b = SymMatrix(GF4, rows)
+
+        def sq(extra):  # the squared minor the faulty table gives
+            d = _det(b, [x + 1 for x in sorted(base + extra)]) ^ 1
+            return GF4.mul(d, d)
+
+        i, j, k = tau
+        total = 0
+        for x, y in (((), (i, j, k)), ((i,), (j, k)), ((j,), (i, k)), ((k,), (i, j))):
+            total ^= GF4.mul(sq(x), sq(y))
+        assert total != 0
+
+
+def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
+    orig = eng.gather_entries
+
+    def copy_index_0(ent, idx):  # the appended zero index becomes a copy of index 0
+        return orig(ent, tuple(i % ent.shape[0] for i in idx))
+
+    monkeypatch.setattr(eng, "gather_entries", copy_index_0)
+    result = verify._check_append_transforms(0, np.random.default_rng(5), 100)
+    assert 0 < len(result.failures) <= 20 and result.cases == 200
+    for failure in result.failures:
+        (rows,) = _parse(failure, r"gf4 append-zero SymMatrix\(gf4, (\[.*\])\)")
+        b = SymMatrix(GF4, rows)
+        idx = [i % b.n for i in range(b.n + 1)]
+        faulty = SymMatrix(GF4, [[b.rows[i][j] for j in idx] for i in idx])
+        damp = "".join("N" if ch == "N" else "S" for ch in compute_epr(b))
+        assert compute_epr(faulty) != damp + "N" and compute_epr(b.append_zero()) == damp + "N"
+
+
+def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
+    orig = eng.congruence_entries
+    monkeypatch.setattr(eng, "congruence_entries", lambda ent, e, spec: orig(ent, e, spec) * 0)
+    result = verify._check_congruence(1, np.random.default_rng(6), 100)
+    assert 0 < len(result.failures) <= 20 and result.cases == 100
+    for failure in result.failures:
+        rows, e = _parse(failure, r"gf4 congruence SymMatrix\(gf4, (\[.*\])\) E=(\[.*\])")
+        assert "1" in compute_pr(SymMatrix(GF4, rows)).bits  # the zero matrix's pr word differs
+        assert laplace_det(e, GF4) != 0
 
 
 def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
