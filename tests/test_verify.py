@@ -213,6 +213,15 @@ def test_engine_schur_matches_library():
                 ccode = int(eng.encode_entries(eng.schur_entries(ent, alpha0, spec), spec)[0])
                 got = eng.code_matrix(ccode, n - k, spec)
                 assert got == m.schur_complement(alpha)
+    # whole sampled GF(4) and GF(8) batches, one pivot set at a time
+    for spec, mats, ent in _sampled_batches(22, orders=range(2, 6)):
+        n = ent.shape[0]
+        for alpha in combinations(range(n), n // 2):
+            labels = tuple(a + 1 for a in alpha)
+            keep = [b for b, m in enumerate(mats) if m.principal_submatrix(labels).determinant()]
+            got = eng.schur_entries(ent[:, :, keep], alpha, spec)
+            for col, b in enumerate(keep):
+                assert _grid(got, col) == mats[b].schur_complement(labels).rows
 
 
 def test_engine_rank_matches_library():
@@ -354,17 +363,6 @@ def test_congruence_entries_match_matmul_exhaustive():
                 want = matmul(matmul(e, [list(r) for r in m.rows], spec), et, spec)
                 assert _grid(got, b) == tuple(map(tuple, want))
 
-
-def test_engine_maps_match_library_sampled():
-    # Schur complements of sampled GF(4) and GF(8) batches against SymMatrix.schur_complement
-    for spec, mats, ent in _sampled_batches(22, orders=range(2, 6)):
-        n = ent.shape[0]
-        for alpha in combinations(range(n), n // 2):
-            labels = tuple(a + 1 for a in alpha)
-            keep = [b for b, m in enumerate(mats) if m.principal_submatrix(labels).determinant()]
-            got = eng.schur_entries(ent[:, :, keep], alpha, spec)
-            for col, b in enumerate(keep):
-                assert _grid(got, col) == mats[b].schur_complement(labels).rows
 
 
 # -- theorem suite ----------------------------------------------------------------
