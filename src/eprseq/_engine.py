@@ -53,8 +53,8 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
     the cross terms of c^T adj(A) c cancel in pairs, so with no pivot, for
     j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}].
     A term whose coefficient c is one value in every column is skipped (c = 0),
-    a plain XOR (c = 1) or a lookup in the row of c; otherwise c * v is the XOR
-    over the bits t of v of c * x^t, which avoids a two-dimensional gather.
+    a plain XOR (c = 1) or a lookup in the row of c; otherwise c * v is taken
+    bit-sliced by times, which avoids a two-dimensional gather.
     """
     n, _, batch = entries.shape
     mul = _mul_table(spec)
@@ -63,7 +63,6 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
     lo, hi = coef.min(axis=2).tolist(), coef.max(axis=2).tolist()
     dets = np.zeros((1 << n, batch), np.uint8)
     dets[0] = 1
-    scratch = np.empty_like(dets[: 1 << max(n - 1, 0)])
     for j in range(n):
         lower, upper = dets[: 1 << j], dets[1 << j : 2 << j]
         for i in range(j + 1):  # i == j is the b_jj term over every S
@@ -74,14 +73,8 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
             dst = upper if i == j else upper.reshape(-1, 2, 1 << i, batch)[:, 1]
             if c == lo[j][i]:
                 dst ^= src if c == 1 else mul[c][src]
-                continue
-            tmp = scratch[: src.size // batch].reshape(src.shape)
-            for t in range(spec.degree):
-                bit = np.right_shift(src, t, out=tmp) if t else src
-                if t + 1 < spec.degree:
-                    bit = np.bitwise_and(bit, 1, out=tmp)
-                np.multiply(bit, mul[coef[j, i], 1 << t], out=tmp)
-                dst ^= tmp
+            else:
+                dst ^= times(coef[j, i], src, spec)
     return dets
 
 
@@ -309,8 +302,8 @@ def gather_entries(ent: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
 
 
 def times(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
-    """a * b entrywise over spec (broadcasting), bit-sliced as in minor_tables:
-    the XOR over the bits t of b of a x^t, which over GF(2) is a & b."""
+    """a * b entrywise over spec (broadcasting), bit-sliced: the XOR over the
+    bits t of b of a x^t, which over GF(2) is a & b."""
     if spec.degree == 1:
         return a & b
     out = a * (b & 1)

@@ -4,10 +4,14 @@ Over Z2 the attainable epr-sequences are exactly the instances of twenty
 anchored word templates (five starting with N, eight with A, seven with
 S); over any field of characteristic 2 the attainable pr-sequences of
 order >= 2 are the instances of three templates.  Template matching is
-the ground truth here.
+the ground truth here.  Each template is stated once, as the pattern the
+classifier matches; the instance lists behind accepted_epr_sequences and
+accepted_pr_sequences expand those same patterns.
 
 A separate rule engine reports every known prohibition an epr word
-violates.  The rules are necessary conditions only; they exist for
+violates.  Each rule is one search for its first trigger and one test of
+what that trigger forces; no later trigger can fire where the first one
+did not.  The rules are necessary conditions only; they exist for
 diagnostics and cross-checking, never as the accept/reject decision.
 """
 
@@ -19,7 +23,8 @@ from collections import namedtuple
 from .sequence import PrSequence, parse_epr, parse_pr
 
 # Each epr form: family id, anchored pattern, extra side condition.
-# In the pattern strings X* means zero or more repetitions of X.
+# A pattern is a run of literals, X* and (XY)* units, where * means zero
+# or more repetitions; epr_instances and pr_instances expand the same units.
 _EPR_FORM_SPECS: tuple[tuple[str, str, str | None], ...] = (
     ("N1", r"NA(NA)*", None),
     ("N2", r"NA(NA)*N", None),
@@ -137,68 +142,59 @@ def classify_pr_char2(pr: PrSequence | str) -> Verdict:
 # prohibition rules
 # ---------------------------------------------------------------------------
 
+def _n_tail(rule: str, s: str, k: int, start: int) -> RuleHit | None:
+    # The trigger at index k forces N from index start on; hit the first A or S there.
+    rest = s[start:].lstrip("N")
+    return RuleHit(rule, (k + 1, len(s) - len(rest) + 1)) if rest else None
+
+
 def _hits_nn(s: str) -> RuleHit | None:
     # Two consecutive Ns force N forever after.
-    for k in range(len(s) - 1):
-        if s[k] == "N" and s[k + 1] == "N":
-            for i in range(k + 2, len(s)):
-                if s[i] != "N":
-                    return RuleHit("NN-theorem", (k + 1, i + 1))
-    return None
+    p = s.find("NN")
+    return _n_tail("NN-theorem", s, p, p + 2) if p >= 0 else None
 
 
 def _hits_nsa(s: str) -> RuleHit | None:
     # NSA never occurs, over any field.
     p = s.find("NSA")
-    if p >= 0:
-        return RuleHit("NSA-prohibition", (p + 1, p + 2, p + 3))
-    return None
+    return RuleHit("NSA-prohibition", (p + 1, p + 2, p + 3)) if p >= 0 else None
 
 
 def _hits_asn_a(s: str) -> RuleHit | None:
     # ASN cannot be followed by a later A, over any field.
     p = s.find("ASN")
-    while p >= 0:
-        q = s.find("A", p + 3)
-        if q >= 0:
-            return RuleHit("ASN-A-prohibition", (p + 1, q + 1))
-        p = s.find("ASN", p + 1)
-    return None
+    q = s.find("A", p + 3) if p >= 0 else -1
+    return RuleHit("ASN-A-prohibition", (p + 1, q + 1)) if q >= 0 else None
+
+
+_NA_NS = re.compile(r"N[AS]")
 
 
 def _hits_na_ns_parity(s: str) -> RuleHit | None:
     # In characteristic 2, NA or NS at position k forces k odd and N at
-    # every odd position.
-    for k in range(len(s) - 1):
-        if s[k] == "N" and s[k + 1] in "AS":
-            if k % 2 == 1:  # 1-based position k+1 is even
-                return RuleHit("NA-NS-parity", (k + 1,))
-            for j in range(0, len(s), 2):
-                if s[j] != "N":
-                    return RuleHit("NA-NS-parity", (k + 1, j + 1))
-    return None
+    # every odd position; a later NA or NS at an even position would need
+    # A or S at an odd one, so the first trigger decides.
+    m = _NA_NS.search(s)
+    if m is None:
+        return None
+    k = m.start()
+    if k % 2 == 1:  # 1-based position k+1 is even
+        return RuleHit("NA-NS-parity", (k + 1,))
+    odd = s[::2]  # the letters at odd positions
+    rest = odd.lstrip("N")
+    return RuleHit("NA-NS-parity", (k + 1, 2 * (len(odd) - len(rest)) + 1)) if rest else None
 
 
 def _hits_n_even(s: str) -> RuleHit | None:
     # In characteristic 2, an N in an even position forces N forever after.
-    for k in range(1, len(s), 2):
-        if s[k] == "N":
-            for j in range(k + 1, len(s)):
-                if s[j] != "N":
-                    return RuleHit("N-even", (k + 1, j + 1))
-    return None
+    i = s[1::2].find("N")
+    return _n_tail("N-even", s, 2 * i + 1, 2 * i + 2) if i >= 0 else None
 
 
 def _hits_nonn_start_n_tail(s: str) -> RuleHit | None:
     # In characteristic 2, once an A- or S-initial word hits N it stays N.
-    if s[0] == "N":
-        return None
     p = s.find("N")
-    if p >= 0:
-        for j in range(p + 1, len(s)):
-            if s[j] != "N":
-                return RuleHit("nonN-start-N-tail", (p + 1, j + 1))
-    return None
+    return _n_tail("nonN-start-N-tail", s, p, p + 1) if p > 0 else None
 
 
 _NA_TAIL = re.compile(r"NA(NA)*N?")
@@ -207,29 +203,22 @@ _NA_TAIL = re.compile(r"NA(NA)*N?")
 def _hits_na_lemma(s: str) -> RuleHit | None:
     # Over Z2, NA at position k forces the tail to alternate NA with at
     # most one trailing N.
-    for k in range(len(s) - 1):
-        if s[k] == "N" and s[k + 1] == "A" and not _NA_TAIL.fullmatch(s[k:]):
-            return RuleHit("NA-Lemma", (k + 1,))
-    return None
+    p = s.find("NA")
+    return RuleHit("NA-Lemma", (p + 1,)) if p >= 0 and not _NA_TAIL.fullmatch(s, p) else None
 
 
 def _hits_aa(s: str) -> RuleHit | None:
     # Over Z2, a non-terminal AA forces the all-A word.
-    if set(s) == {"A"}:
-        return None
-    for k in range(len(s) - 2):
-        if s[k] == "A" and s[k + 1] == "A":
-            bad = next(i for i, ch in enumerate(s) if ch != "A")
-            return RuleHit("AA-non-terminal", (k + 1, bad + 1))
-    return None
+    p = s.find("AA", 0, len(s) - 1)
+    rest = s.lstrip("A")
+    return RuleHit("AA-non-terminal", (p + 1, len(s) - len(rest) + 1)) if p >= 0 and rest else None
 
 
 def _hits_a_an_even(s: str) -> RuleHit | None:
     # Over Z2, an A-initial word of order >= 3 ending in AN has even order.
     n = len(s)
-    if n >= 3 and s[0] == "A" and s.endswith("AN") and n % 2 == 1:
-        return RuleHit("A-AN-even-order", (n - 1, n))
-    return None
+    odd = n >= 3 and s[0] == "A" and s.endswith("AN") and n % 2 == 1
+    return RuleHit("A-AN-even-order", (n - 1, n)) if odd else None
 
 
 _SA_START = re.compile(r"(SA)+[AN]?")
@@ -238,9 +227,8 @@ _SA_START = re.compile(r"(SA)+[AN]?")
 def _hits_sa_start(s: str) -> RuleHit | None:
     # Over Z2, a word starting SA alternates SA throughout, with at most
     # one extra terminal A or N.
-    if s.startswith("SA") and not _SA_START.fullmatch(s):
-        return RuleHit("SA-start-forms", (1, 2))
-    return None
+    broken = s.startswith("SA") and not _SA_START.fullmatch(s)
+    return RuleHit("SA-start-forms", (1, 2)) if broken else None
 
 
 def _hits_saxn(s: str) -> RuleHit | None:
@@ -254,23 +242,19 @@ def _hits_saxn(s: str) -> RuleHit | None:
 def _hits_ass(s: str) -> RuleHit | None:
     # Over Z2, ASS occurs only as the initial subword.
     p = s.find("ASS", 1)
-    if p >= 0:
-        return RuleHit("ASS-non-initial", (p + 1, p + 2, p + 3))
-    return None
+    return RuleHit("ASS-non-initial", (p + 1, p + 2, p + 3)) if p >= 0 else None
 
 
 def _hits_asa_parity(s: str) -> RuleHit | None:
     # Over Z2, ASA at position k needs a non-N start, and the start letter
-    # fixes the parity of k (A-initial: k odd; S-initial: k even).
-    for k in range(len(s) - 2):
-        if s[k : k + 3] == "ASA":
-            if s[0] == "N":
-                return RuleHit("ASA-parity", (1, k + 1))
-            if s[0] == "A" and k % 2 == 1:
-                return RuleHit("ASA-parity", (k + 1,))
-            if s[0] == "S" and k % 2 == 0:
-                return RuleHit("ASA-parity", (k + 1,))
-    return None
+    # fixes the parity of k (A-initial: k odd; S-initial: k even); the
+    # trigger is the first ASA at a wrong position.
+    if s[0] == "N":
+        p = s.find("ASA")
+        return RuleHit("ASA-parity", (1, p + 1)) if p >= 0 else None
+    wrong = range(1 if s[0] == "A" else 0, len(s) - 2, 2)
+    k = next((k for k in wrong if s.startswith("ASA", k)), None)
+    return RuleHit("ASA-parity", (k + 1,)) if k is not None else None
 
 
 _ASA_FORMS = re.compile(r"S?ASA(SA)*[AN]?")
@@ -280,16 +264,12 @@ def _hits_asa_forms(s: str) -> RuleHit | None:
     # Over Z2, a word containing ASA is an SA-alternation with optional
     # leading S and optional terminal A or N.
     p = s.find("ASA")
-    if p >= 0 and not _ASA_FORMS.fullmatch(s):
-        return RuleHit("ASA-forms", (p + 1,))
-    return None
+    return RuleHit("ASA-forms", (p + 1,)) if p >= 0 and not _ASA_FORMS.fullmatch(s) else None
 
 
 def _hits_terminal_s(s: str) -> RuleHit | None:
     # The last letter reflects the single order-n minor: never S.
-    if s[-1] == "S":
-        return RuleHit("terminal-S", (len(s),))
-    return None
+    return RuleHit("terminal-S", (len(s),)) if s[-1] == "S" else None
 
 
 _RULES = (
@@ -317,61 +297,36 @@ def rule_violations(epr: str) -> list[RuleHit]:
     hold (the rules are not jointly sufficient).
     """
     word = parse_epr(epr)
-    hits = []
-    for rule in _RULES:
-        hit = rule(word)
-        if hit is not None:
-            hits.append(hit)
-    return hits
+    return [hit for rule in _RULES if (hit := rule(word)) is not None]
 
 
 # ---------------------------------------------------------------------------
 # template instantiation
 # ---------------------------------------------------------------------------
 
+_UNIT = re.compile(r"\((\w+)\)\*|\\?(.)(\*?)")  # (XY)*, or one literal (maybe escaped) and maybe *
+
+
+def _fill(units: list[tuple[str, bool]], length: int) -> list[str]:
+    """Words of this length spelled by the units, each starred unit repeated any number of times."""
+    if not units:
+        return [""] if length == 0 else []
+    (text, starred), rest = units[0], units[1:]
+    counts = range(length // len(text) + 1) if starred else (1,)
+    return [text * c + tail for c in counts for tail in _fill(rest, length - c * len(text))]
+
+
+def _instances(pattern: str, length: int) -> list[str]:
+    """Sorted words of this length that fully match the template."""
+    units = [(group or char, bool(group or star)) for group, char, star in _UNIT.findall(pattern)]
+    return sorted(set(_fill(units, length)))
+
+
 def epr_instances(family: str, n: int) -> list[str]:
-    """All order-n instances of one epr template family."""
-    odd = n % 2
-    if family == "N1":
-        return ["NA" * (n // 2)] if n >= 2 and not odd else []
-    if family == "N2":
-        return ["NA" * (n // 2) + "N"] if n >= 3 and odd else []
-    if family == "N3":
-        return ["NS" * t + "N" * (n - 2 * t) for t in range((n - 1) // 2 + 1)]
-    if family == "N4":
-        return ["NS" * ((n - 2) // 2) + "NA"] if n >= 4 and not odd else []
-    if family == "N5":
-        return ["NS" * ((n - 3) // 2) + "NAN"] if n >= 5 and odd else []
-    if family == "A1":
-        return ["A" * n]
-    if family == "A2":
-        return ["A" + "S" * (n - 1 - t) + "N" * t for t in range(1, n)]
-    if family == "A3":
-        return ["A" + "S" * (n - 2) + "A"] if n >= 4 else []
-    if family == "A4":
-        return ["A" + "S" * (n - 3) + "AA"] if n >= 5 else []
-    if family == "A5":
-        return ["A" + "S" * (n - 3) + "AN"] if n >= 6 and not odd else []
-    if family == "A6":
-        return ["A" + "SA" * ((n - 1) // 2)] if n >= 3 and odd else []
-    if family == "A7":
-        return ["ASA" + "SA" * ((n - 4) // 2) + "A"] if n >= 4 and not odd else []
-    if family == "A8":
-        return ["ASA" + "SA" * ((n - 4) // 2) + "N"] if n >= 4 and not odd else []
-    if family == "S1":
-        return ["S" * s + "N" * (n - s) for s in range(1, n)]
-    if family == "S2":
-        return ["S" * (n - 1) + "A"] if n >= 2 else []
-    if family == "S3":
-        return ["S" * (n - 2) + "AA"] if n >= 3 else []
-    if family == "S4":
-        return ["S" * (n - 2) + "AN"] if n >= 4 else []
-    if family == "S5":
-        return ["SA" * (n // 2)] if n >= 4 and not odd else []
-    if family == "S6":
-        return ["SA" * ((n - 1) // 2) + "A"] if n >= 5 and odd else []
-    if family == "S7":
-        return ["SA" * ((n - 1) // 2) + "N"] if n >= 3 and odd else []
+    """All order-n instances of one epr template family, sorted."""
+    for fam, pattern, cond in _EPR_FORM_SPECS:
+        if fam == family:
+            return _instances(pattern, n) if cond != "even" or n % 2 == 0 else []
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -386,13 +341,10 @@ def accepted_epr_sequences(n: int) -> list[str]:
 
 
 def pr_instances(family: str, n: int) -> list[str]:
-    """All order-n instances of one pr template family, as text."""
-    if family == "P1":
-        return [f"0]{'1' * a}{'0' * (n - a)}" for a in range(1, n + 1)]
-    if family == "P2":
-        return [f"1]{'01' * t}{'0' * (n - 2 * t)}" for t in range(n // 2 + 1)]
-    if family == "P3":
-        return [f"1]{'1' * a}{'0' * (n - a)}" for a in range(1, n + 1)]
+    """All order-n instances of one pr template family, as sorted text."""
+    for fam, pattern in _PR_FORM_SPECS:
+        if fam == family:
+            return _instances(pattern, n + 2)  # n bits after the two characters "r0]"
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -29,11 +29,23 @@ from functools import lru_cache
 from math import comb
 
 from .gfield import FieldSpec
-# _generic_det and _gf2_det are unused here: bench/tracer.py wraps them by these names.
-from .matrix import SymMatrix, _generic_det, _gf2_det  # noqa: F401
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .matrix import SymMatrix
 
 EPR_LETTERS = "ASN"
 DEFAULT_MAX_ORDER = 24
+
+
+def __getattr__(name: str):
+    # bench/tracer.py wraps the determinant kernels under these names; serving
+    # them lazily keeps eprseq.matrix out of the classify verbs.
+    if name in ("_generic_det", "_gf2_det"):
+        from . import matrix
+
+        return getattr(matrix, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class OrderLimitError(ValueError):

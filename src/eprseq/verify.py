@@ -310,16 +310,16 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
 
 
 def _schur_cases(tables: list[np.ndarray]) -> list:
-    """(n, alpha, valid, entries, Schur complement entries) for every proper
-    pivot set alpha, where the mask valid picks the codes of order n whose
-    pivot block B[alpha] is nonsingular."""
+    """(n, alpha, valid, Schur complement codes) for every proper pivot set
+    alpha, where the mask valid picks the codes of order n whose pivot block
+    B[alpha] is nonsingular."""
     cases = []
     for n in range(2, len(tables)):
         ent = eng.decode_entries(_all_codes(n), n)
         for alpha, row in _subsets(n)[1:-1]:
             valid = tables[n][row] == 1
-            vent = ent[:, :, valid]
-            cases.append((n, alpha, valid, vent, eng.schur_entries(vent, alpha)))
+            ccodes = eng.encode_entries(eng.schur_entries(ent[:, :, valid], alpha))
+            cases.append((n, alpha, valid, ccodes))
     return cases
 
 
@@ -329,10 +329,9 @@ def _check_schur_identity(
     """det C[gamma] * det B[alpha] = det B[gamma u alpha]; rank C = rank B - k."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, _, cent in schur_cases:
+    for n, alpha, valid, ccodes in schur_cases:
         k = len(alpha)
         comp = tuple(i for i in range(n) if i not in alpha)
-        ccodes = eng.encode_entries(cent)
         bad = eng.rank_array(n - k)[ccodes] != eng.rank_array(n)[valid] - k
         for gamma, row in _subsets(n - k):
             union = _mask(alpha) | _mask(comp[g] for g in gamma)
@@ -375,10 +374,9 @@ def _check_schur_letters(schur_cases: list) -> CheckResult:
     """Schur complement keeps the A/N letters shifted by the pivot size."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, _, cent in schur_cases:
+    for n, alpha, valid, ccodes in schur_cases:
         k = len(alpha)
         m = n - k
-        ccodes = eng.encode_entries(cent)
         big = eng.letter_arrays(n)
         small = eng.letter_arrays(m)
         bad = np.zeros(ccodes.size, bool)

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import hashlib
+import io
 from itertools import product
 
 import pytest
@@ -8,6 +12,7 @@ from eprseq import (
     accepted_pr_sequences,
     classify_epr_z2,
     classify_pr_char2,
+    cli,
     epr_instances,
     parse_pr,
     rule_violations,
@@ -147,3 +152,40 @@ def test_accepted_pr_sequences_counts():
     for n in range(2, 11):
         assert len(accepted_pr_sequences(n)) == 2 * n + n // 2 + 1
     assert accepted_pr_sequences(1) == ["0]1", "1]0"]
+
+
+# -- golden outputs -------------------------------------------------------------------
+
+# sha256 of the verdict texts, JSON and exit codes below, and of the accepted
+# word lists; recompute it only when a verdict is meant to change.
+GOLDEN_DIGEST = "1b990df5915bc2b8d86413fefa0a8d166a6c0afb4ac7e39f70def42c900e7714"
+
+
+def verdict_output(verb: str, sequence: str, as_json: bool) -> str:
+    """Exit code, stdout and stderr of one classify / classify-pr verb run."""
+    args = argparse.Namespace(verb=verb, sequence=sequence, json=as_json)
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli._dispatch(args)
+    return f"{code}\t{out.getvalue()}{err.getvalue()}"
+
+
+def test_verdicts_and_accepted_lists_match_golden_digest(capsys):
+    """Every epr word of order <= 8, every pr word of <= 10 bits, both output
+    modes, and accepted_*_sequences(n) for n <= 20.  The verb runs skip only
+    argument parsing, so one full cli.main run per verb pins that step."""
+    for verb, word in (("classify", "NSNA"), ("classify-pr", "0]01")):
+        code = cli.main([verb, "--json", word])
+        assert f"{code}\t{capsys.readouterr().out}" == verdict_output(verb, word, True)
+    words = [("classify", "".join(w)) for n in range(1, 9) for w in product("ASN", repeat=n)]
+    words += [
+        ("classify-pr", f"{b[0]}]{''.join(b[1:])}")
+        for n in range(1, 10)
+        for b in product("01", repeat=n + 1)
+    ]
+    digest = hashlib.sha256()
+    for verb, word in words:
+        for as_json in (False, True):
+            digest.update(verdict_output(verb, word, as_json).encode())
+    for n in range(1, 21):
+        digest.update(repr((accepted_epr_sequences(n), accepted_pr_sequences(n))).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

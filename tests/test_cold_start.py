@@ -1,5 +1,6 @@
 """Each verb loads only what it runs: the single-matrix verbs never import numpy,
-`epr`, `pr` and `minors` never the classifier, and no single-matrix verb dataclasses."""
+`epr`, `pr` and `minors` never the classifier, `classify` and `classify-pr` never
+the matrix module, and no single-matrix verb dataclasses."""
 
 import os
 import subprocess
@@ -41,8 +42,20 @@ assert set(eprseq.__all__) <= set(dir(eprseq))
 """
 
 
-def test_single_matrix_verbs_never_import_numpy():
-    script = SCRIPT.replace("{gf4}", str(DATA / "sasn.txt"))
+CLASSIFY_SCRIPT = """
+import contextlib, io, sys
+import eprseq.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["classify", "NSNA"]) == 0
+    assert cli.main(["classify-pr", "1]010"]) == 0
+assert "eprseq.matrix" not in sys.modules
+import eprseq.sequence as sequence, eprseq.matrix as matrix
+assert sequence._gf2_det is matrix._gf2_det and sequence._generic_det is matrix._generic_det
+"""
+
+
+def run_script(script: str) -> None:
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -51,3 +64,13 @@ def test_single_matrix_verbs_never_import_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_single_matrix_verbs_never_import_numpy():
+    run_script(SCRIPT.replace("{gf4}", str(DATA / "sasn.txt")))
+
+
+def test_classify_verbs_never_import_matrix():
+    """The classifier needs no matrices; sequence serves the determinant
+    kernels that bench/tracer.py wraps on first access instead."""
+    run_script(CLASSIFY_SCRIPT)
