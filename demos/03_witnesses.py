@@ -1,9 +1,10 @@
 """Synthesizing a certificate matrix for every attainable sequence.
 
-Each accepted word is matched to its template family, a construction
-recipe is executed (named graphs, direct sums, inverses, Schur
-complements, border operations), and the result is re-verified by
-recomputing its sequence before it is returned.
+Each accepted word is matched to its template family, whose one
+construction (named graphs, direct sums, inverses, Schur complements,
+appended rows) builds the matrix and spells its recipe in the same
+calls; the result is re-verified by recomputing its sequence before it
+is returned.
 """
 
 import io

@@ -313,9 +313,10 @@ def read_matrix(source: str | io.TextIOBase) -> SymMatrix:
     if pos >= len(lines):
         raise MatrixFormatError(pos + 1, 1, "missing 'n' header")
     order_line = lines[pos].split(" ")
-    if len(order_line) != 2 or order_line[0] != "n" or not order_line[1].isdigit():
+    digits = order_line[-1]  # ASCII only: int() also reads other scripts' digits
+    if len(order_line) != 2 or order_line[0] != "n" or not (digits.isascii() and digits.isdigit()):
         raise MatrixFormatError(pos + 1, 1, "expected 'n <order>'")
-    n = int(order_line[1])
+    n = int(digits)
     pos += 1
     rows = []
     for r in range(n):

@@ -4,12 +4,16 @@ These deliberately avoid the library's elimination code paths: the
 determinant is a recursive Laplace expansion (cofactor signs vanish in
 characteristic 2) and the sequences re-enumerate index subsets with
 itertools.  Slow, obviously correct, and kept independent of what they
-check.
+check.  ``rebuild_from_recipe`` reads a witness's recipe header with its
+own parser and calls ``eprseq.matrix`` directly, so it checks that the
+printed provenance describes the matrix, independently of how the witness
+code spells it.
 """
 
+import re
 from itertools import combinations
 
-from eprseq import PrSequence
+from eprseq import PrSequence, matrix
 
 
 def laplace_det(rows, spec):
@@ -82,3 +86,51 @@ def all_symmetric_gf2(n):
             bit = (code >> p) & 1
             rows[i][j] = rows[j][i] = bit
         yield SymMatrix(GF2, rows)
+
+
+_CALL = re.compile(r"(\w+)\(")
+_PARAMS = re.compile(r"(\d+(?:,\d+)*)\)")
+_PIVOT = re.compile(r", \{(\d+)\}\)")
+
+
+def _recipe_expr(text, pos):
+    """(matrix, end) of ``atom ( (+) atom)*`` starting at text[pos]."""
+    m, pos = _recipe_atom(text, pos)
+    while text.startswith(" (+) ", pos):
+        other, pos = _recipe_atom(text, pos + len(" (+) "))
+        m = m.direct_sum(other)
+    return m, pos
+
+
+def _recipe_atom(text, pos):
+    call = _CALL.match(text, pos)
+    assert call, f"expected a call at {text[pos:]!r}"
+    if call[1] in ("inverse", "schur_complement"):
+        m, pos = _recipe_expr(text, call.end())
+        if call[1] == "inverse":
+            assert text.startswith(")", pos), text[pos:]
+            return m.inverse(), pos + 1
+        pivot = _PIVOT.match(text, pos)
+        assert pivot, text[pos:]
+        return m.schur_complement((int(pivot[1]),)), pivot.end()
+    params = _PARAMS.match(text, call.end())
+    assert params, text[call.end():]
+    return getattr(matrix, call[1])(*map(int, params[1].split(","))), params.end()
+
+
+def rebuild_from_recipe(header):
+    """Matrix described by a ``# recipe: FORM: STEP; STEP ...`` line.
+
+    The first step is a construction: ``name(a,b)``, ``X (+) Y``,
+    ``inverse(X)`` or ``schur_complement(X, {k})``; the rest are
+    ``append_zero`` / ``append_duplicate_last`` steps applied in order.
+    """
+    prefix, form, steps = header.rstrip("\n").split(": ", 2)
+    assert prefix == "# recipe" and form, header
+    first, *appended = steps.split("; ")
+    m, end = _recipe_expr(first, 0)
+    assert end == len(first), f"trailing text {first[end:]!r}"
+    for step in appended:
+        assert step in ("append_zero", "append_duplicate_last"), step
+        m = getattr(m, step)()
+    return m

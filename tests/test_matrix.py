@@ -412,6 +412,7 @@ def test_text_comments_skipped():
         ("field gf2\nn 2\n0 1\n1 0\nextra\n", 5, 1),
         ("n 1\n0\n", 1, 1),
         ("field gf2\nn 2\n0 1\n0 0\n", 3, 1),
+        ("field gf2\nn ²\n1\n", 2, 1),
     ],
 )
 def test_text_rejects_with_diagnostics(text, line, column):

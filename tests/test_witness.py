@@ -4,8 +4,11 @@ import io
 import pytest
 
 from eprseq import (
+    EPR_FAMILIES,
     GF2,
+    PR_FAMILIES,
     NotAttainableError,
+    WitnessMismatchError,
     accepted_epr_sequences,
     accepted_pr_sequences,
     complete_graph,
@@ -16,11 +19,12 @@ from eprseq import (
     parse_pr,
     pendant_loop_complete,
     read_matrix,
+    witness,
     witness_epr_z2,
     witness_pr_char2,
     write_witness,
 )
-from oracles import naive_epr, naive_pr
+from oracles import naive_epr, naive_pr, rebuild_from_recipe
 
 
 def test_witness_examples():
@@ -105,6 +109,29 @@ def test_inverse_based_recipes():
     m, recipe = witness_epr_z2("SSAA")
     assert recipe.form == "S3"
     assert compute_epr(m) == "SSAA"
+
+
+def test_wrong_construction_fails_reverification(monkeypatch):
+    for family in ("A1", "P3"):
+        monkeypatch.setitem(witness._CONSTRUCTIONS, family, lambda n, c: witness._named("zeros", n))
+    with pytest.raises(WitnessMismatchError, match=r"A1: zeros\(3\) .* attaining NNN, wanted AAA"):
+        witness_epr_z2("AAA")
+    with pytest.raises(WitnessMismatchError, match=r"zeros\(2\) .* attaining 1\]00, wanted 1\]11"):
+        witness_pr_char2("1]11")
+
+
+def test_recipe_header_rebuilds_the_matrix():
+    """The printed header alone, read by the oracle, gives back the witness."""
+    assert tuple(witness._CONSTRUCTIONS) == EPR_FAMILIES + PR_FAMILIES
+    for n in range(1, 13):
+        words = [(w, witness_epr_z2) for w in accepted_epr_sequences(n)]
+        words += [(w, witness_pr_char2) for w in accepted_pr_sequences(n)]
+        for word, make in words:
+            m, recipe = make(word)
+            buf = io.StringIO()
+            write_witness(m, recipe, buf)
+            header = buf.getvalue().split("\n", 1)[0]
+            assert rebuild_from_recipe(header) == m, (word, header)
 
 
 # sha256 over (word, rendered recipe, steps, matrix rows) of every witness
