@@ -203,9 +203,10 @@ def test_check_theorems_refuses_gf4_case_counts_out_of_range(capsys, cases):
     assert f"gf4_cases must be in [0, 10^5], got {cases}" in err
 
 
-@pytest.mark.parametrize("max_n, seed", [(4, 3), (2, 11)])
+@pytest.mark.parametrize("max_n, seed", [(5, 1729), (4, 3), (2, 11)])
 def test_check_theorems_matches_golden_output(capsys, max_n, seed):
-    """Case counts pin the rng call order and every check's case loop."""
+    """Case counts pin the rng call order and every check's case loop;
+    (5, 1729) is the default run."""
     code, out, _ = run(capsys, "check-theorems", "--max-n", str(max_n), "--seed", str(seed))
     assert code == 0
     assert out == (DATA / f"check_theorems_n{max_n}_seed{seed}.out").read_text()
