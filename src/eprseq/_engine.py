@@ -3,21 +3,22 @@
 A symmetric order-n matrix is encoded as the integer whose bit fields
 are the n(n+1)/2 upper-triangle entries in row-major order, one bit per
 entry over GF(2) and two over GF(4); ascending code order is the
-canonical enumeration order.  Only decode_entries, encode_entries and
-code_matrix know this layout: everything else works on (n, n, B) entry
-batches, the batch on the last axis.  Row 0 takes the lowest bits, so
-each run of 2^(q n) consecutive codes (q bits per entry) shares its
-trailing block A = B[1:, 1:].  The border sweep (sweep_keys) hands the
-decoded A's to minor_tables, the batched char-2 bordering kernel
+canonical enumeration order.  Only decode_entries and code_matrix know
+this layout: everything else works on (n, n, B) entry batches, the batch
+on the last axis.  Row 0 takes the lowest bits, so each run of 2^(q n)
+consecutive codes (q bits per entry) shares its trailing block
+A = B[1:, 1:].  The border sweep (sweep_keys) hands the decoded A's to
+minor_tables, the batched char-2 bordering kernel
 (eprseq.sequence.minor_planes computes the same table for one matrix
 without numpy), and reads the letters of all 2^(q n) matrices bordering
 one A off A's packed table and one border word per matrix: A where every
-minor of an order is nonzero, N where none is.  The theorem suite's code maps (principal
-submatrices, appended rows, inverses, Schur complements, congruences)
-take entry batches too, over any GF(2^k): products are bit-sliced as in
-minor_tables, and inverses, and the order-(n-1) minors of the
-terminal-AN check, come from batched Gauss-Jordan elimination, never
-from the minor table.
+minor of an order is nonzero, N where none is.  The theorem suite's code
+maps (principal submatrices, appended rows, inverses, Schur complements,
+congruences) map entry batches to entry batches over any GF(2^k):
+products are bit-sliced as in minor_tables, and inverses, and the
+order-(n-1) minors of the terminal-AN check, come from batched
+Gauss-Jordan elimination, never from the minor table.  table_letters
+reads the letters of any batch off its own minor table.
 
 Everything here is internal plumbing for :mod:`eprseq.verify`.
 """
@@ -94,14 +95,6 @@ def decode_entries(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarr
     for shift, i, j in _layout(n, spec):
         ent[i, j] = ent[j, i] = (codes >> shift) & (spec.order - 1)
     return ent
-
-
-def encode_entries(ent: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
-    """Codes of the symmetric matrices in an (n, n, B) entry batch."""
-    codes = np.zeros(ent.shape[2], np.uint32)
-    for shift, i, j in _layout(ent.shape[0], spec):
-        codes |= ent[i, j].astype(np.uint32) << shift
-    return codes
 
 
 def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
@@ -218,18 +211,17 @@ def ranks(letters) -> np.ndarray:
     return rank
 
 
+@lru_cache(maxsize=None)
+def _rows_by_size(n: int) -> tuple[np.ndarray, ...]:
+    """Minor-table rows of the subsets of range(n) of each size 1..n."""
+    size = np.array([s.bit_count() for s in range(1 << n)])
+    return tuple(np.flatnonzero(size == k) for k in range(1, n + 1))
+
+
 def table_letters(dets: np.ndarray) -> list[np.ndarray]:
     """Letters (0=N, 1=S, 2=A) of orders 1..n of each column of a (2^n, B) minor table."""
-    size = np.array([s.bit_count() for s in range(len(dets))])
-    nonzero = [dets[size == k] != 0 for k in range(1, size[-1] + 1)]
+    nonzero = (dets[rows] != 0 for rows in _rows_by_size(len(dets).bit_length() - 1))
     return [nz.any(axis=0).view(np.uint8) + nz.all(axis=0) for nz in nonzero]
-
-
-def letters_to_keys(letters: np.ndarray) -> np.ndarray:
-    key = np.zeros(len(letters[0]), np.uint32)
-    for k, arr in enumerate(letters):
-        key |= arr.astype(np.uint32) << (2 * k)
-    return key
 
 
 def key_to_word(key: int, n: int) -> str:

@@ -59,6 +59,8 @@ _PR_FORM_SPECS: tuple[tuple[str, str], ...] = (
 PR_FAMILIES = tuple(fam for fam, _ in _PR_FORM_SPECS)
 _PR_FORMS = tuple((fam, re.compile(pat)) for fam, pat in _PR_FORM_SPECS)
 
+# Order 1 is decided by the definitions, not the patterns (P3 would admit 1]1).
+_PR_ORDER1 = {"0]1": "P1", "1]0": "P2"}
 _ORDER1_NOTE = (
     "order-1 verdict extends the order>=2 characterization: "
     "only 0]1 and 1]0 are attainable, forced by the definitions"
@@ -126,14 +128,10 @@ def classify_pr_char2(pr: PrSequence | str) -> Verdict:
     verdict carries a note saying so.
     """
     seq = parse_pr(pr) if isinstance(pr, str) else pr
-    if seq.order == 1:
-        text = str(seq)
-        if text == "0]1":
-            return Verdict(True, ("P1",), note=_ORDER1_NOTE)
-        if text == "1]0":
-            return Verdict(True, ("P2",), note=_ORDER1_NOTE)
-        return Verdict(False, note=_ORDER1_NOTE)
     text = str(seq)
+    if seq.order == 1:
+        matched = (_PR_ORDER1[text],) if text in _PR_ORDER1 else ()
+        return Verdict(bool(matched), matched, note=_ORDER1_NOTE)
     matched = tuple(fam for fam, rx in _PR_FORMS if rx.fullmatch(text))
     return Verdict(bool(matched), matched)
 
@@ -344,6 +342,8 @@ def pr_instances(family: str, n: int) -> list[str]:
     """All order-n instances of one pr template family, as sorted text."""
     for fam, pattern in _PR_FORM_SPECS:
         if fam == family:
+            if n == 1:
+                return [word for word, f in _PR_ORDER1.items() if f == family]
             return _instances(pattern, n + 2)  # n bits after the two characters "r0]"
     raise ValueError(f"unknown family {family!r}")
 
@@ -352,8 +352,6 @@ def accepted_pr_sequences(n: int) -> list[str]:
     """Sorted list of all order-n pr words accepted by classify_pr_char2."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return ["0]1", "1]0"]
     out: set[str] = set()
     for family in PR_FAMILIES:
         out.update(pr_instances(family, n))

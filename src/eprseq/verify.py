@@ -7,9 +7,10 @@ that the catalog and the template classifier agree exactly, in both
 directions.  ``theorem_suite`` runs sixteen independent checks, one per
 structural fact the rest of the library relies on, exhaustively over
 GF(2) up to its bounds and with seeded random GF(4) cases for the
-field-generic identities.  The GF(4) cases are drawn one at a time,
-then grouped by order and run as entry batches through the same
-field-generic code maps (:mod:`eprseq._engine`) as the GF(2) sweeps.
+field-generic identities.  Every check reads letters, minors and ranks
+off the minor table of the batch it checks; each field-generic identity
+is one predicate that the exhaustive GF(2) loop and the GF(4) cases
+(drawn one at a time, then batched by order) both call.
 
 All randomness is seeded; reports are reproducible given the same seed
 and bounds.
@@ -160,19 +161,29 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
 # theorem suite helpers
 # ---------------------------------------------------------------------------
 
-def _all_codes(n: int) -> np.ndarray:
-    return np.arange(1 << eng.tri(n), dtype=np.uint32)
+def _gf2_entries(n: int) -> np.ndarray:
+    """Entries (n, n, codes) of every symmetric GF(2) matrix of order n, column = code."""
+    return eng.decode_entries(np.arange(1 << eng.tri(n)), n)
 
 
 def _gf2_minor_tables(max_n: int) -> list[np.ndarray]:
     """Entry n is the (2^n, codes) table of every principal minor of every
     symmetric GF(2) matrix of order n, n = 0..max_n."""
-    return [eng.minor_tables(eng.decode_entries(_all_codes(n), n), GF2) for n in range(max_n + 1)]
+    return [eng.minor_tables(_gf2_entries(n), GF2) for n in range(max_n + 1)]
 
 
 def _mask(idx) -> int:
     """Minor-table row of the index set idx."""
     return sum(1 << i for i in idx)
+
+
+def _rows_within(idx: tuple[int, ...]) -> np.ndarray:
+    """Minor-table row of each subset of idx, indexed by the subset's mask over
+    the positions of idx: B's table at these rows is the table of B[idx]."""
+    rows = np.zeros(1 << len(idx), np.intp)
+    for t, i in enumerate(idx):
+        rows[1 << t : 2 << t] = rows[: 1 << t] | (1 << i)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -182,11 +193,8 @@ def _subsets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def _catalog_words(max_order: int) -> list[tuple[int, str]]:
-    out = []
-    for n in range(1, max_order + 1):
-        keys = np.flatnonzero(np.bincount(eng.letters_to_keys(eng.letter_arrays(n)))).tolist()
-        out.extend((n, w) for w in sorted(eng.key_to_word(key, n) for key in keys))
-    return out
+    """(order, word) of every attained GF(2) epr word up to max_order, off the cached catalogs."""
+    return [(n, w) for n in range(1, max_order + 1) for w in sorted(_catalog_raw(n, "gf2", 1)[0])]
 
 
 def _keep(failures: list[str], item: str) -> None:
@@ -224,8 +232,9 @@ def _draw_gf4(rng: np.random.Generator, n: int) -> np.ndarray:
     return b | b.T
 
 
-def _gf4_letters(ent: np.ndarray) -> list[np.ndarray]:
-    return eng.table_letters(eng.minor_tables(ent, GF4))
+def _letters(ent: np.ndarray, spec: FieldSpec) -> list[np.ndarray]:
+    """Letters (0=N, 1=S, 2=A) of each matrix of an (n, n, B) entry batch."""
+    return eng.table_letters(eng.minor_tables(ent, spec))
 
 
 def _run_gf4(drawn: list[tuple], failures: list[str], kinds, test, suffix=lambda case: "") -> None:
@@ -257,44 +266,43 @@ def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("nn-forces-n-tail", outcomes)
 
 
-def _check_inverse(max_n: int) -> CheckResult:
+def _check_inverse(tables: list[np.ndarray]) -> CheckResult:
     """epr of the inverse is the reversed word with terminal A."""
     failures: list[str] = []
     cases = 0
-    for n in range(1, max_n + 1):
-        letters = eng.letter_arrays(n)
-        nz = _all_codes(n)[eng.det_table(n) == 1]
-        inv_codes = eng.encode_entries(eng.inverse(eng.decode_entries(nz, n))[1])
-        bad = letters[n - 1][inv_codes] != 2
+    for n in range(1, len(tables)):
+        nz = np.flatnonzero(eng.det_table(n))
+        before = eng.table_letters(tables[n][:, nz])
+        after = _letters(eng.inverse(eng.decode_entries(nz, n))[1], GF2)
+        bad = after[n - 1] != 2
         for j in range(1, n):
-            bad |= letters[j - 1][inv_codes] != letters[n - j - 1][nz]
+            bad |= after[j - 1] != before[n - j - 1]
         cases += int(nz.size)
         _keep_codes(failures, n, nz[bad])
     return CheckResult("inverse-reversal", cases, failures)
 
 
-def _check_inheritance(max_n: int) -> CheckResult:
+def _check_inheritance(tables: list[np.ndarray]) -> CheckResult:
     """Letter inheritance between a matrix and its principal submatrices."""
     failures: list[str] = []
     cases = 0
-    for n in range(2, max_n + 1):
-        codes = _all_codes(n)
-        ent = eng.decode_entries(codes, n)
-        big = eng.letter_arrays(n)
+    for n in range(2, len(tables)):
+        dets = tables[n]
+        big = eng.table_letters(dets)
         for m in range(1, n):
-            small = eng.letter_arrays(m)
-            seen = np.zeros((m, 3, codes.size), bool)  # [i, l]: some B[alpha] has letter i + 1 = l
+            # seen[i, l]: some B[alpha] has letter i + 1 = l, read off B's rows within alpha
+            seen = np.zeros((m, 3, dets.shape[1]), bool)
             for alpha in combinations(range(n), m):
-                sub = eng.encode_entries(eng.gather_entries(ent, alpha))
+                small = eng.table_letters(dets[_rows_within(alpha)])
                 for i in range(m):
-                    seen[i] |= small[i][sub] == np.arange(3)[:, None]
-            bad = np.zeros(codes.size, bool)
+                    seen[i] |= small[i] == np.arange(3)[:, None]
+            bad = np.zeros(dets.shape[1], bool)
             for i, (some_n, some_s, some_a) in enumerate(seen):
                 bad |= (big[i] == 0) & (some_s | some_a)
                 bad |= (big[i] == 2) & (some_n | some_s)
                 bad |= (big[i] == 1) & ~(some_s if i < m - 1 else some_n & some_a)
-            cases += int(codes.size)
-            _keep_codes(failures, n, codes[bad], f" m={m}")
+            cases += dets.shape[1]
+            _keep_codes(failures, n, np.flatnonzero(bad), f" m={m}")
     return CheckResult("inheritance", cases, failures)
 
 
@@ -310,16 +318,16 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
 
 
 def _schur_cases(tables: list[np.ndarray]) -> list:
-    """(n, alpha, valid, Schur complement codes) for every proper pivot set
-    alpha, where the mask valid picks the codes of order n whose pivot block
-    B[alpha] is nonsingular."""
+    """(n, alpha, valid, minor table of C) for every proper pivot set alpha, where
+    the mask valid picks the codes of order n whose pivot block B[alpha] is
+    nonsingular (B's table is tables[n][:, valid]) and C = B / B[alpha]."""
     cases = []
     for n in range(2, len(tables)):
-        ent = eng.decode_entries(_all_codes(n), n)
+        ent = _gf2_entries(n)
         for alpha, row in _subsets(n)[1:-1]:
             valid = tables[n][row] == 1
-            ccodes = eng.encode_entries(eng.schur_entries(ent[:, :, valid], alpha))
-            cases.append((n, alpha, valid, ccodes))
+            cdets = eng.minor_tables(eng.schur_entries(ent[:, :, valid], alpha), GF2)
+            cases.append((n, alpha, valid, cdets))
     return cases
 
 
@@ -329,14 +337,9 @@ def _check_schur_identity(
     """det C[gamma] * det B[alpha] = det B[gamma u alpha]; rank C = rank B - k."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, ccodes in schur_cases:
-        k = len(alpha)
-        comp = tuple(i for i in range(n) if i not in alpha)
-        bad = eng.rank_array(n - k)[ccodes] != eng.rank_array(n)[valid] - k
-        for gamma, row in _subsets(n - k):
-            union = _mask(alpha) | _mask(comp[g] for g in gamma)
-            bad |= tables[n - k][row, ccodes] != tables[n][union, valid]
-            cases += int(ccodes.size)
+    for n, alpha, valid, cdets in schur_cases:
+        bad = _schur_bad(tables[n][:, valid], cdets, alpha, GF2)
+        cases += cdets.size
         _keep_codes(failures, n, np.flatnonzero(valid)[bad], f" alpha={alpha}")
     # GF(4): the quotient genuinely divides by a non-unit determinant.  The
     # pivot draw reads b's nonzero proper minors, so it stays in the draw loop.
@@ -352,15 +355,10 @@ def _check_schur_identity(
             drawn.append(((n, alpha), b, gamma))
 
     def test(key, batch, ent):
-        n, alpha = key
-        comp = [i for i in range(n) if i not in alpha]
-        bdets = eng.minor_tables(ent, GF4)
+        _, alpha = key
         cdets = eng.minor_tables(eng.schur_entries(ent, alpha, GF4), GF4)
-        cols = np.arange(len(batch))
-        left = eng.times(cdets[[_mask(g) for *_, g in batch], cols], bdets[_mask(alpha)], GF4)
-        right = bdets[[_mask(alpha) | _mask(comp[i] for i in g) for *_, g in batch], cols]
-        gap = eng.ranks(eng.table_letters(bdets)) - eng.ranks(eng.table_letters(cdets))
-        return (left != right) | (gap != len(alpha))
+        gammas = np.array([_mask(g) for *_, g in batch])
+        return _schur_bad(eng.minor_tables(ent, GF4), cdets, alpha, GF4, gammas)
 
     def suffix(case):
         (_, alpha), _, gamma = case
@@ -370,21 +368,32 @@ def _check_schur_identity(
     return CheckResult("schur-complement-identity", cases + len(drawn), failures)
 
 
-def _check_schur_letters(schur_cases: list) -> CheckResult:
+def _schur_bad(bdets, cdets, alpha, spec: FieldSpec, gammas=None) -> np.ndarray:
+    """Where C = B / B[alpha] breaks rank C = rank B - |alpha| or
+    det C[gamma] det B[alpha] = det B[alpha u gamma], read off the minor tables of
+    B and C, for every gamma or for the one gamma (a row of C's table) of each column."""
+    comp = tuple(i for i in range(len(bdets).bit_length() - 1) if i not in alpha)
+    wrong = eng.times(cdets, bdets[_mask(alpha)], spec) != bdets[_mask(alpha) | _rows_within(comp)]
+    if gammas is not None:
+        wrong = np.take_along_axis(wrong, gammas[None], axis=0)
+    gap = eng.ranks(eng.table_letters(bdets)) - eng.ranks(eng.table_letters(cdets))
+    return wrong.any(axis=0) | (gap != len(alpha))
+
+
+def _check_schur_letters(schur_cases: list, tables: list[np.ndarray]) -> CheckResult:
     """Schur complement keeps the A/N letters shifted by the pivot size."""
     failures: list[str] = []
     cases = 0
-    for n, alpha, valid, ccodes in schur_cases:
+    letters = [eng.table_letters(dets) for dets in tables]
+    for n, alpha, valid, cdets in schur_cases:
         k = len(alpha)
-        m = n - k
-        big = eng.letter_arrays(n)
-        small = eng.letter_arrays(m)
-        bad = np.zeros(ccodes.size, bool)
-        for j in range(1, m + 1):
-            top = big[j + k - 1][valid]
+        small = eng.table_letters(cdets)
+        bad = np.zeros(cdets.shape[1], bool)
+        for j in range(1, n - k + 1):
+            top = letters[n][j + k - 1][valid]
             fixed = (top == 0) | (top == 2)
-            bad |= fixed & (small[j - 1][ccodes] != top)
-        cases += int(ccodes.size) * m
+            bad |= fixed & (small[j - 1] != top)
+        cases += cdets.shape[1] * (n - k)
         _keep_codes(failures, n, np.flatnonzero(valid)[bad], f" alpha={alpha}")
     return CheckResult("schur-complement-letters", cases, failures)
 
@@ -435,24 +444,17 @@ def _hyperdet_sum(dets: np.ndarray, cols, s, tau_masks, spec: FieldSpec) -> np.n
     return pair(0, i | j | k) ^ pair(i, j | k) ^ pair(j, i | k) ^ pair(k, i | j)
 
 
-def _check_terminal_an_minors(max_n: int) -> CheckResult:
+def _check_terminal_an_minors(tables: list[np.ndarray]) -> CheckResult:
     """A terminal AN forces every order-(n-1) minor nonzero, principal or not."""
     failures: list[str] = []
     cases = 0
-    for n in range(2, max_n + 1):
-        codes = _all_codes(n)
-        letters = eng.letter_arrays(n)
-        sel = codes[(letters[n - 2][codes] == 2) & (letters[n - 1][codes] == 0)]
+    for n in range(2, len(tables)):
+        letters = eng.table_letters(tables[n])
+        sel = np.flatnonzero((letters[n - 2] == 2) & (letters[n - 1] == 0))
         bad = (eng.deleted_minors(eng.decode_entries(sel, n)) == 0).any(axis=(0, 1))
         cases += int(sel.size)
         _keep_codes(failures, n, sel[bad])
     return CheckResult("terminal-an-full-minors", cases, failures)
-
-
-def _appended(ent: np.ndarray) -> list[np.ndarray]:
-    """Entries with a copy of the last index appended, and with a zero index appended."""
-    n = ent.shape[0]
-    return [eng.gather_entries(ent, (*range(n), last)) for last in (n - 1, n)]
 
 
 def _check_append_transforms(max_n: int, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
@@ -460,27 +462,25 @@ def _check_append_transforms(max_n: int, rng: np.random.Generator, gf4_cases: in
     failures: list[str] = []
     cases = 0
     for n in range(1, max_n + 1):
-        codes = _all_codes(n)
-        big = eng.letter_arrays(n + 1)
-        appended = [eng.encode_entries(e) for e in _appended(eng.decode_entries(codes, n))]
-        dup, zero = ([arr[c] for arr in big] for c in appended)
-        bad_dup, bad_zero = _append_bad(eng.letter_arrays(n), dup, zero)
-        cases += int(codes.size) * 2
-        _keep_codes(failures, n, codes[bad_dup | bad_zero])
+        bad_dup, bad_zero = _append_bad(_gf2_entries(n), GF2)
+        cases += 2 * bad_dup.size
+        _keep_codes(failures, n, np.flatnonzero(bad_dup | bad_zero))
     drawn = [(n, _draw_gf4(rng, n)) for n in (int(rng.integers(1, 5)) for _ in range(gf4_cases))]
+
     def test(_, batch, ent):
-        dup, zero = _appended(ent)
-        return np.stack(_append_bad(*map(_gf4_letters, (ent, dup, zero))), axis=1)
+        return np.stack(_append_bad(ent, GF4), axis=1)
 
     _run_gf4(drawn, failures, ["append-dup", "append-zero"], test)
     return CheckResult("append-transforms", cases + 2 * len(drawn), failures)
 
 
-def _append_bad(small, dup, zero) -> tuple[np.ndarray, np.ndarray]:
-    """Where appending a copy of the last index (letters dup) or a zero index (zero)
-    to a matrix with letters small breaks the rule: both end in N, the copy keeps
-    letter 1, and every other letter becomes S unless it was N."""
-    n = len(small)
+def _append_bad(ent: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Where appending a copy of the last index or a zero index to a matrix of
+    ent breaks the rule: both end in N, the copy keeps letter 1, and every other
+    letter becomes S unless it was N."""
+    n = ent.shape[0]
+    dup, zero = (_letters(eng.gather_entries(ent, (*range(n), last)), spec) for last in (n - 1, n))
+    small = _letters(ent, spec)
     bad_dup = (dup[n] != 0) | (dup[0] != small[0])
     bad_zero = zero[n] != 0
     for i in range(n):
@@ -506,15 +506,11 @@ def _check_congruence(max_n: int, rng: np.random.Generator, gf4_cases: int) -> C
     failures: list[str] = []
     cases = 0
     for n in range(2, max_n + 1):
-        codes = _all_codes(n)
-        ent = eng.decode_entries(codes, n)
-        letters = eng.letter_arrays(n)
+        ent = _gf2_entries(n)
         for _ in range(3):
             grid = _rand_invertible(rng, n, GF2)
-            new_codes = eng.encode_entries(eng.congruence_entries(ent, grid))
-            cases += int(codes.size)
-            bad = _pr_changed(letters, [arr[new_codes] for arr in letters])
-            _keep_codes(failures, n, codes[bad], f" E={grid}")
+            cases += ent.shape[2]
+            _keep_codes(failures, n, np.flatnonzero(_pr_changed(ent, grid, GF2)), f" E={grid}")
     drawn = []
     for _ in range(gf4_cases):
         n = int(rng.integers(1, 5))
@@ -523,14 +519,15 @@ def _check_congruence(max_n: int, rng: np.random.Generator, gf4_cases: int) -> C
 
     def test(_, batch, ent):
         e = np.array([case[2] for case in batch], np.uint8).transpose(1, 2, 0)
-        return _pr_changed(_gf4_letters(ent), _gf4_letters(eng.congruence_entries(ent, e, GF4)))
+        return _pr_changed(ent, e, GF4)
 
     _run_gf4(drawn, failures, ["congruence"], test, lambda case: f" E={case[2]}")
     return CheckResult("congruence-pr-invariance", cases + len(drawn), failures)
 
 
-def _pr_changed(before, after) -> np.ndarray:
-    """Where some pr bit r_k (letter k is not N) differs between two letter lists."""
+def _pr_changed(ent: np.ndarray, e, spec: FieldSpec) -> np.ndarray:
+    """Where congruence by E changes some pr bit r_k (letter k is not N) of a matrix of ent."""
+    before, after = (_letters(x, spec) for x in (ent, eng.congruence_entries(ent, e, spec)))
     return np.any([(a != 0) != (b != 0) for a, b in zip(before, after)], axis=0)
 
 
@@ -581,8 +578,9 @@ def theorem_suite(
     word-level checks use catalogs up to ``max_n + 1``; field-generic
     identities additionally run ``gf4_cases`` seeded GF(4) cases each.
     Every drawn case is held until its check's batches run, so
-    ``gf4_cases`` is capped at 10^5, which adds at most about 20 s and
-    70 MiB of peak RSS on a 2-vCPU host (both grow linearly with it).
+    ``gf4_cases`` is capped at 10^5, which adds about 18 s and 60 MiB of
+    peak RSS on a 2-vCPU host (19 s and 110 MiB in all, against 0.8 s and
+    49 MiB at the default 1000; both grow linearly with it).
     """
     if not 2 <= max_n <= 5:
         raise ValueError(f"max_n must be in [2, 5], got {max_n}")
@@ -594,13 +592,13 @@ def theorem_suite(
     rng = np.random.default_rng(seed)
     checks = [
         _check_nn(words),
-        _check_inverse(max_n),
-        _check_inheritance(max_n),
+        _check_inverse(tables),
+        _check_inheritance(tables),
         _check_nsa(words),
         _check_schur_identity(schur_cases, tables, rng, gf4_cases),
-        _check_schur_letters(schur_cases),
+        _check_schur_letters(schur_cases, tables),
         _check_hyperdet(tables, rng, gf4_cases),
-        _check_terminal_an_minors(max_n),
+        _check_terminal_an_minors(tables),
         _check_append_transforms(max_n, rng, gf4_cases),
         _check_na_ns_parity(words),
         _check_congruence(max_n, rng, gf4_cases),

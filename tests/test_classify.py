@@ -8,6 +8,7 @@ import pytest
 
 from eprseq import (
     EPR_FAMILIES,
+    PR_FAMILIES,
     accepted_epr_sequences,
     accepted_pr_sequences,
     classify_epr_z2,
@@ -15,7 +16,9 @@ from eprseq import (
     cli,
     epr_instances,
     parse_pr,
+    pr_instances,
     rule_violations,
+    witness_pr_char2,
 )
 
 
@@ -145,6 +148,14 @@ def test_pr_order_one_extension():
     v = classify_pr_char2("1]1")
     assert not v.attainable and "order-1" in v.note
     assert not classify_pr_char2("0]0").attainable
+
+
+def test_pr_instances_respect_their_own_family_and_have_witnesses():
+    for n in range(1, 9):
+        for fam in PR_FAMILIES:
+            for word in pr_instances(fam, n):
+                assert fam in classify_pr_char2(word).matched, (fam, word)
+                witness_pr_char2(word)  # builds and re-verifies, or raises
 
 
 def test_accepted_pr_sequences_counts():

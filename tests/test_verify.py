@@ -209,10 +209,8 @@ def test_engine_schur_matches_library():
                 if m.principal_submatrix(alpha).determinant() == 0:
                     continue
                 ent = eng.decode_entries(np.array([code], np.uint32), n, spec)
-                alpha0 = tuple(a - 1 for a in alpha)
-                ccode = int(eng.encode_entries(eng.schur_entries(ent, alpha0, spec), spec)[0])
-                got = eng.code_matrix(ccode, n - k, spec)
-                assert got == m.schur_complement(alpha)
+                got = eng.schur_entries(ent, tuple(a - 1 for a in alpha), spec)
+                assert _grid(got, 0) == m.schur_complement(alpha).rows
     # whole sampled GF(4) and GF(8) batches, one pivot set at a time
     for spec, mats, ent in _sampled_batches(22, orders=range(2, 6)):
         n = ent.shape[0]
@@ -261,7 +259,6 @@ def test_code_layout_round_trips():
             codes = np.arange(1 << (spec.degree * n * (n + 1) // 2), dtype=np.uint32)
             ent = eng.decode_entries(codes, n, spec)
             assert (ent == ent.transpose(1, 0, 2)).all() and ent.max() < spec.order
-            assert (eng.encode_entries(ent, spec) == codes).all()
             for code in rng.sample(range(codes.size), min(codes.size, 100)):
                 assert eng.code_matrix(code, n, spec).rows == _grid(ent, code)
     # row-major upper triangle, as the independent enumeration in oracles lays it out
@@ -274,18 +271,18 @@ def test_gather_codes_match_library_exhaustive():
     for n in range(1, 5):
         mats = list(all_symmetric_gf2(n))
         ent = eng.decode_entries(np.arange(len(mats), dtype=np.uint32), n)
-        assert (eng.encode_entries(eng.gather_entries(ent, ())) == 0).all()
+        assert eng.gather_entries(ent, ()).shape == (0, 0, len(mats))
         for k in range(1, n + 1):
             for alpha in combinations(range(n), k):
-                sub = eng.encode_entries(eng.gather_entries(ent, alpha)).tolist()
+                sub = eng.gather_entries(ent, alpha)
                 labels = tuple(a + 1 for a in alpha)
                 for code, m in enumerate(mats):
-                    assert eng.code_matrix(sub[code], k) == m.principal_submatrix(labels)
-        zero = eng.encode_entries(eng.gather_entries(ent, (*range(n), n))).tolist()
-        dup = eng.encode_entries(eng.gather_entries(ent, (*range(n), n - 1))).tolist()
+                    assert _grid(sub, code) == m.principal_submatrix(labels).rows
+        zero = eng.gather_entries(ent, (*range(n), n))
+        dup = eng.gather_entries(ent, (*range(n), n - 1))
         for code, m in enumerate(mats):
-            assert eng.code_matrix(zero[code], n + 1) == m.append_zero()
-            assert eng.code_matrix(dup[code], n + 1) == m.append_duplicate_last()
+            assert _grid(zero, code) == m.append_zero().rows
+            assert _grid(dup, code) == m.append_duplicate_last().rows
 
 
 def _sampled_batches(seed, fields=(GF4, GF8), orders=range(1, 6), batch=60):
@@ -467,6 +464,59 @@ def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
         rows, e = _parse(failure, r"gf4 congruence SymMatrix\(gf4, (\[.*\])\) E=(\[.*\])")
         assert "1" in compute_pr(SymMatrix(GF4, rows)).bits  # the zero matrix's pr word differs
         assert laplace_det(e, GF4) != 0
+
+
+# -- fault injection: the exhaustive GF(2) Schur loop reports a wrong complement -----
+
+def _gf2_schur_failures(complement):
+    """Run the GF(2) half of the Schur check up to order 4 and check that each
+    reported code, with complement(B, alpha) as its faulty C = B / B[alpha],
+    breaks the identity under SymMatrix elimination."""
+    tables = verify._gf2_minor_tables(4)
+    result = verify._check_schur_identity(
+        verify._schur_cases(tables), tables, np.random.default_rng(7), 0
+    )
+    assert 0 < len(result.failures) <= 20
+    for failure in result.failures:
+        n, code, alpha = _parse(failure, r"order (\d+) code (\d+) alpha=(\(.*\))")
+        b = eng.code_matrix(code, n)
+        alpha = tuple(a + 1 for a in alpha)
+        c = complement(b, alpha)
+        labels = [i for i in range(1, n + 1) if i not in alpha]
+        broken = c.rank() != b.rank() - len(alpha)
+        for size in range(c.n + 1):
+            for gamma in combinations(range(1, c.n + 1), size):
+                union = sorted(alpha + tuple(labels[g - 1] for g in gamma))
+                broken |= GF2.mul(_det(c, gamma), _det(b, alpha)) != _det(b, union)
+        assert broken, failure
+
+
+def _flip(rows):
+    return [[x ^ 1 for x in row] for row in rows]
+
+
+def test_gf2_schur_loop_reports_a_wrong_complement(monkeypatch):
+    orig = eng.schur_entries
+    monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
+    _gf2_schur_failures(lambda b, alpha: SymMatrix(GF2, _flip(b.schur_complement(alpha).rows)))
+
+
+def test_gf2_schur_loop_reports_a_wrong_pivot_inverse(monkeypatch):
+    orig = eng.inverse
+
+    def flipped(ent, spec=GF2):
+        det, inv = orig(ent, spec)
+        return det, inv ^ 1
+
+    def complement(b, alpha):  # B[comp] + B[comp, alpha] X B[alpha, comp], X the flipped inverse
+        x = _flip(b.principal_submatrix(alpha).inverse().rows)
+        comp = [i - 1 for i in range(1, b.n + 1) if i not in alpha]
+        cross = [[b.rows[i][a - 1] for a in alpha] for i in comp]
+        y = matmul(matmul(cross, x, GF2), [list(col) for col in zip(*cross)], GF2)
+        return SymMatrix(GF2, [[b.rows[i][j] ^ y[r][s] for s, j in enumerate(comp)] for r, i in enumerate(comp)])
+
+    monkeypatch.setattr(eng, "inverse", flipped)
+    _gf2_schur_failures(complement)
 
 
 def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
