@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .gfield import GF2, GF4, FieldSpec
+from .gfield import GF2, GF4, FieldSpec, _inverse_table
 from .matrix import SymMatrix
 
 _MAX_TABLE_ORDER = 6
@@ -119,12 +119,21 @@ def _subset_masks(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sizes), tuple(without)
 
 
-def _times_x(word: np.ndarray, e: int, low: int) -> np.ndarray:
-    """x^e times every GF(4) field of a packed word (x^2 = x + 1); low masks bit 0."""
+def _times_x(word: np.ndarray, e: int, low: int, spec: FieldSpec) -> np.ndarray:
+    """x^e times every q-bit field of a packed word over spec; low masks bit 0 of each."""
+    q = spec.degree
     for _ in range(e):
-        a, b = word & low, (word >> 1) & low
-        word = b | ((a ^ b) << 1)  # x (a + b x) = b + (a + b) x
+        carry = (word >> (q - 1)) & low  # each field's x^(q-1) bit, reduced by the modulus
+        word = ((word ^ (carry << (q - 1))) << 1) ^ carry * (spec.modulus ^ spec.order)
     return word
+
+
+def _nonzero_fields(word: np.ndarray, q: int, low: int) -> np.ndarray:
+    """Bit 0 of each q-bit field of a packed word set iff that field is nonzero."""
+    out = word
+    for s in range(1, q):  # shifts below q, so bit 0 sees only its own field
+        out = out | word >> s
+    return out & low
 
 
 def sweep_keys(start: int, stop: int, n: int, spec: FieldSpec = GF2) -> np.ndarray:
@@ -157,12 +166,11 @@ def sweep_keys(start: int, stop: int, n: int, spec: FieldSpec = GF2) -> np.ndarr
     for p in range(n):
         base = word if p == 0 else (word & without[p - 1]) << (q << (p - 1))
         for t in range(q):
-            col = _times_x(base, t if p == 0 else 2 * t, low)
+            col = _times_x(base, t if p == 0 else 2 * t, low, spec)
             np.bitwise_xor(u[:, :width], col[:, None], out=u[:, width : 2 * width])
             width *= 2
-    if q > 1:  # fold each field's value onto its bit 0: nonzero or not
-        word = (word | word >> 1) & low
-        u = (u | u >> 1) & low
+    if q > 1:
+        word, u = _nonzero_fields(word, q, low), _nonzero_fields(u, q, low)
     keys = np.zeros(u.shape, np.uint16)
     for k in range(1, n + 1):
         m, ma = sizes[k - 1], sizes[k]
@@ -322,12 +330,12 @@ def inverse(ent: np.ndarray, spec: FieldSpec = GF2) -> tuple[np.ndarray, np.ndar
     aug[:, :k] = ent
     aug[range(k), range(k, 2 * k)] = 1
     det = np.ones(ent.shape[2], np.uint8)
+    recip = np.array(_inverse_table(spec), np.uint8)  # 1/c, and 0 for 0
     for j in range(k):
         for r in range(j + 1, k):  # while the pivot is zero, add each later row to its row
             aug[j] ^= aug[r] * (aug[j, j] == 0).view(np.uint8)
         det = times(det, aug[j, j], spec)
         if spec.degree > 1:  # over GF(2) every nonzero pivot is already 1
-            recip = (_mul_table(spec) == 1).argmax(axis=1).astype(np.uint8)  # 1/c, and 0 for 0
             aug[j] = times(recip[aug[j, j]], aug[j], spec)
         for r in range(k):
             if r != j:

@@ -9,6 +9,9 @@ independent check on the char-2 bordering kernel of
 :mod:`eprseq.sequence`.  The bit-packed ``_gf2_det`` is unused and kept
 for the benchmark only: ``bench/tracer.py`` wraps it by name.
 
+Each named construction, and each operation that rearranges entries into
+a new matrix, is one entry rule that ``_build`` fills a matrix from.
+
 Index sets handed to the public operations are 1-based, matching the
 usual B[alpha] notation for principal submatrices.  All operations are
 pure; instances are safe to share between threads.
@@ -17,7 +20,7 @@ pure; instances are safe to share between threads.
 from __future__ import annotations
 
 import io
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .gfield import GF2, GF4, FieldSpec
 
@@ -205,11 +208,8 @@ class SymMatrix:
 
     def principal_submatrix(self, alpha: Iterable[int]) -> "SymMatrix":
         """B[alpha]: rows and columns restricted to the 1-based set alpha."""
-        idx = _index_set(alpha, self.n, "alpha")
-        rows = self.rows
-        return SymMatrix(
-            self.spec, [[rows[i - 1][j - 1] for j in idx] for i in idx]
-        )
+        idx = [i - 1 for i in _index_set(alpha, self.n, "alpha")]
+        return _build(len(idx), lambda i, j: self.rows[idx[i]][idx[j]], self.spec)
 
     def minor(self, row_set: Iterable[int], col_set: Iterable[int]) -> int:
         """Determinant of the (possibly non-principal) submatrix B[rows|cols]."""
@@ -243,25 +243,24 @@ class SymMatrix:
             raise ValueError(
                 f"direct sum needs matching fields, got {self.spec.name} and {other.spec.name}"
             )
-        n, m = self.n, other.n
-        rows = [list(r) + [0] * m for r in self.rows]
-        rows += [[0] * n + list(r) for r in other.rows]
-        return SymMatrix(self.spec, rows)
+        n, a, b = self.n, self.rows, other.rows
+        return _build(
+            n + other.n,
+            lambda i, j: (i < n) == (j < n) and (a[i][j] if i < n else b[i - n][j - n]),
+            self.spec,
+        )
 
     def append_duplicate_last(self) -> "SymMatrix":
         """Copy the last row down and the last column across (order n+1)."""
         if self.n < 1:
             raise ValueError("append_duplicate_last needs order >= 1")
-        last = self.rows[-1]
-        rows = [list(r) + [r[-1]] for r in self.rows]
-        rows.append(list(last) + [last[-1]])
-        return SymMatrix(self.spec, rows)
+        idx = [*range(self.n), self.n - 1]
+        return _build(self.n + 1, lambda i, j: self.rows[idx[i]][idx[j]], self.spec)
 
     def append_zero(self) -> "SymMatrix":
         """Direct sum with the 1x1 zero matrix."""
-        rows = [list(r) + [0] for r in self.rows]
-        rows.append([0] * (self.n + 1))
-        return SymMatrix(self.spec, rows)
+        n, rows = self.n, self.rows
+        return _build(n + 1, lambda i, j: i < n and j < n and rows[i][j], self.spec)
 
     # -- text format -----------------------------------------------------------
 
@@ -349,22 +348,27 @@ def read_matrix(source: str | io.TextIOBase) -> SymMatrix:
 # named constructions
 # ---------------------------------------------------------------------------
 
+def _build(n: int, entry: Callable[[int, int], int], spec: FieldSpec = GF2) -> SymMatrix:
+    """The order-n matrix whose 0-based (i, j) entry is ``entry(i, j)``; a bool reads as 0/1."""
+    return SymMatrix(spec, [[int(entry(i, j)) for j in range(n)] for i in range(n)])
+
+
 def identity(n: int, spec: FieldSpec = GF2) -> SymMatrix:
-    return SymMatrix(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return _build(n, lambda i, j: i == j, spec)
 
 
 def zeros(n: int, spec: FieldSpec = GF2) -> SymMatrix:
-    return SymMatrix(spec, [[0] * n for _ in range(n)])
+    return _build(n, lambda i, j: 0, spec)
 
 
 def ones(n: int, spec: FieldSpec = GF2) -> SymMatrix:
     """The all-ones matrix J_n."""
-    return SymMatrix(spec, [[1] * n for _ in range(n)])
+    return _build(n, lambda i, j: 1, spec)
 
 
 def complete_graph(n: int, spec: FieldSpec = GF2) -> SymMatrix:
     """Adjacency matrix of the complete graph K_n (J_n minus the diagonal)."""
-    return SymMatrix(spec, [[0 if i == j else 1 for j in range(n)] for i in range(n)])
+    return _build(n, lambda i, j: i != j, spec)
 
 
 def loop_split_graph(n: int, k: int) -> SymMatrix:
@@ -376,27 +380,14 @@ def loop_split_graph(n: int, k: int) -> SymMatrix:
     """
     if not 0 <= k <= n:
         raise ValueError(f"loop_split_graph needs 0 <= k <= n, got k={k}, n={n}")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(1 if i < k else 0)
-            elif i < k and j < k:
-                row.append(0)
-            else:
-                row.append(1)
-        rows.append(row)
-    return SymMatrix(GF2, rows)
+    return _build(n, lambda i, j: i < k if i == j else max(i, j) >= k)
 
 
 def loop_complete_graph(n: int) -> SymMatrix:
     """Complete graph K_n with one loop added at vertex 1 (n >= 2)."""
     if n < 2:
         raise ValueError(f"loop_complete_graph needs n >= 2, got {n}")
-    rows = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-    rows[0][0] = 1
-    return SymMatrix(GF2, rows)
+    return _build(n, lambda i, j: i != j or i == 0)
 
 
 def pendant_loop_complete(n: int) -> SymMatrix:
@@ -407,48 +398,28 @@ def pendant_loop_complete(n: int) -> SymMatrix:
     """
     if n < 3:
         raise ValueError(f"pendant_loop_complete needs n >= 3, got {n}")
-    core = loop_complete_graph(n - 1).rows
-    rows = [[1, 1] + [0] * (n - 2)]
-    for i in range(n - 1):
-        rows.append([1 if i == 0 else 0] + list(core[i]))
-    return SymMatrix(GF2, rows)
+    return _build(n, lambda i, j: (i != j or i == 1) if i and j else i + j < 2)
 
 
 def perfect_matching(n: int) -> SymMatrix:
     """Adjacency of a perfect matching on n vertices (n even >= 2)."""
     if n < 2 or n % 2:
         raise ValueError(f"perfect_matching needs even n >= 2, got {n}")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        rows[i][i + 1] = rows[i + 1][i] = 1
-    return SymMatrix(GF2, rows)
+    return _build(n, lambda i, j: i ^ j == 1)
 
 
 def coned_matching(n: int) -> SymMatrix:
     """Perfect matching on n-1 vertices joined to one loopless apex (n odd >= 3)."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"coned_matching needs odd n >= 3, got {n}")
-    core = perfect_matching(n - 1).rows
-    rows = [list(r) + [1] for r in core]
-    rows.append([1] * (n - 1) + [0])
-    return SymMatrix(GF2, rows)
+    return _build(n, lambda i, j: i != j and (i ^ j == 1 or max(i, j) == n - 1))
 
 
 def loop_biclique(a: int, b: int) -> SymMatrix:
     """Complete bipartite graph K_{a,b} with a loop on every vertex."""
     if a < 1 or b < 1:
         raise ValueError(f"loop_biclique needs a, b >= 1, got {a}, {b}")
-    n = a + b
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(1)
-            else:
-                row.append(1 if (i < a) != (j < a) else 0)
-        rows.append(row)
-    return SymMatrix(GF2, rows)
+    return _build(a + b, lambda i, j: i == j or (i < a) != (j < a))
 
 
 def clique_matching(n: int) -> SymMatrix:
@@ -460,12 +431,7 @@ def clique_matching(n: int) -> SymMatrix:
     if n < 6 or n % 4 != 2:
         raise ValueError(f"clique_matching needs n == 2 (mod 4), n >= 6, got {n}")
     m = n // 2
-    rows = []
-    for i in range(m):
-        rows.append([1] * m + [1 if j == i else 0 for j in range(m)])
-    for i in range(m):
-        rows.append([1 if j == i else 0 for j in range(m)] + [1 if j == i else 0 for j in range(m)])
-    return SymMatrix(GF2, rows)
+    return _build(n, lambda i, j: max(i, j) < m or i % m == j % m)
 
 
 def wide_clique_matching(n: int) -> SymMatrix:
@@ -477,16 +443,13 @@ def wide_clique_matching(n: int) -> SymMatrix:
     """
     if n < 8 or n % 4 != 0:
         raise ValueError(f"wide_clique_matching needs n == 0 (mod 4), n >= 8, got {n}")
-    m = n // 2
-    a = m - 1
-    b = m + 1
-    w = [[1 if (j == i or j >= a) else 0 for j in range(b)] for i in range(a)]
-    rows = []
-    for i in range(a):
-        rows.append([1] * a + w[i])
-    for j in range(b):
-        rows.append([w[i][j] for i in range(a)] + [1 if t == j else 0 for t in range(b)])
-    return SymMatrix(GF2, rows)
+    a = n // 2 - 1
+
+    def entry(i, j):  # J on vertices 0..a-1, I on the rest, W = [I | J(:, 2)] between them
+        lo, hi = sorted((i, j))
+        return lo == hi if lo >= a else hi < a or hi - lo == a or hi >= 2 * a
+
+    return _build(n, entry)
 
 
 _NAMED = {

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -26,6 +27,7 @@ from eprseq import (
     wide_clique_matching,
     zeros,
 )
+from eprseq.matrix import _NAMED
 from eprseq.sequence import _nonzero_per_order, minor_planes
 from oracles import all_symmetric_gf2, laplace_det, matmul, subgrid
 
@@ -296,6 +298,39 @@ def test_append_zero():
     assert got.rows == ((1, 0), (0, 0))
 
 
+def _outcome(build):
+    """The rows ``build()`` returns, or the text of the error it raises."""
+    try:
+        return build().rows
+    except (ValueError, IndexError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# sha256 over 400 seeded random GF(2)/GF(4) matrices of order 0..8 and the rows
+# (or error text) that each structural op below builds from them; recompute it
+# only when an op is meant to change.
+STRUCTURAL_DIGEST = "2ef9444c6babd06ed81d682a1fdfee7218117dfa4ec500024599e2827b0bbe44"
+
+
+def test_structural_ops_match_golden_digest():
+    rng = random.Random(2016)
+    digest = hashlib.sha256()
+    for trial in range(400):
+        spec = GF2 if trial % 2 else GF4
+        m = _random_sym(rng, spec, rng.randint(0, 8))
+        other = _random_sym(rng, spec if trial % 7 else GF4, rng.randint(0, 5))
+        alpha = [i for i in range(1, m.n + 1) if rng.random() < 0.5]
+        rng.shuffle(alpha)
+        built = (
+            _outcome(lambda: m.principal_submatrix(alpha)),
+            _outcome(lambda: m.direct_sum(other)),
+            _outcome(m.append_duplicate_last),
+            _outcome(m.append_zero),
+        )
+        digest.update(repr((m.rows, other.rows, alpha, built)).encode())
+    assert digest.hexdigest() == STRUCTURAL_DIGEST
+
+
 # -- named constructions -----------------------------------------------------------
 
 def test_complete_graph_is_ones_minus_identity():
@@ -384,6 +419,23 @@ def test_construct_named_dispatch():
         construct_named("identity", [1, 2])
     with pytest.raises(ValueError):
         construct_named("perfect_matching", [4], GF4)
+
+
+# sha256 over the rows of every named construction, over GF(2) and GF(4), for
+# every parameter tuple in 0..20 (orders up to 20, and up to 40 for
+# loop_biclique), or the error text of each one it refuses; recompute it only
+# when a construction is meant to change.
+NAMED_DIGEST = "3f73beb1713773e3f314e30723ad603b83c356f44969490e734ec4078cce9e76"
+
+
+def test_named_constructions_match_golden_digest():
+    digest = hashlib.sha256()
+    for kind, (_, arity) in _NAMED.items():
+        for params in product(range(21), repeat=arity):
+            for spec in (GF2, GF4):
+                built = _outcome(lambda: construct_named(kind, params, spec))
+                digest.update(repr((kind, params, spec.name, built)).encode())
+    assert digest.hexdigest() == NAMED_DIGEST
 
 
 # -- text format ---------------------------------------------------------------

@@ -179,7 +179,8 @@ def _table_keys(codes, n, spec):
 
 
 def test_sweep_matches_per_code_tables_exhaustive():
-    for spec, top in ((GF2, 5), (GF4, 3)):
+    # GF(8) twice: x^3 = x + 1 under the default modulus, x^3 = x^2 + 1 under 0b1101
+    for spec, top in ((GF2, 5), (GF4, 3), (GF8, 3), (field_make(3, 0b1101), 3)):
         for n in range(1, top + 1):
             codes = np.arange(1 << (spec.degree * n * (n + 1) // 2), dtype=np.uint32)
             keys = eng.sweep_keys(0, codes.size, n, spec)
@@ -413,6 +414,16 @@ def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
         union = sorted(alpha + tuple(labels[g - 1] for g in gamma))
         left = GF4.mul(_det(c, gamma), _det(b, alpha))
         assert left != _det(b, union) or c.rank() != b.rank() - len(alpha)
+
+
+def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
+    # B = I_3, alpha = {1}: the true complement is I_2.  The fake one keeps the drawn
+    # minor (gamma = {1}: det C[gamma] det B[alpha] = 1 = det B[{1, 2}]) but has rank 1.
+    b = eng.minor_tables(np.eye(3, dtype=np.uint8)[:, :, None], GF4)
+    gammas = np.array([1])
+    for c, wrong in ((np.eye(2, dtype=np.uint8), False), (np.diag([1, 0]).astype(np.uint8), True)):
+        cdets = eng.minor_tables(c[:, :, None], GF4)
+        assert verify._schur_bad(b, cdets, (0,), GF4, gammas).tolist() == [wrong]
 
 
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
