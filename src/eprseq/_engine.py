@@ -3,17 +3,20 @@
 A symmetric order-n matrix is encoded as the integer whose bit fields
 are the n(n+1)/2 upper-triangle entries in row-major order, one bit per
 entry over GF(2) and two over GF(4); ascending code order is the
-canonical enumeration order.  Only decode_entries and code_matrix know
-this layout: everything else works on (n, n, B) entry batches, the batch
-on the last axis.  Row 0 takes the lowest bits, so each run of 2^(q n)
-consecutive codes (q bits per entry) shares its trailing block
-A = B[1:, 1:].  The border sweep (sweep_keys) hands the decoded A's to
-minor_tables, the batched char-2 bordering kernel
+canonical enumeration order.  Only triangle_code, decode_entries and
+code_rows know this layout: everything else works on (n, n, B) entry
+batches, the batch on the last axis.  Row 0 takes the lowest bits, so
+each run of 2^(q n) consecutive codes (q bits per entry) shares its
+trailing block A = B[1:, 1:].  The border sweep (sweep_keys) hands the
+decoded A's to minor_tables, the batched char-2 bordering kernel
 (eprseq.sequence.minor_planes computes the same table for one matrix
 without numpy), and reads the letters of all 2^(q n) matrices bordering
 one A off A's packed table and one border word per matrix: A where every
-minor of an order is nonzero, N where none is.  The theorem suite's code
-maps (principal submatrices, appended rows, inverses, Schur complements,
+minor of an order is nonzero, N where none is.  A catalog sweeps its
+codes in chunks of _CHUNK_CODES codes (whole trailing blocks), one
+sweep_keys call each, so its working set stays near the L2 cache and its
+partition does not depend on the job count.  The theorem suite's code maps
+(principal submatrices, appended rows, inverses, Schur complements,
 congruences) map entry batches to entry batches over any GF(2^k):
 products are bit-sliced as in minor_tables, and inverses, and the
 order-(n-1) minors of the terminal-AN check, come from batched
@@ -35,6 +38,12 @@ from .gfield import GF2, GF4, FieldSpec, _inverse_table
 from .matrix import SymMatrix
 
 _MAX_TABLE_ORDER = 6
+
+# Codes per sweep chunk, whatever the job count: a chunk's keys and border
+# words (about 12 bytes a code) stay near a 2 MiB L2 cache.  Larger chunks
+# spill it; smaller ones pay more per-chunk overhead (2^16 made the GF(2)
+# n = 7 sweep slower on two threads).
+_CHUNK_CODES = 1 << 17
 
 _LETTER_CHARS = "NSA"  # letter codes 0, 1, 2
 
@@ -97,12 +106,22 @@ def decode_entries(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarr
     return ent
 
 
-def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
-    """The matrix encoded by one code."""
+def triangle_code(values, spec: FieldSpec = GF2) -> int:
+    """Code of the matrix whose upper triangle, read row by row, holds values."""
+    return sum(int(v) << (spec.degree * p) for p, v in enumerate(values))
+
+
+def code_rows(code: int, n: int, spec: FieldSpec = GF2) -> list[list[int]]:
+    """Rows of the matrix encoded by one code."""
     rows = [[0] * n for _ in range(n)]
     for shift, i, j in _layout(n, spec):
         rows[i][j] = rows[j][i] = (code >> shift) & (spec.order - 1)
-    return SymMatrix(spec, rows)
+    return rows
+
+
+def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
+    """The matrix encoded by one code."""
+    return SymMatrix(spec, code_rows(code, n, spec))
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +270,14 @@ def _merge_chunks(results, n):
 def _catalog(n: int, spec: FieldSpec, jobs: int):
     """Counts and first-attaining codes of every epr word at order n over spec.
 
-    Work is split into contiguous code ranges of whole trailing blocks
-    (the partition depends on the job count) run on at most
-    os.cpu_count() threads; the merge is commutative, so the result is
-    identical for any job count.
+    Work is split into contiguous code ranges of whole trailing blocks, each
+    covering _CHUNK_CODES codes (or every code, if fewer), whatever the job
+    count; the ranges run on at most os.cpu_count() threads, and the merge
+    is commutative, so the result is identical for any job count.
     """
     block = 1 << (spec.degree * n)  # the codes sharing one trailing block
     total = 1 << (spec.degree * tri(n))
-    chunk = max(1 << 16, -(-total // max(1, 4 * jobs)))
-    chunk = -(-min(chunk, 1 << 20) // block) * block  # bounds per-chunk memory for the gated sweeps
+    chunk = -(-min(_CHUNK_CODES, total) // block) * block
 
     def process(start: int, stop: int):
         keys = sweep_keys(start, stop, n, spec)

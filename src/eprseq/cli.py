@@ -55,62 +55,82 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8"), True
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# verb -> (help, its arguments); main adds the arguments of the verb it runs only
+_VERBS = {
+    "epr": ("epr word of a serialized symmetric matrix", (
+        _arg("file", help="matrix file, or - for stdin"),
+        _arg("--force", action="store_true", help="lift the order guardrail"),
+    )),
+    "pr": ("pr-sequence of a serialized symmetric matrix", (
+        _arg("file"),
+        _arg("--force", action="store_true"),
+    )),
+    "minors": ("list order-K principal minors", (
+        _arg("file"),
+        _arg("-k", type=int, required=True, metavar="K"),
+    )),
+    "classify": ("decide epr attainability over Z2", (
+        _arg("sequence"),
+        _arg("--json", action="store_true", help="structured output"),
+    )),
+    "classify-pr": ("decide pr attainability, characteristic 2", (
+        _arg("sequence"),
+        _arg("--json", action="store_true"),
+    )),
+    "witness": ("matrix attaining an epr word over GF(2)", (
+        _arg("sequence"),
+        _arg("-o", "--output", default=None, metavar="FILE"),
+    )),
+    "witness-pr": ("matrix attaining a pr-sequence over GF(2)", (
+        _arg("sequence"),
+        _arg("-o", "--output", default=None, metavar="FILE"),
+    )),
+    "enumerate": ("catalog of attained epr words at order N", (
+        _arg("-n", type=int, required=True, metavar="N"),
+        _arg("--field", choices=("gf2", "gf4"), default="gf2"),
+        _arg("--catalog", default=None, metavar="FILE"),
+        _arg("--jobs", type=int, default=None),
+        _arg("--force", action="store_true", help="allow the gated GF(2) n=7 and GF(4) n=5 runs"),
+    )),
+    "verify": ("enumeration vs classifier at order N", (
+        _arg("-n", type=int, required=True, metavar="N"),
+        _arg("--jobs", type=int, default=None),
+    )),
+    "check-theorems": ("run the verification suite", (
+        _arg("--max-n", type=int, default=5),
+        _arg("--seed", type=int, default=None),  # None: verify.DEFAULT_SEED
+        _arg("--gf4-cases", type=int, default=1000),
+    )),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of every verb, with arguments only for the verb argv names.
+
+    The verb is the first word of argv that names one: any word before it
+    is an option of the top-level parser, which takes no values.
+    """
     parser = argparse.ArgumentParser(
         prog="eprseq",
         description="principal rank characteristic sequences over GF(2) and GF(4)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("epr", help="epr word of a serialized symmetric matrix")
-    p.add_argument("file", help="matrix file, or - for stdin")
-    p.add_argument("--force", action="store_true", help="lift the order guardrail")
-
-    p = sub.add_parser("pr", help="pr-sequence of a serialized symmetric matrix")
-    p.add_argument("file")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("minors", help="list order-K principal minors")
-    p.add_argument("file")
-    p.add_argument("-k", type=int, required=True, metavar="K")
-
-    p = sub.add_parser("classify", help="decide epr attainability over Z2")
-    p.add_argument("sequence")
-    p.add_argument("--json", action="store_true", help="structured output")
-
-    p = sub.add_parser("classify-pr", help="decide pr attainability, characteristic 2")
-    p.add_argument("sequence")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("witness", help="matrix attaining an epr word over GF(2)")
-    p.add_argument("sequence")
-    p.add_argument("-o", "--output", default=None, metavar="FILE")
-
-    p = sub.add_parser("witness-pr", help="matrix attaining a pr-sequence over GF(2)")
-    p.add_argument("sequence")
-    p.add_argument("-o", "--output", default=None, metavar="FILE")
-
-    p = sub.add_parser("enumerate", help="catalog of attained epr words at order N")
-    p.add_argument("-n", type=int, required=True, metavar="N")
-    p.add_argument("--field", choices=("gf2", "gf4"), default="gf2")
-    p.add_argument("--catalog", default=None, metavar="FILE")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--force", action="store_true", help="allow the gated GF(2) n=7 and GF(4) n=5 runs")
-
-    p = sub.add_parser("verify", help="enumeration vs classifier at order N")
-    p.add_argument("-n", type=int, required=True, metavar="N")
-    p.add_argument("--jobs", type=int, default=None)
-
-    p = sub.add_parser("check-theorems", help="run the verification suite")
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)  # None: verify.DEFAULT_SEED
-    p.add_argument("--gf4-cases", type=int, default=1000)
-
+    verb = next((word for word in argv if word in _VERBS), None)
+    for name, (help_text, arguments) in _VERBS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == verb:
+            for flags, kwargs in arguments:
+                p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

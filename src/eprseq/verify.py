@@ -25,7 +25,6 @@ from itertools import combinations, product
 import numpy as np
 
 from . import _engine as eng
-from .classify import classify_epr_z2, rule_violations
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import (
     SymMatrix,
@@ -35,10 +34,10 @@ from .matrix import (
     loop_split_graph,
     pendant_loop_complete,
 )
-from .sequence import _planes, compute_epr, pr_of_epr
 
 DEFAULT_SEED = 1729
 _MAX_FAILURES_KEPT = 20
+_SUITE_CHUNK = 1 << 12  # codes per batch of an exhaustive GF(2) check at one order
 
 
 class BoundExceededError(ValueError):
@@ -134,6 +133,8 @@ def attained_pr_sequences(n: int, spec: FieldSpec = GF2, *, force: bool = False)
     """Every pr word attained by a symmetric matrix of order n over GF(2) or GF(4),
     read off the attained epr words (r0 = 1 iff letter 1 is not A), under
     the bounds of :func:`enumerate_epr`."""
+    from .sequence import pr_of_epr
+
     words = enumerate_epr(n, spec, force=force).counts
     return {str(pr_of_epr(w, w[0] != "A")) for w in words}
 
@@ -145,6 +146,8 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
     accepted but never attained (completeness breach); both must be
     empty.
     """
+    from .classify import classify_epr_z2
+
     catalog = enumerate_epr(n, GF2, jobs=jobs)
     attained = set(catalog.counts)
     accepted = {
@@ -161,20 +164,34 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
 # theorem suite helpers
 # ---------------------------------------------------------------------------
 
-def _gf2_entries(n: int) -> np.ndarray:
-    """Entries (n, n, codes) of every symmetric GF(2) matrix of order n, column = code."""
-    return eng.decode_entries(np.arange(1 << eng.tri(n)), n)
+def _gf2_chunks(n: int):
+    """(first code, entries (n, n, codes)) of each run of _SUITE_CHUNK consecutive
+    codes of the symmetric GF(2) matrices of order n, in code order."""
+    total = 1 << eng.tri(n)
+    for start in range(0, total, _SUITE_CHUNK):
+        yield start, eng.decode_entries(np.arange(start, min(start + _SUITE_CHUNK, total)), n)
 
 
 def _gf2_minor_tables(max_n: int) -> list[np.ndarray]:
     """Entry n is the (2^n, codes) table of every principal minor of every
-    symmetric GF(2) matrix of order n, n = 0..max_n."""
-    return [eng.minor_tables(_gf2_entries(n), GF2) for n in range(max_n + 1)]
+    symmetric GF(2) matrix of order n, n = 0..max_n, filled chunk by chunk."""
+    tables = []
+    for n in range(max_n + 1):
+        dets = np.empty((1 << n, 1 << eng.tri(n)), np.uint8)
+        for start, ent in _gf2_chunks(n):
+            dets[:, start : start + ent.shape[2]] = eng.minor_tables(ent, GF2)
+        tables.append(dets)
+    return tables
 
 
 def _mask(idx) -> int:
     """Minor-table row of the index set idx."""
     return sum(1 << i for i in idx)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The index set whose minor-table row is mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _rows_within(idx: tuple[int, ...]) -> np.ndarray:
@@ -222,14 +239,9 @@ def _rand_invertible(rng: np.random.Generator, n: int, spec: FieldSpec) -> list[
             return grid
 
 
-_upper = lru_cache(maxsize=None)(np.triu_indices)
-
-
-def _draw_gf4(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A random symmetric GF(4) matrix (n, n), its upper triangle drawn row by row."""
-    b = np.zeros((n, n), np.uint8)
-    b[_upper(n)] = rng.integers(0, GF4.order, size=eng.tri(n))
-    return b | b.T
+def _draw_gf4(rng: np.random.Generator, n: int) -> int:
+    """Code of a random symmetric GF(4) matrix of order n, its upper triangle drawn row by row."""
+    return eng.triangle_code(rng.integers(0, GF4.order, size=eng.tri(n)).tolist(), GF4)
 
 
 def _letters(ent: np.ndarray, spec: FieldSpec) -> list[np.ndarray]:
@@ -237,23 +249,26 @@ def _letters(ent: np.ndarray, spec: FieldSpec) -> list[np.ndarray]:
     return eng.table_letters(eng.minor_tables(ent, spec))
 
 
-def _run_gf4(drawn: list[tuple], failures: list[str], kinds, test, suffix=lambda case: "") -> None:
-    """Run drawn GF(4) cases (key, matrix, ...) in batches sharing a key.
+def _run_gf4(
+    drawn: list[tuple], failures: list[str], kinds, test, suffix=lambda case: "", group=lambda case: case[0]
+) -> None:
+    """Run drawn GF(4) cases (n, code, ...), code encoding a matrix of order n, in
+    batches sharing group(case), by default the order.
 
-    test(key, cases, (n, n, B) entries) flags each case's failures, one
-    column per kind; each is kept in draw order as "gf4 <kind> <matrix><suffix>".
+    test(cases, (n, n, B) entries) flags each case's failures, one column per
+    kind; each is kept in draw order as "gf4 <kind> <matrix><suffix>".
     """
     groups: dict = {}
     for c, case in enumerate(drawn):
-        groups.setdefault(case[0], []).append(c)
+        groups.setdefault(group(case), []).append(c)
     bad = np.zeros((len(drawn), len(kinds)), bool)
-    for key, idx in groups.items():
+    for idx in groups.values():
         batch = [drawn[c] for c in idx]
-        flags = test(key, batch, np.stack([case[1] for case in batch], axis=2))
-        bad[idx] = np.reshape(flags, (len(idx), -1))
+        ent = eng.decode_entries(np.array([case[1] for case in batch]), batch[0][0], GF4)
+        bad[idx] = np.reshape(test(batch, ent), (len(idx), -1))
     for c, kind in np.argwhere(bad).tolist():
-        b = SymMatrix(GF4, drawn[c][1].tolist())
-        _keep(failures, f"gf4 {kinds[kind]} {b!r}{suffix(drawn[c])}")
+        n, code = drawn[c][:2]
+        _keep(failures, f"gf4 {kinds[kind]} {eng.code_matrix(code, n, GF4)!r}{suffix(drawn[c])}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,55 +332,70 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
     )
 
 
-def _schur_cases(tables: list[np.ndarray]) -> list:
-    """(n, alpha, valid, minor table of C) for every proper pivot set alpha, where
-    the mask valid picks the codes of order n whose pivot block B[alpha] is
-    nonsingular (B's table is tables[n][:, valid]) and C = B / B[alpha]."""
-    cases = []
+def _schur_cases(tables: list[np.ndarray]):
+    """Yield (n, alpha, codes, minor table of C) for every order n and proper pivot
+    set alpha, where codes are the codes of order n whose pivot block B[alpha] is
+    nonsingular (B's table is tables[n][:, codes]) and C = B / B[alpha]."""
     for n in range(2, len(tables)):
-        ent = _gf2_entries(n)
         for alpha, row in _subsets(n)[1:-1]:
-            valid = tables[n][row] == 1
-            cdets = eng.minor_tables(eng.schur_entries(ent[:, :, valid], alpha), GF2)
-            cases.append((n, alpha, valid, cdets))
-    return cases
+            codes = np.flatnonzero(tables[n][row])
+            cdets = eng.minor_tables(eng.schur_entries(eng.decode_entries(codes, n), alpha), GF2)
+            yield n, alpha, codes, cdets
 
 
-def _check_schur_identity(
-    schur_cases: list, tables: list[np.ndarray], rng: np.random.Generator, gf4_cases: int
-) -> CheckResult:
-    """det C[gamma] * det B[alpha] = det B[gamma u alpha]; rank C = rank B - k."""
+def _check_schur(
+    tables: list[np.ndarray], rng: np.random.Generator, gf4_cases: int
+) -> list[CheckResult]:
+    """Schur complement C = B / B[alpha]: det C[gamma] * det B[alpha] =
+    det B[gamma u alpha] and rank C = rank B - k, and C keeps the A/N letters of
+    B shifted by the pivot size k.  Each GF(2) case feeds both checks, then is dropped."""
+    from .sequence import _planes
+
     failures: list[str] = []
-    cases = 0
-    for n, alpha, valid, cdets in schur_cases:
-        bad = _schur_bad(tables[n][:, valid], cdets, alpha, GF2)
+    letter_failures: list[str] = []
+    cases = letter_cases = 0
+    letters = [eng.table_letters(dets) for dets in tables]
+    for n, alpha, codes, cdets in _schur_cases(tables):
+        bad = _schur_bad(tables[n][:, codes], cdets, alpha, GF2)
         cases += cdets.size
-        _keep_codes(failures, n, np.flatnonzero(valid)[bad], f" alpha={alpha}")
+        _keep_codes(failures, n, codes[bad], f" alpha={alpha}")
+        k = len(alpha)
+        small = eng.table_letters(cdets)
+        bad = np.zeros(codes.size, bool)
+        for j in range(1, n - k + 1):
+            top = letters[n][j + k - 1][codes]
+            fixed = (top == 0) | (top == 2)
+            bad |= fixed & (small[j - 1] != top)
+        letter_cases += codes.size * (n - k)
+        _keep_codes(letter_failures, n, codes[bad], f" alpha={alpha}")
     # GF(4): the quotient genuinely divides by a non-unit determinant.  The
     # pivot draw reads b's nonzero proper minors, so it stays in the draw loop.
     drawn = []
     for _ in range(gf4_cases):
         n = int(rng.integers(2, 6))
-        b = _draw_gf4(rng, n)
-        nonzero = reduce(int.__or__, _planes(b.tolist(), GF4))
+        code = _draw_gf4(rng, n)
+        nonzero = reduce(int.__or__, _planes(eng.code_rows(code, n, GF4), GF4))
         pivots = [a for a, row in _subsets(n)[1:-1] if nonzero >> row & 1]
         if pivots:
             alpha = pivots[int(rng.integers(0, len(pivots)))]
-            gamma = np.flatnonzero(rng.integers(0, 2, size=n - len(alpha))).tolist()
-            drawn.append(((n, alpha), b, gamma))
+            gamma = _mask(np.flatnonzero(rng.integers(0, 2, size=n - len(alpha))).tolist())
+            drawn.append((n, code, alpha, gamma))
 
-    def test(key, batch, ent):
-        _, alpha = key
+    def test(batch, ent):
+        alpha = batch[0][2]
         cdets = eng.minor_tables(eng.schur_entries(ent, alpha, GF4), GF4)
-        gammas = np.array([_mask(g) for *_, g in batch])
+        gammas = np.array([gamma for *_, gamma in batch])
         return _schur_bad(eng.minor_tables(ent, GF4), cdets, alpha, GF4, gammas)
 
     def suffix(case):
-        (_, alpha), _, gamma = case
-        return f" alpha={tuple(a + 1 for a in alpha)} gamma={tuple(g + 1 for g in gamma)}"
+        *_, alpha, gamma = case
+        return f" alpha={tuple(a + 1 for a in alpha)} gamma={tuple(g + 1 for g in _members(gamma))}"
 
-    _run_gf4(drawn, failures, ["schur"], test, suffix)
-    return CheckResult("schur-complement-identity", cases + len(drawn), failures)
+    _run_gf4(drawn, failures, ["schur"], test, suffix, group=lambda case: (case[0], case[2]))
+    return [
+        CheckResult("schur-complement-identity", cases + len(drawn), failures),
+        CheckResult("schur-complement-letters", letter_cases, letter_failures),
+    ]
 
 
 def _schur_bad(bdets, cdets, alpha, spec: FieldSpec, gammas=None) -> np.ndarray:
@@ -378,24 +408,6 @@ def _schur_bad(bdets, cdets, alpha, spec: FieldSpec, gammas=None) -> np.ndarray:
         wrong = np.take_along_axis(wrong, gammas[None], axis=0)
     gap = eng.ranks(eng.table_letters(bdets)) - eng.ranks(eng.table_letters(cdets))
     return wrong.any(axis=0) | (gap != len(alpha))
-
-
-def _check_schur_letters(schur_cases: list, tables: list[np.ndarray]) -> CheckResult:
-    """Schur complement keeps the A/N letters shifted by the pivot size."""
-    failures: list[str] = []
-    cases = 0
-    letters = [eng.table_letters(dets) for dets in tables]
-    for n, alpha, valid, cdets in schur_cases:
-        k = len(alpha)
-        small = eng.table_letters(cdets)
-        bad = np.zeros(cdets.shape[1], bool)
-        for j in range(1, n - k + 1):
-            top = letters[n][j + k - 1][valid]
-            fixed = (top == 0) | (top == 2)
-            bad |= fixed & (small[j - 1] != top)
-        cases += cdets.shape[1] * (n - k)
-        _keep_codes(failures, n, np.flatnonzero(valid)[bad], f" alpha={alpha}")
-    return CheckResult("schur-complement-letters", cases, failures)
 
 
 def _check_hyperdet(
@@ -416,19 +428,23 @@ def _check_hyperdet(
     drawn = []
     for _ in range(gf4_cases):
         n = int(rng.integers(3, 6))
-        b = _draw_gf4(rng, n)
+        code = _draw_gf4(rng, n)
         tau = tuple(sorted(rng.choice(n, size=3, replace=False).tolist()))
         rest = [x for x in range(n) if x not in tau]
         base = tuple(x for x, bit in zip(rest, rng.integers(0, 2, size=n - 3)) if bit)
-        drawn.append((n, b, tau, base))
+        drawn.append((n, code, _mask(tau), _mask(base)))
 
-    def test(_, batch, ent):
-        taus = np.array([[1 << t for t in tau] for _, _, tau, _ in batch]).T
-        bases = np.array([_mask(base) for *_, base in batch])
+    def test(batch, ent):
+        taus = np.array([[1 << t for t in _members(tau)] for _, _, tau, _ in batch]).T
+        bases = np.array([base for *_, base in batch])
         dets = eng.minor_tables(ent, GF4)
         return _hyperdet_sum(dets, np.arange(len(batch)), bases, taus, GF4) != 0
 
-    _run_gf4(drawn, failures, ["hyperdet"], test, lambda case: f" tau={case[2]} I={case[3]}")
+    def suffix(case):
+        *_, tau, base = case
+        return f" tau={_members(tau)} I={_members(base)}"
+
+    _run_gf4(drawn, failures, ["hyperdet"], test, suffix)
     return CheckResult("hyperdeterminantal-relation", cases + len(drawn), failures)
 
 
@@ -462,12 +478,13 @@ def _check_append_transforms(max_n: int, rng: np.random.Generator, gf4_cases: in
     failures: list[str] = []
     cases = 0
     for n in range(1, max_n + 1):
-        bad_dup, bad_zero = _append_bad(_gf2_entries(n), GF2)
-        cases += 2 * bad_dup.size
-        _keep_codes(failures, n, np.flatnonzero(bad_dup | bad_zero))
+        for start, ent in _gf2_chunks(n):
+            bad_dup, bad_zero = _append_bad(ent, GF2)
+            cases += 2 * bad_dup.size
+            _keep_codes(failures, n, start + np.flatnonzero(bad_dup | bad_zero))
     drawn = [(n, _draw_gf4(rng, n)) for n in (int(rng.integers(1, 5)) for _ in range(gf4_cases))]
 
-    def test(_, batch, ent):
+    def test(batch, ent):
         return np.stack(_append_bad(ent, GF4), axis=1)
 
     _run_gf4(drawn, failures, ["append-dup", "append-zero"], test)
@@ -506,22 +523,28 @@ def _check_congruence(max_n: int, rng: np.random.Generator, gf4_cases: int) -> C
     failures: list[str] = []
     cases = 0
     for n in range(2, max_n + 1):
-        ent = _gf2_entries(n)
         for _ in range(3):
             grid = _rand_invertible(rng, n, GF2)
-            cases += ent.shape[2]
-            _keep_codes(failures, n, np.flatnonzero(_pr_changed(ent, grid, GF2)), f" E={grid}")
-    drawn = []
+            for start, ent in _gf2_chunks(n):
+                cases += ent.shape[2]
+                changed = start + np.flatnonzero(_pr_changed(ent, grid, GF2))
+                _keep_codes(failures, n, changed, f" E={grid}")
+    drawn = []  # E kept as its n * n entries, row by row
     for _ in range(gf4_cases):
         n = int(rng.integers(1, 5))
-        b = _draw_gf4(rng, n)
-        drawn.append((n, b, _rand_invertible(rng, n, GF4)))
+        code = _draw_gf4(rng, n)
+        drawn.append((n, code, bytes(sum(_rand_invertible(rng, n, GF4), []))))
 
-    def test(_, batch, ent):
-        e = np.array([case[2] for case in batch], np.uint8).transpose(1, 2, 0)
-        return _pr_changed(ent, e, GF4)
+    def grids(n, cases):  # (cases, n, n)
+        return np.frombuffer(b"".join(case[2] for case in cases), np.uint8).reshape(-1, n, n)
 
-    _run_gf4(drawn, failures, ["congruence"], test, lambda case: f" E={case[2]}")
+    def test(batch, ent):
+        return _pr_changed(ent, grids(ent.shape[0], batch).transpose(1, 2, 0), GF4)
+
+    def suffix(case):
+        return f" E={grids(case[0], [case])[0].tolist()}"
+
+    _run_gf4(drawn, failures, ["congruence"], test, suffix)
     return CheckResult("congruence-pr-invariance", cases + len(drawn), failures)
 
 
@@ -533,6 +556,8 @@ def _pr_changed(ent: np.ndarray, e, spec: FieldSpec) -> np.ndarray:
 
 def _check_complete_graph_epr() -> CheckResult:
     """epr of the complete graph alternates NA, with a final N at odd order."""
+    from .sequence import compute_epr
+
     words = ((n, compute_epr(complete_graph(n))) for n in range(2, 13))
     outcomes = ((f"complete_graph({n})", w == "NA" * (n // 2) + "N" * (n % 2)) for n, w in words)
     return _examples("complete-graph-epr", outcomes)
@@ -555,6 +580,8 @@ def _check_loop_complete_nonsingular() -> CheckResult:
 
 def _check_pendant_loop_endpoints() -> CheckResult:
     """pendant_loop_complete(n), n even, starts SS and ends AN."""
+    from .sequence import compute_epr
+
     outcomes = []
     for n in range(4, 13, 2):
         w = compute_epr(pendant_loop_complete(n))
@@ -564,6 +591,8 @@ def _check_pendant_loop_endpoints() -> CheckResult:
 
 def _check_attained_rule_soundness(words: list[tuple[int, str]]) -> CheckResult:
     """No attained word violates any prohibition rule."""
+    from .classify import rule_violations
+
     hits = ((n, w, rule_violations(w)) for n, w in words)
     outcomes = ((f"{n}:{w} -> {[str(h) for h in found]}", not found) for n, w, found in hits)
     return _examples("attained-rule-soundness", outcomes)
@@ -577,10 +606,12 @@ def theorem_suite(
     Matrix-quantified checks run exhaustively over GF(2) up to ``max_n``;
     word-level checks use catalogs up to ``max_n + 1``; field-generic
     identities additionally run ``gf4_cases`` seeded GF(4) cases each.
-    Every drawn case is held until its check's batches run, so
-    ``gf4_cases`` is capped at 10^5, which adds about 18 s and 60 MiB of
-    peak RSS on a 2-vCPU host (19 s and 110 MiB in all, against 0.8 s and
-    49 MiB at the default 1000; both grow linearly with it).
+    The GF(2) checks hold the minor tables and one Schur case or one chunk
+    of codes at a time.  Every drawn GF(4) case is held, as its matrix's
+    code and a few small parameters, until its check's batches run, so
+    ``gf4_cases`` is capped at 10^5: on a 2-vCPU host ``check-theorems``
+    then takes about 20 s and 63 MiB of peak RSS, against 0.8 s and 40 MiB
+    at the default 1000 (both grow linearly with it).
     """
     if not 2 <= max_n <= 5:
         raise ValueError(f"max_n must be in [2, 5], got {max_n}")
@@ -588,15 +619,10 @@ def theorem_suite(
         raise ValueError(f"gf4_cases must be in [0, 10^5], got {gf4_cases}")
     words = _catalog_words(min(max_n + 1, 6))
     tables = _gf2_minor_tables(max_n)
-    schur_cases = _schur_cases(tables)
     rng = np.random.default_rng(seed)
-    checks = [
-        _check_nn(words),
-        _check_inverse(tables),
-        _check_inheritance(tables),
-        _check_nsa(words),
-        _check_schur_identity(schur_cases, tables, rng, gf4_cases),
-        _check_schur_letters(schur_cases, tables),
+    checks = [_check_nn(words), _check_inverse(tables), _check_inheritance(tables), _check_nsa(words)]
+    checks += _check_schur(tables, rng, gf4_cases)
+    checks += [
         _check_hyperdet(tables, rng, gf4_cases),
         _check_terminal_an_minors(tables),
         _check_append_transforms(max_n, rng, gf4_cases),

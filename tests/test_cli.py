@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import time
 from itertools import combinations
@@ -216,6 +217,18 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-verb"]) == 2
     assert main([]) == 2
     assert main(["classify"]) == 2
+
+
+USAGE = json.loads((DATA / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda case: " ".join(case["argv"]) or "(no arguments)")
+def test_help_and_usage_errors_match_golden(capsys, monkeypatch, case):
+    """Help and usage errors of every verb at 80 columns: main adds arguments only
+    to the verb argv names, yet every verb keeps its help line and its place in
+    the invalid-choice message."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_malformed_matrix_exit_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Each verb loads only what it runs: the single-matrix verbs never import numpy,
 `epr`, `pr` and `minors` never the classifier, `classify` and `classify-pr` never
-the matrix module, and no single-matrix verb dataclasses."""
+the matrix module, no single-matrix verb dataclasses, and `enumerate` neither the
+classifier nor the sequence module."""
 
 import os
 import subprocess
@@ -55,6 +56,17 @@ assert sequence._gf2_det is matrix._gf2_det and sequence._generic_det is matrix.
 """
 
 
+ENUMERATE_SCRIPT = """
+import contextlib, io, sys
+import eprseq.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["enumerate", "-n", "3"]) == 0
+loaded = [name for name in ("eprseq.classify", "eprseq.sequence") if name in sys.modules]
+assert not loaded, loaded
+"""
+
+
 def run_script(script: str) -> None:
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -74,3 +86,7 @@ def test_classify_verbs_never_import_matrix():
     """The classifier needs no matrices; sequence serves the determinant
     kernels that bench/tracer.py wraps on first access instead."""
     run_script(CLASSIFY_SCRIPT)
+
+
+def test_enumerate_never_imports_classifier_or_sequence():
+    run_script(ENUMERATE_SCRIPT)

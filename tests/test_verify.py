@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -72,12 +73,40 @@ def test_catalog_export_format():
     assert lines[0] == "AA 1"
 
 
-def test_enumerate_jobs_independent():
-    for n in (4, 6):  # at n = 6, 3 jobs give chunks rounded up to whole trailing blocks
-        a = enumerate_epr(n, jobs=1)
-        b = enumerate_epr(n, jobs=3)
-        assert a.counts == b.counts
-        assert {w: m for w, m in a.exemplar.items()} == b.exemplar
+def _assert_partition_independent(monkeypatch, cases, chunkings):
+    """eng._catalog of each (spec, n) gives the counts and first-attaining codes of
+    the default chunks at one job, for every chunking and jobs 1, 2 and 3."""
+    default = eng._CHUNK_CODES
+    for spec, n in cases:
+        want = eng._catalog(n, spec, 1)
+        block = 1 << (spec.degree * n)
+        sizes = {
+            "default": default,
+            "one block": block,
+            "three blocks": 3 * block,
+            "whole range": 1 << (spec.degree * eng.tri(n)),
+        }
+        for chunking in chunkings:
+            monkeypatch.setattr(eng, "_CHUNK_CODES", sizes[chunking])
+            for jobs in (1, 2, 3):
+                assert eng._catalog(n, spec, jobs) == want, (spec.name, n, chunking, jobs)
+
+
+def test_enumerate_jobs_independent(monkeypatch):
+    """The catalog depends neither on the job count nor on the sweep chunk size:
+    the default, one trailing block, three, or every code at once."""
+    small = [(GF2, n) for n in range(1, 6)] + [(GF4, n) for n in range(1, 4)]
+    _assert_partition_independent(
+        monkeypatch, small, ("default", "one block", "three blocks", "whole range")
+    )
+    _assert_partition_independent(monkeypatch, [(GF2, 6), (GF4, 4)], ("default", "whole range"))
+
+
+@pytest.mark.slow
+def test_enumerate_jobs_independent_at_small_chunks(monkeypatch):
+    """GF(2) n = 6 and GF(4) n = 4 in chunks of one and of three trailing blocks
+    (2^15 and 2^12 chunks of one block: a minute or more of per-chunk overhead)."""
+    _assert_partition_independent(monkeypatch, [(GF2, 6), (GF4, 4)], ("one block", "three blocks"))
 
 
 def test_enumerate_bounds():
@@ -372,6 +401,28 @@ def test_theorem_suite_reduced_bounds():
     assert report.seed is not None
 
 
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes of the allocations tracemalloc traces while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_theorem_suite_peak_memory():
+    """The default suite checks one Schur case and one chunk of codes at a time;
+    holding every Schur case of order <= 5 at once takes 5.2 MiB by itself."""
+    verify._catalog_raw.cache_clear()  # the suite's word catalogs count too
+    assert _traced_peak(theorem_suite) <= 6 * 2**20
+
+
+def test_catalog_peak_memory():
+    """The GF(2) n = 6 sweep holds one 2^17-code chunk at a time (2^21 codes)."""
+    assert _traced_peak(eng.catalog_gf2, 6) <= 4 * 2**20
+
+
 def test_theorem_suite_reproducible():
     a = theorem_suite(max_n=2, gf4_cases=60, seed=5)
     b = theorem_suite(max_n=2, gf4_cases=60, seed=5)
@@ -402,7 +453,7 @@ def _det(m, labels):
 def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
     orig = eng.schur_entries
     monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec: orig(ent, alpha, spec) ^ 1)
-    result = verify._check_schur_identity([], [], np.random.default_rng(3), 100)
+    result = verify._check_schur([], np.random.default_rng(3), 100)[0]
     assert 0 < len(result.failures) <= 20 and result.cases > 0
     for failure in result.failures:
         rows, alpha, gamma = _parse(
@@ -484,9 +535,7 @@ def _gf2_schur_failures(complement):
     reported code, with complement(B, alpha) as its faulty C = B / B[alpha],
     breaks the identity under SymMatrix elimination."""
     tables = verify._gf2_minor_tables(4)
-    result = verify._check_schur_identity(
-        verify._schur_cases(tables), tables, np.random.default_rng(7), 0
-    )
+    result = verify._check_schur(tables, np.random.default_rng(7), 0)[0]
     assert 0 < len(result.failures) <= 20
     for failure in result.failures:
         n, code, alpha = _parse(failure, r"order (\d+) code (\d+) alpha=(\(.*\))")
