@@ -7,10 +7,11 @@ that the catalog and the template classifier agree exactly, in both
 directions.  ``theorem_suite`` runs sixteen independent checks, one per
 structural fact the rest of the library relies on, exhaustively over
 GF(2) up to its bounds and with seeded random GF(4) cases for the
-field-generic identities.  Every check reads letters, minors and ranks
-off the minor table of the batch it checks; each field-generic identity
-is one predicate that the exhaustive GF(2) loop and the GF(4) cases
-(drawn one at a time, then batched by order) both call.
+field-generic identities.  The suite holds each GF(2) order's minor table
+with its letters, read off it once per run.  Every check reads letters,
+minors and ranks off the minor table of the batch it checks; each
+field-generic identity is one predicate that the exhaustive GF(2) loop
+and the GF(4) cases (drawn one at a time, then batched by order) both call.
 
 All randomness is seeded; reports are reproducible given the same seed
 and bounds.
@@ -165,23 +166,35 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _gf2_chunks(n: int):
-    """(first code, entries (n, n, codes)) of each run of _SUITE_CHUNK consecutive
+    """(slice of codes, entries (n, n, codes)) of each run of _SUITE_CHUNK consecutive
     codes of the symmetric GF(2) matrices of order n, in code order."""
     total = 1 << eng.tri(n)
     for start in range(0, total, _SUITE_CHUNK):
-        yield start, eng.decode_entries(np.arange(start, min(start + _SUITE_CHUNK, total)), n)
+        cols = slice(start, min(start + _SUITE_CHUNK, total))
+        yield cols, eng.decode_entries(np.arange(cols.start, cols.stop), n)
 
 
-def _gf2_minor_tables(max_n: int) -> list[np.ndarray]:
-    """Entry n is the (2^n, codes) table of every principal minor of every
-    symmetric GF(2) matrix of order n, n = 0..max_n, filled chunk by chunk."""
-    tables = []
+@dataclass
+class _Order:
+    """Every symmetric GF(2) matrix of one order n, column c the one of code c:
+    its (2^n, codes) principal-minor table and its (n, codes) letters 1..n."""
+
+    dets: np.ndarray
+    letters: np.ndarray
+
+
+def _gf2_orders(max_n: int) -> list[_Order]:
+    """Entry n is the record of order n, n = 0..max_n, filled chunk by chunk."""
+    orders = []
     for n in range(max_n + 1):
-        dets = np.empty((1 << n, 1 << eng.tri(n)), np.uint8)
-        for start, ent in _gf2_chunks(n):
-            dets[:, start : start + ent.shape[2]] = eng.minor_tables(ent, GF2)
-        tables.append(dets)
-    return tables
+        total = 1 << eng.tri(n)
+        rec = _Order(np.empty((1 << n, total), np.uint8), np.empty((n, total), np.uint8))
+        for cols, ent in _gf2_chunks(n):
+            rec.dets[:, cols] = eng.minor_tables(ent, GF2)
+            for k, row in enumerate(eng.table_letters(rec.dets[:, cols])):
+                rec.letters[k, cols] = row
+        orders.append(rec)
+    return orders
 
 
 def _mask(idx) -> int:
@@ -281,13 +294,13 @@ def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("nn-forces-n-tail", outcomes)
 
 
-def _check_inverse(tables: list[np.ndarray]) -> CheckResult:
+def _check_inverse(orders: list[_Order]) -> CheckResult:
     """epr of the inverse is the reversed word with terminal A."""
     failures: list[str] = []
     cases = 0
-    for n in range(1, len(tables)):
+    for n in range(1, len(orders)):
         nz = np.flatnonzero(eng.det_table(n))
-        before = eng.table_letters(tables[n][:, nz])
+        before = orders[n].letters[:, nz]
         after = _letters(eng.inverse(eng.decode_entries(nz, n))[1], GF2)
         bad = after[n - 1] != 2
         for j in range(1, n):
@@ -297,13 +310,12 @@ def _check_inverse(tables: list[np.ndarray]) -> CheckResult:
     return CheckResult("inverse-reversal", cases, failures)
 
 
-def _check_inheritance(tables: list[np.ndarray]) -> CheckResult:
+def _check_inheritance(orders: list[_Order]) -> CheckResult:
     """Letter inheritance between a matrix and its principal submatrices."""
     failures: list[str] = []
     cases = 0
-    for n in range(2, len(tables)):
-        dets = tables[n]
-        big = eng.table_letters(dets)
+    for n in range(2, len(orders)):
+        dets, big = orders[n].dets, orders[n].letters
         for m in range(1, n):
             # seen[i, l]: some B[alpha] has letter i + 1 = l, read off B's rows within alpha
             seen = np.zeros((m, 3, dets.shape[1]), bool)
@@ -332,20 +344,7 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
     )
 
 
-def _schur_cases(tables: list[np.ndarray]):
-    """Yield (n, alpha, codes, minor table of C) for every order n and proper pivot
-    set alpha, where codes are the codes of order n whose pivot block B[alpha] is
-    nonsingular (B's table is tables[n][:, codes]) and C = B / B[alpha]."""
-    for n in range(2, len(tables)):
-        for alpha, row in _subsets(n)[1:-1]:
-            codes = np.flatnonzero(tables[n][row])
-            cdets = eng.minor_tables(eng.schur_entries(eng.decode_entries(codes, n), alpha), GF2)
-            yield n, alpha, codes, cdets
-
-
-def _check_schur(
-    tables: list[np.ndarray], rng: np.random.Generator, gf4_cases: int
-) -> list[CheckResult]:
+def _check_schur(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> list[CheckResult]:
     """Schur complement C = B / B[alpha]: det C[gamma] * det B[alpha] =
     det B[gamma u alpha] and rank C = rank B - k, and C keeps the A/N letters of
     B shifted by the pivot size k.  Each GF(2) case feeds both checks, then is dropped."""
@@ -354,20 +353,20 @@ def _check_schur(
     failures: list[str] = []
     letter_failures: list[str] = []
     cases = letter_cases = 0
-    letters = [eng.table_letters(dets) for dets in tables]
-    for n, alpha, codes, cdets in _schur_cases(tables):
-        bad = _schur_bad(tables[n][:, codes], cdets, alpha, GF2)
-        cases += cdets.size
-        _keep_codes(failures, n, codes[bad], f" alpha={alpha}")
-        k = len(alpha)
-        small = eng.table_letters(cdets)
-        bad = np.zeros(codes.size, bool)
-        for j in range(1, n - k + 1):
-            top = letters[n][j + k - 1][codes]
-            fixed = (top == 0) | (top == 2)
-            bad |= fixed & (small[j - 1] != top)
-        letter_cases += codes.size * (n - k)
-        _keep_codes(letter_failures, n, codes[bad], f" alpha={alpha}")
+    for n in range(2, len(orders)):
+        dets, letters = orders[n].dets, orders[n].letters
+        ranks = eng.ranks(letters)
+        for alpha, row in _subsets(n)[1:-1]:
+            codes = np.flatnonzero(dets[row])
+            cdets = eng.minor_tables(eng.schur_entries(eng.decode_entries(codes, n), alpha), GF2)
+            small = eng.table_letters(cdets)
+            bad = _schur_bad(dets[:, codes], cdets, alpha, GF2, ranks[codes], eng.ranks(small))
+            cases += cdets.size
+            _keep_codes(failures, n, codes[bad], f" alpha={alpha}")
+            top = letters[len(alpha) :, codes]  # B's letters k+1..n: C keeps their As and Ns
+            bad = ((top != 1) & (np.array(small) != top)).any(axis=0)
+            letter_cases += top.size
+            _keep_codes(letter_failures, n, codes[bad], f" alpha={alpha}")
     # GF(4): the quotient genuinely divides by a non-unit determinant.  The
     # pivot draw reads b's nonzero proper minors, so it stays in the draw loop.
     drawn = []
@@ -385,7 +384,9 @@ def _check_schur(
         alpha = batch[0][2]
         cdets = eng.minor_tables(eng.schur_entries(ent, alpha, GF4), GF4)
         gammas = np.array([gamma for *_, gamma in batch])
-        return _schur_bad(eng.minor_tables(ent, GF4), cdets, alpha, GF4, gammas)
+        bdets = eng.minor_tables(ent, GF4)
+        branks, cranks = (eng.ranks(eng.table_letters(dets)) for dets in (bdets, cdets))
+        return _schur_bad(bdets, cdets, alpha, GF4, branks, cranks, gammas)
 
     def suffix(case):
         *_, alpha, gamma = case
@@ -398,26 +399,23 @@ def _check_schur(
     ]
 
 
-def _schur_bad(bdets, cdets, alpha, spec: FieldSpec, gammas=None) -> np.ndarray:
+def _schur_bad(bdets, cdets, alpha, spec: FieldSpec, branks, cranks, gammas=None) -> np.ndarray:
     """Where C = B / B[alpha] breaks rank C = rank B - |alpha| or
-    det C[gamma] det B[alpha] = det B[alpha u gamma], read off the minor tables of
+    det C[gamma] det B[alpha] = det B[alpha u gamma], read off the tables and ranks of
     B and C, for every gamma or for the one gamma (a row of C's table) of each column."""
     comp = tuple(i for i in range(len(bdets).bit_length() - 1) if i not in alpha)
     wrong = eng.times(cdets, bdets[_mask(alpha)], spec) != bdets[_mask(alpha) | _rows_within(comp)]
     if gammas is not None:
         wrong = np.take_along_axis(wrong, gammas[None], axis=0)
-    gap = eng.ranks(eng.table_letters(bdets)) - eng.ranks(eng.table_letters(cdets))
-    return wrong.any(axis=0) | (gap != len(alpha))
+    return wrong.any(axis=0) | (branks - cranks != len(alpha))
 
 
-def _check_hyperdet(
-    tables: list[np.ndarray], rng: np.random.Generator, gf4_cases: int
-) -> CheckResult:
+def _check_hyperdet(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> CheckResult:
     """Four-term squared principal-minor identity in characteristic 2."""
     failures: list[str] = []
     cases = 0
-    for n in range(3, len(tables)):
-        dets = tables[n]
+    for n in range(3, len(orders)):
+        dets = orders[n].dets
         for tau in combinations(range(n), 3):
             rest = [x for x in range(n) if x not in tau]
             for sub, _ in _subsets(len(rest)):
@@ -460,12 +458,12 @@ def _hyperdet_sum(dets: np.ndarray, cols, s, tau_masks, spec: FieldSpec) -> np.n
     return pair(0, i | j | k) ^ pair(i, j | k) ^ pair(j, i | k) ^ pair(k, i | j)
 
 
-def _check_terminal_an_minors(tables: list[np.ndarray]) -> CheckResult:
+def _check_terminal_an_minors(orders: list[_Order]) -> CheckResult:
     """A terminal AN forces every order-(n-1) minor nonzero, principal or not."""
     failures: list[str] = []
     cases = 0
-    for n in range(2, len(tables)):
-        letters = eng.table_letters(tables[n])
+    for n in range(2, len(orders)):
+        letters = orders[n].letters
         sel = np.flatnonzero((letters[n - 2] == 2) & (letters[n - 1] == 0))
         bad = (eng.deleted_minors(eng.decode_entries(sel, n)) == 0).any(axis=(0, 1))
         cases += int(sel.size)
@@ -473,31 +471,30 @@ def _check_terminal_an_minors(tables: list[np.ndarray]) -> CheckResult:
     return CheckResult("terminal-an-full-minors", cases, failures)
 
 
-def _check_append_transforms(max_n: int, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
+def _check_append_transforms(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> CheckResult:
     """Letterwise effect of duplicating the last index or appending a zero one."""
     failures: list[str] = []
     cases = 0
-    for n in range(1, max_n + 1):
-        for start, ent in _gf2_chunks(n):
-            bad_dup, bad_zero = _append_bad(ent, GF2)
+    for n in range(1, len(orders)):
+        for cols, ent in _gf2_chunks(n):
+            bad_dup, bad_zero = _append_bad(ent, orders[n].letters[:, cols], GF2)
             cases += 2 * bad_dup.size
-            _keep_codes(failures, n, start + np.flatnonzero(bad_dup | bad_zero))
+            _keep_codes(failures, n, cols.start + np.flatnonzero(bad_dup | bad_zero))
     drawn = [(n, _draw_gf4(rng, n)) for n in (int(rng.integers(1, 5)) for _ in range(gf4_cases))]
 
     def test(batch, ent):
-        return np.stack(_append_bad(ent, GF4), axis=1)
+        return np.stack(_append_bad(ent, _letters(ent, GF4), GF4), axis=1)
 
     _run_gf4(drawn, failures, ["append-dup", "append-zero"], test)
     return CheckResult("append-transforms", cases + 2 * len(drawn), failures)
 
 
-def _append_bad(ent: np.ndarray, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+def _append_bad(ent: np.ndarray, small, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """Where appending a copy of the last index or a zero index to a matrix of
-    ent breaks the rule: both end in N, the copy keeps letter 1, and every other
-    letter becomes S unless it was N."""
+    ent, with letters small, breaks the rule: both end in N, the copy keeps
+    letter 1, and every other letter becomes S unless it was N."""
     n = ent.shape[0]
     dup, zero = (_letters(eng.gather_entries(ent, (*range(n), last)), spec) for last in (n - 1, n))
-    small = _letters(ent, spec)
     bad_dup = (dup[n] != 0) | (dup[0] != small[0])
     bad_zero = zero[n] != 0
     for i in range(n):
@@ -518,16 +515,16 @@ def _check_na_ns_parity(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("na-ns-parity", ((f"{n}:{w}", holds(w)) for n, w in words))
 
 
-def _check_congruence(max_n: int, rng: np.random.Generator, gf4_cases: int) -> CheckResult:
+def _check_congruence(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> CheckResult:
     """Congruence by an invertible matrix preserves pr bits r_1..r_n."""
     failures: list[str] = []
     cases = 0
-    for n in range(2, max_n + 1):
+    for n in range(2, len(orders)):
         for _ in range(3):
             grid = _rand_invertible(rng, n, GF2)
-            for start, ent in _gf2_chunks(n):
+            for cols, ent in _gf2_chunks(n):
                 cases += ent.shape[2]
-                changed = start + np.flatnonzero(_pr_changed(ent, grid, GF2))
+                changed = cols.start + np.flatnonzero(_pr_changed(ent, orders[n].letters[:, cols], grid, GF2))
                 _keep_codes(failures, n, changed, f" E={grid}")
     drawn = []  # E kept as its n * n entries, row by row
     for _ in range(gf4_cases):
@@ -539,7 +536,7 @@ def _check_congruence(max_n: int, rng: np.random.Generator, gf4_cases: int) -> C
         return np.frombuffer(b"".join(case[2] for case in cases), np.uint8).reshape(-1, n, n)
 
     def test(batch, ent):
-        return _pr_changed(ent, grids(ent.shape[0], batch).transpose(1, 2, 0), GF4)
+        return _pr_changed(ent, _letters(ent, GF4), grids(ent.shape[0], batch).transpose(1, 2, 0), GF4)
 
     def suffix(case):
         return f" E={grids(case[0], [case])[0].tolist()}"
@@ -548,9 +545,10 @@ def _check_congruence(max_n: int, rng: np.random.Generator, gf4_cases: int) -> C
     return CheckResult("congruence-pr-invariance", cases + len(drawn), failures)
 
 
-def _pr_changed(ent: np.ndarray, e, spec: FieldSpec) -> np.ndarray:
-    """Where congruence by E changes some pr bit r_k (letter k is not N) of a matrix of ent."""
-    before, after = (_letters(x, spec) for x in (ent, eng.congruence_entries(ent, e, spec)))
+def _pr_changed(ent: np.ndarray, before, e, spec: FieldSpec) -> np.ndarray:
+    """Where congruence by E changes some pr bit r_k (letter k is not N) of a matrix
+    of ent, with letters before."""
+    after = _letters(eng.congruence_entries(ent, e, spec), spec)
     return np.any([(a != 0) != (b != 0) for a, b in zip(before, after)], axis=0)
 
 
@@ -606,9 +604,10 @@ def theorem_suite(
     Matrix-quantified checks run exhaustively over GF(2) up to ``max_n``;
     word-level checks use catalogs up to ``max_n + 1``; field-generic
     identities additionally run ``gf4_cases`` seeded GF(4) cases each.
-    The GF(2) checks hold the minor tables and one Schur case or one chunk
-    of codes at a time.  Every drawn GF(4) case is held, as its matrix's
-    code and a few small parameters, until its check's batches run, so
+    The GF(2) checks hold each order's minor table with its letters, read
+    once per run, and one Schur case or one chunk of codes at a time.
+    Every drawn GF(4) case is held, as its matrix's code and a few small
+    parameters, until its check's batches run, so
     ``gf4_cases`` is capped at 10^5: on a 2-vCPU host ``check-theorems``
     then takes about 20 s and 63 MiB of peak RSS, against 0.8 s and 40 MiB
     at the default 1000 (both grow linearly with it).
@@ -618,16 +617,16 @@ def theorem_suite(
     if not 0 <= gf4_cases <= 10**5:
         raise ValueError(f"gf4_cases must be in [0, 10^5], got {gf4_cases}")
     words = _catalog_words(min(max_n + 1, 6))
-    tables = _gf2_minor_tables(max_n)
+    orders = _gf2_orders(max_n)
     rng = np.random.default_rng(seed)
-    checks = [_check_nn(words), _check_inverse(tables), _check_inheritance(tables), _check_nsa(words)]
-    checks += _check_schur(tables, rng, gf4_cases)
+    checks = [_check_nn(words), _check_inverse(orders), _check_inheritance(orders), _check_nsa(words)]
+    checks += _check_schur(orders, rng, gf4_cases)
     checks += [
-        _check_hyperdet(tables, rng, gf4_cases),
-        _check_terminal_an_minors(tables),
-        _check_append_transforms(max_n, rng, gf4_cases),
+        _check_hyperdet(orders, rng, gf4_cases),
+        _check_terminal_an_minors(orders),
+        _check_append_transforms(orders, rng, gf4_cases),
         _check_na_ns_parity(words),
-        _check_congruence(max_n, rng, gf4_cases),
+        _check_congruence(orders, rng, gf4_cases),
         _check_complete_graph_epr(),
         _check_loop_split_det(),
         _check_loop_complete_nonsingular(),

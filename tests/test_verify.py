@@ -474,7 +474,8 @@ def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
     gammas = np.array([1])
     for c, wrong in ((np.eye(2, dtype=np.uint8), False), (np.diag([1, 0]).astype(np.uint8), True)):
         cdets = eng.minor_tables(c[:, :, None], GF4)
-        assert verify._schur_bad(b, cdets, (0,), GF4, gammas).tolist() == [wrong]
+        branks, cranks = (eng.ranks(eng.table_letters(dets)) for dets in (b, cdets))
+        assert verify._schur_bad(b, cdets, (0,), GF4, branks, cranks, gammas).tolist() == [wrong]
 
 
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
@@ -499,28 +500,41 @@ def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
         assert total != 0
 
 
-def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
+def _copy_index_0(monkeypatch):
+    """Make eng.gather_entries turn the appended zero index into a copy of index 0."""
     orig = eng.gather_entries
 
-    def copy_index_0(ent, idx):  # the appended zero index becomes a copy of index 0
+    def copy_index_0(ent, idx):
         return orig(ent, tuple(i % ent.shape[0] for i in idx))
 
     monkeypatch.setattr(eng, "gather_entries", copy_index_0)
-    result = verify._check_append_transforms(0, np.random.default_rng(5), 100)
+
+
+def _assert_copy_breaks_append_zero(b):
+    idx = [i % b.n for i in range(b.n + 1)]
+    faulty = SymMatrix(b.spec, [[b.rows[i][j] for j in idx] for i in idx])
+    damp = "".join("N" if ch == "N" else "S" for ch in compute_epr(b))
+    assert compute_epr(faulty) != damp + "N" and compute_epr(b.append_zero()) == damp + "N"
+
+
+def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
+    _copy_index_0(monkeypatch)
+    result = verify._check_append_transforms([], np.random.default_rng(5), 100)
     assert 0 < len(result.failures) <= 20 and result.cases == 200
     for failure in result.failures:
         (rows,) = _parse(failure, r"gf4 append-zero SymMatrix\(gf4, (\[.*\])\)")
-        b = SymMatrix(GF4, rows)
-        idx = [i % b.n for i in range(b.n + 1)]
-        faulty = SymMatrix(GF4, [[b.rows[i][j] for j in idx] for i in idx])
-        damp = "".join("N" if ch == "N" else "S" for ch in compute_epr(b))
-        assert compute_epr(faulty) != damp + "N" and compute_epr(b.append_zero()) == damp + "N"
+        _assert_copy_breaks_append_zero(SymMatrix(GF4, rows))
+
+
+def _zero_congruence(monkeypatch):
+    """Make eng.congruence_entries return the zero matrix for every congruence."""
+    orig = eng.congruence_entries
+    monkeypatch.setattr(eng, "congruence_entries", lambda ent, e, spec: orig(ent, e, spec) * 0)
 
 
 def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
-    orig = eng.congruence_entries
-    monkeypatch.setattr(eng, "congruence_entries", lambda ent, e, spec: orig(ent, e, spec) * 0)
-    result = verify._check_congruence(1, np.random.default_rng(6), 100)
+    _zero_congruence(monkeypatch)
+    result = verify._check_congruence([], np.random.default_rng(6), 100)
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
         rows, e = _parse(failure, r"gf4 congruence SymMatrix\(gf4, (\[.*\])\) E=(\[.*\])")
@@ -534,8 +548,7 @@ def _gf2_schur_failures(complement):
     """Run the GF(2) half of the Schur check up to order 4 and check that each
     reported code, with complement(B, alpha) as its faulty C = B / B[alpha],
     breaks the identity under SymMatrix elimination."""
-    tables = verify._gf2_minor_tables(4)
-    result = verify._check_schur(tables, np.random.default_rng(7), 0)[0]
+    result = verify._check_schur(verify._gf2_orders(4), np.random.default_rng(7), 0)[0]
     assert 0 < len(result.failures) <= 20
     for failure in result.failures:
         n, code, alpha = _parse(failure, r"order (\d+) code (\d+) alpha=(\(.*\))")
@@ -561,13 +574,18 @@ def test_gf2_schur_loop_reports_a_wrong_complement(monkeypatch):
     _gf2_schur_failures(lambda b, alpha: SymMatrix(GF2, _flip(b.schur_complement(alpha).rows)))
 
 
-def test_gf2_schur_loop_reports_a_wrong_pivot_inverse(monkeypatch):
+def _flip_inverse(monkeypatch):
+    """Make eng.inverse flip every entry of each inverse it returns."""
     orig = eng.inverse
 
     def flipped(ent, spec=GF2):
         det, inv = orig(ent, spec)
         return det, inv ^ 1
 
+    monkeypatch.setattr(eng, "inverse", flipped)
+
+
+def test_gf2_schur_loop_reports_a_wrong_pivot_inverse(monkeypatch):
     def complement(b, alpha):  # B[comp] + B[comp, alpha] X B[alpha, comp], X the flipped inverse
         x = _flip(b.principal_submatrix(alpha).inverse().rows)
         comp = [i - 1 for i in range(1, b.n + 1) if i not in alpha]
@@ -575,8 +593,45 @@ def test_gf2_schur_loop_reports_a_wrong_pivot_inverse(monkeypatch):
         y = matmul(matmul(cross, x, GF2), [list(col) for col in zip(*cross)], GF2)
         return SymMatrix(GF2, [[b.rows[i][j] ^ y[r][s] for s, j in enumerate(comp)] for r, i in enumerate(comp)])
 
-    monkeypatch.setattr(eng, "inverse", flipped)
+    _flip_inverse(monkeypatch)
     _gf2_schur_failures(complement)
+
+
+# -- fault injection: the exhaustive GF(2) loops that read B's letters off the order records --
+
+def _gf2_failures(result, suffix=""):
+    """(matrix, parsed suffix fields) of each "order n code c<suffix>" failure."""
+    assert 0 < len(result.failures) <= 20
+    for failure in result.failures:
+        n, code, *rest = _parse(failure, r"order (\d+) code (\d+)" + suffix)
+        yield eng.code_matrix(code, n), rest
+
+
+def test_gf2_inverse_loop_reports_a_wrong_inverse(monkeypatch):
+    _flip_inverse(monkeypatch)
+    for b, _ in _gf2_failures(verify._check_inverse(verify._gf2_orders(3))):
+        want = compute_epr(b)[-2::-1] + "A"  # letters n-1..1 of B, then A
+        assert compute_epr(b.inverse()) == want
+        assert compute_epr(SymMatrix(GF2, _flip(b.inverse().rows))) != want
+
+
+def test_gf2_append_loop_reports_a_wrong_appended_index(monkeypatch):
+    _copy_index_0(monkeypatch)
+    result = verify._check_append_transforms(verify._gf2_orders(3), np.random.default_rng(5), 0)
+    assert result.cases == 2 * (2 + 8 + 64)
+    for b, _ in _gf2_failures(result):
+        _assert_copy_breaks_append_zero(b)
+
+
+def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
+    _zero_congruence(monkeypatch)
+    result = verify._check_congruence(verify._gf2_orders(3), np.random.default_rng(6), 0)
+    assert result.cases == 3 * (8 + 64)
+    for b, (e,) in _gf2_failures(result, r" E=(\[.*\])"):
+        congruent = matmul(matmul(e, b.rows, GF2), [list(col) for col in zip(*e)], GF2)
+        assert laplace_det(e, GF2) != 0
+        assert compute_pr(SymMatrix(GF2, congruent)).bits == compute_pr(b).bits
+        assert "1" in compute_pr(b).bits  # the zero matrix's pr word differs
 
 
 def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
