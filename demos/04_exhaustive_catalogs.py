@@ -1,10 +1,13 @@
 """Exhaustive enumeration as the ground truth for the characterization.
 
-Every symmetric GF(2) matrix of order n is visited (the upper triangle
-packed into one integer; the matrices sharing a trailing block B[1:, 1:]
-read their minors off that block's one table and a border word each),
-its epr word recorded, and the attained set compared with the classifier
-in both directions.  The two must agree exactly.
+Every symmetric GF(2) matrix of order n is counted (the upper triangle
+packed into one integer).  The epr word is invariant under simultaneous
+row and column permutation, so only the matrices whose trailing block
+B[1:, 1:] is the least of its orbit are swept, each word weighted by the
+orbit's size; the matrices sharing a trailing block read their minors
+off that block's one table and a border word each.  The attained set is
+compared with the classifier in both directions; the two must agree
+exactly.
 """
 
 from eprseq import compare_with_classifier, enumerate_epr

@@ -4,18 +4,22 @@ A symmetric order-n matrix is encoded as the integer whose bit fields
 are the n(n+1)/2 upper-triangle entries in row-major order, one bit per
 entry over GF(2) and two over GF(4); ascending code order is the
 canonical enumeration order.  Only triangle_code, decode_entries and
-code_rows know this layout: everything else works on (n, n, B) entry
-batches, the batch on the last axis.  Row 0 takes the lowest bits, so
-each run of 2^(q n) consecutive codes (q bits per entry) shares its
-trailing block A = B[1:, 1:].  The border sweep (sweep_keys) hands the
-decoded A's to minor_tables, the batched char-2 bordering kernel
-(eprseq.sequence.minor_planes computes the same table for one matrix
-without numpy), and reads the letters of all 2^(q n) matrices bordering
-one A off A's packed table and one border word per matrix: A where every
-minor of an order is nonzero, N where none is.  A catalog sweeps its
-codes in chunks of _CHUNK_CODES codes (whole trailing blocks), one
-sweep_keys call each, so its working set stays near the L2 cache and its
-partition does not depend on the job count.  The theorem suite's code maps
+code_rows know this layout (orbit_reps moves whole fields through it):
+everything else works on (n, n, B) entry batches, the batch on the last
+axis.  Row 0 takes the lowest bits, so each run of 2^(q n) consecutive
+codes (q bits per entry) shares its trailing block A = B[1:, 1:].  The
+border sweep (sweep_keys) hands a list of A's to minor_tables, the
+batched char-2 bordering kernel (eprseq.sequence.minor_planes computes
+the same table for one matrix without numpy), and reads the letters of
+all 2^(q n) matrices bordering each A off A's packed table and one
+border word per matrix: A where every minor of an order is nonzero, N
+where none is.  The epr word is invariant under B -> P B P^T, so a
+catalog borders only the least A of each S_(n-1) orbit (orbit_reps) and
+weights its words by the orbit's size; it sweeps the reps in runs of
+about _CHUNK_CODES codes, one sweep_keys call each, so its working set
+stays near the L2 cache and its partition does not depend on the job
+count.  letter_arrays sweeps every A, for the theorem suite.  The
+theorem suite's code maps
 (principal submatrices, appended rows, inverses, Schur complements,
 congruences) map entry batches to entry batches over any GF(2^k):
 products are bit-sliced as in minor_tables, and inverses, and the
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -124,6 +128,54 @@ def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
     return SymMatrix(spec, code_rows(code, n, spec))
 
 
+def _permutation_tables(k: int, spec: FieldSpec) -> np.ndarray:
+    """Byte lookup tables (k!, bytes, 256) of every permutation p of range(k):
+    OR-ing table[p, b] at byte b of a code, over its bytes, gives the code of
+    the matrix with entry (p(i), p(j)) = b_ij.  A bit moves with its field."""
+    perms = np.array(list(permutations(range(k))), np.intp).reshape(-1, k)
+    pos = np.zeros((k, k), np.intp)
+    for shift, i, j in _layout(k, spec):
+        pos[i, j] = pos[j, i] = shift
+    src_i, src_j = np.triu_indices(k)  # row-major, as in _layout
+    dest = pos[perms[:, src_i], perms[:, src_j]][:, :, None] + np.arange(spec.degree)
+    nbits = spec.degree * tri(k)
+    moved = np.zeros((len(perms), -(-nbits // 8) * 8), np.uint32)
+    moved[:, :nbits] = np.uint32(1) << dest.reshape(len(perms), nbits).astype(np.uint32)
+    bits = (np.arange(256, dtype=np.uint32)[:, None] >> np.arange(8, dtype=np.uint32)) & 1
+    return moved.reshape(len(perms), -1, 8) @ bits.T
+
+
+def orbit_reps(k: int, spec: FieldSpec = GF2) -> tuple[np.ndarray, np.ndarray]:
+    """(least code, size k!/|Aut|) of every S_k orbit of symmetric order-k
+    matrices over spec under B -> P B P^T, by ascending code.
+
+    Row 0 takes the lowest q k bits, so an orbit's least code has a least
+    trailing block B[1:, 1:] (a permutation fixing index 0 would otherwise
+    lower it): the candidates, each order-(k-1) rep bordered by every row,
+    hold every least code once.  A candidate is kept when no permutation of
+    its entry fields lowers its code, and the permutations that keep it are
+    its automorphisms.  Codes are uint32, so q tri(k) <= 32.
+    """
+    q = spec.degree
+    if q * tri(k) > 32:
+        raise ValueError(f"orbit codes of order {k} over {spec.name} exceed 32 bits")
+    if k == 0:
+        return np.zeros(1, np.uint32), np.ones(1, np.int64)
+    prev = orbit_reps(k - 1, spec)[0]
+    cand = (prev[:, None] << np.uint32(q * k) | np.arange(1 << (q * k), dtype=np.uint32)).ravel()
+    tables = _permutation_tables(k, spec)
+    aut = np.zeros(cand.size, np.int64)
+    for table in tables:
+        image = table[0][cand & 255]
+        for b in range(1, len(table)):
+            image |= table[b][cand >> np.uint32(8 * b) & 255]
+        keep = image >= cand
+        aut += image == cand
+        if not keep.all():
+            cand, aut = cand[keep], aut[keep]
+    return cand, len(tables) // aut
+
+
 @lru_cache(maxsize=None)
 def _subset_masks(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Masks of words holding one q-bit field per subset T of a trailing block's
@@ -155,12 +207,13 @@ def _nonzero_fields(word: np.ndarray, q: int, low: int) -> np.ndarray:
     return out & low
 
 
-def sweep_keys(start: int, stop: int, n: int, spec: FieldSpec = GF2) -> np.ndarray:
-    """Letter keys (letter k in bits 2k-2, 2k-1; 0=N, 1=S, 2=A) of codes start..stop-1.
+def sweep_keys(blocks: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarray:
+    """Letter keys (letter k in bits 2k-2, 2k-1; 0=N, 1=S, 2=A) of the order-n
+    matrices bordering each trailing-block code in blocks.
 
-    Row 0 of B takes the lowest q*n code bits (q = spec.degree), so both
-    bounds being multiples of 2^(q n) makes the range whole runs of codes
-    that share their trailing block A = B[1:, 1:].  The minors without
+    Row 0 of B takes the lowest q*n code bits (q = spec.degree), so the
+    code of B is (code of A = B[1:, 1:]) << q*n | r, r = row 0; the key of
+    blocks[i] bordered by r is at index i * 2^(q n) + r.  The minors without
     index 0 are A's: one minor_tables call per A, packed into one word of
     q-bit fields.  The minors with index 0 are
     det B[{0} u T] = b_00 det A[T] + sum_{i in T} b_0i^2 det A[T - {i}],
@@ -175,11 +228,10 @@ def sweep_keys(start: int, stop: int, n: int, spec: FieldSpec = GF2) -> np.ndarr
     dtype = np.uint32 if q << (n - 1) <= 32 else np.uint64
     sizes, without = _subset_masks(n, q)
     low = sum(sizes)  # bit 0 of every field
-    blocks = np.arange(start >> (q * n), stop >> (q * n), dtype=np.uint32)
-    word = np.zeros(blocks.size, dtype)
+    word = np.zeros(len(blocks), dtype)
     for t, row in enumerate(minor_tables(decode_entries(blocks, n - 1, spec), spec)):
         word |= row.astype(dtype) << (q * t)
-    u = np.empty((blocks.size, 1 << (q * n)), dtype)
+    u = np.empty((word.size, 1 << (q * n)), dtype)
     u[:, 0] = 0
     width = 1
     for p in range(n):
@@ -205,7 +257,7 @@ def letter_arrays(n: int) -> tuple[np.ndarray, ...]:
     """Letter arrays over all codes of order n (cached; n <= 6)."""
     if n > _MAX_TABLE_ORDER:
         raise ValueError(f"letter arrays are built up to order {_MAX_TABLE_ORDER}")
-    keys = sweep_keys(0, 1 << tri(n), n)
+    keys = sweep_keys(np.arange(1 << tri(n - 1)), n)
     letters = tuple(((keys >> (2 * k)) & 3).astype(np.uint8) for k in range(n))
     for arr in letters:
         arr.setflags(write=False)
@@ -258,43 +310,51 @@ def key_to_word(key: int, n: int) -> str:
 def _merge_chunks(results, n):
     counts: dict[str, int] = {}
     exemplar: dict[str, int] = {}
-    for keys, idx, cnt, offset in results:
-        for key, first, c in zip(keys.tolist(), idx.tolist(), cnt.tolist()):
+    for keys, first, cnt in results:
+        for key, code, c in zip(keys.tolist(), first, cnt.tolist()):
             word = key_to_word(key, n)
             counts[word] = counts.get(word, 0) + c
-            if word not in exemplar:
-                exemplar[word] = first + offset
+            exemplar.setdefault(word, code)
     return counts, exemplar
 
 
 def _catalog(n: int, spec: FieldSpec, jobs: int):
     """Counts and first-attaining codes of every epr word at order n over spec.
 
-    Work is split into contiguous code ranges of whole trailing blocks, each
-    covering _CHUNK_CODES codes (or every code, if fewer), whatever the job
-    count; the ranges run on at most os.cpu_count() threads, and the merge
-    is commutative, so the result is identical for any job count.
+    The word is invariant under B -> P B P^T, and a permutation fixing
+    index 0 permutes the trailing block A = B[1:, 1:] alone, so the sweep
+    borders one A per S_(n-1) orbit (orbit_reps) and weights each word by
+    the orbit's size.  The first code attaining a word has a least trailing
+    block (mapping A to its orbit's least code would lower it), so it is
+    the first hit in (rep, row 0) order.  Work is split into runs of
+    consecutive reps of about _CHUNK_CODES codes, whatever the job count;
+    the runs go to at most os.cpu_count() threads, and the merge keeps the
+    first run's exemplar, so the result is identical for any job count.
     """
-    block = 1 << (spec.degree * n)  # the codes sharing one trailing block
-    total = 1 << (spec.degree * tri(n))
-    chunk = -(-min(_CHUNK_CODES, total) // block) * block
+    shift = spec.degree * n  # row 0's bits
+    rows = 1 << shift
+    reps, sizes = orbit_reps(n - 1, spec)
+    step = max(1, _CHUNK_CODES // rows)
 
-    def process(start: int, stop: int):
-        keys = sweep_keys(start, stop, n, spec)
-        cnt = np.bincount(keys, minlength=1 << (2 * n))
+    def process(lo: int):
+        keys = sweep_keys(reps[lo : lo + step], n, spec)
+        # float weights are exact: counts stay far below 2^53 (2^30 at the gated orders)
+        weights = np.repeat(sizes[lo : lo + step].astype(float), rows)
+        cnt = np.bincount(keys, weights, minlength=1 << (2 * n))
         present = np.flatnonzero(cnt)
-        first = np.array([np.argmax(keys == key) for key in present.tolist()])
-        return present, first, cnt[present], start
+        first = (int(np.argmax(keys == key)) for key in present.tolist())
+        codes = [int(reps[lo + i // rows]) << shift | i % rows for i in first]
+        return present, codes, cnt[present].astype(np.int64)
 
-    ranges = [(a, min(a + chunk, total)) for a in range(0, total, chunk)]
+    starts = range(0, len(reps), step)
     workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1 and len(ranges) > 1:
+    if workers > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: process(*r), ranges))
+            results = list(pool.map(process, starts))
     else:
-        results = [process(*r) for r in ranges]
+        results = [process(lo) for lo in starts]
     return _merge_chunks(results, n)
 
 

@@ -17,8 +17,8 @@ FILE may be ``-`` for standard input, and ``-o -`` writes to standard
 output.  Exit status: 0 success / attainable / zero failures, 1 not
 attainable or check failures, 2 usage or parse errors.  ``--jobs``
 (default from EPRSEQ_JOBS, a positive integer) splits enumeration into
-ranges run on at most os.cpu_count() threads; output is byte-identical
-for every job count.
+ranges of orbit representatives run on at most os.cpu_count() threads;
+output is byte-identical for every job count.
 
 This module imports no other eprseq module at load time: each verb
 imports what it runs when it runs, so ``epr`` never loads the classifier

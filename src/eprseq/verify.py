@@ -1,10 +1,10 @@
 """Exhaustive and randomized verification suites.
 
-``enumerate_epr`` iterates every symmetric matrix of a given small order
-(free upper-triangle entries encoded as one integer) and aggregates the
-attained epr words into a catalog.  ``compare_with_classifier`` checks
-that the catalog and the template classifier agree exactly, in both
-directions.  ``theorem_suite`` runs sixteen independent checks, one per
+``enumerate_epr`` aggregates the epr words of every symmetric matrix of
+a given small order (free upper-triangle entries encoded as one integer)
+into a catalog, sweeping one trailing block per permutation orbit.
+``compare_with_classifier`` checks that the catalog and the template
+classifier agree exactly, in both directions.  ``theorem_suite`` runs sixteen independent checks, one per
 structural fact the rest of the library relies on, exhaustively over
 GF(2) up to its bounds and with seeded random GF(4) cases for the
 field-generic identities.  The suite holds each GF(2) order's minor table
@@ -39,6 +39,10 @@ from .matrix import (
 DEFAULT_SEED = 1729
 _MAX_FAILURES_KEPT = 20
 _SUITE_CHUNK = 1 << 12  # codes per batch of an exhaustive GF(2) check at one order
+# codes per batch of one GF(2) Schur case (order, pivot set): an order-5 case
+# has up to 2^14; all at once raised check-theorems' peak RSS by about 1 MiB,
+# and 2^12 cost a sixth more time than 2^13
+_SCHUR_CHUNK = 1 << 13
 
 
 class BoundExceededError(ValueError):
@@ -108,9 +112,12 @@ def enumerate_epr(
 ) -> EprCatalog:
     """Catalog of every epr word attained at order n over GF(2) or GF(4).
 
-    GF(2) is bounded at n <= 6 and GF(4) at n <= 4; one order more, GF(2)
-    n == 7 (2^28 matrices) or GF(4) n == 5 (2^30), is gated behind
-    ``force=True``.
+    Counts cover all q^(n(n+1)/2) matrices, and each exemplar is the first
+    attaining matrix in code order, but only the matrices whose trailing
+    block B[1:, 1:] is the least of its permutation orbit are swept
+    (_engine._catalog).  GF(2) is bounded at n <= 6 and GF(4) at n <= 4;
+    one order more, GF(2) n == 7 (2^28 matrices, 652K swept) or GF(4)
+    n == 5 (2^30, 50M swept), is gated behind ``force=True``.
     """
     if n < 1:
         raise BoundExceededError("enumeration needs order >= 1")
@@ -347,7 +354,8 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
 def _check_schur(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> list[CheckResult]:
     """Schur complement C = B / B[alpha]: det C[gamma] * det B[alpha] =
     det B[gamma u alpha] and rank C = rank B - k, and C keeps the A/N letters of
-    B shifted by the pivot size k.  Each GF(2) case feeds both checks, then is dropped."""
+    B shifted by the pivot size k.  The GF(2) cases of one order and pivot set run
+    _SCHUR_CHUNK codes at a time; each chunk feeds both checks, then is dropped."""
     from .sequence import _planes
 
     failures: list[str] = []
@@ -357,16 +365,19 @@ def _check_schur(orders: list[_Order], rng: np.random.Generator, gf4_cases: int)
         dets, letters = orders[n].dets, orders[n].letters
         ranks = eng.ranks(letters)
         for alpha, row in _subsets(n)[1:-1]:
-            codes = np.flatnonzero(dets[row])
-            cdets = eng.minor_tables(eng.schur_entries(eng.decode_entries(codes, n), alpha), GF2)
-            small = eng.table_letters(cdets)
-            bad = _schur_bad(dets[:, codes], cdets, alpha, GF2, ranks[codes], eng.ranks(small))
-            cases += cdets.size
-            _keep_codes(failures, n, codes[bad], f" alpha={alpha}")
-            top = letters[len(alpha) :, codes]  # B's letters k+1..n: C keeps their As and Ns
-            bad = ((top != 1) & (np.array(small) != top)).any(axis=0)
-            letter_cases += top.size
-            _keep_codes(letter_failures, n, codes[bad], f" alpha={alpha}")
+            nonsingular = np.flatnonzero(dets[row])
+            for start in range(0, nonsingular.size, _SCHUR_CHUNK):
+                codes = nonsingular[start : start + _SCHUR_CHUNK]
+                cdets = eng.minor_tables(eng.schur_entries(eng.decode_entries(codes, n), alpha), GF2)
+                small = eng.table_letters(cdets)
+                joined = dets[np.ix_(_joined_rows(n, alpha), codes)]
+                bad = _schur_bad(joined, cdets, alpha, GF2, ranks[codes], eng.ranks(small))
+                cases += cdets.size
+                _keep_codes(failures, n, codes[bad], f" alpha={alpha}")
+                top = letters[len(alpha) :, codes]  # B's letters k+1..n: C keeps their As and Ns
+                bad = ((top != 1) & (np.array(small) != top)).any(axis=0)
+                letter_cases += top.size
+                _keep_codes(letter_failures, n, codes[bad], f" alpha={alpha}")
     # GF(4): the quotient genuinely divides by a non-unit determinant.  The
     # pivot draw reads b's nonzero proper minors, so it stays in the draw loop.
     drawn = []
@@ -386,7 +397,8 @@ def _check_schur(orders: list[_Order], rng: np.random.Generator, gf4_cases: int)
         gammas = np.array([gamma for *_, gamma in batch])
         bdets = eng.minor_tables(ent, GF4)
         branks, cranks = (eng.ranks(eng.table_letters(dets)) for dets in (bdets, cdets))
-        return _schur_bad(bdets, cdets, alpha, GF4, branks, cranks, gammas)
+        joined = bdets[_joined_rows(ent.shape[0], alpha)]
+        return _schur_bad(joined, cdets, alpha, GF4, branks, cranks, gammas)
 
     def suffix(case):
         *_, alpha, gamma = case
@@ -399,12 +411,18 @@ def _check_schur(orders: list[_Order], rng: np.random.Generator, gf4_cases: int)
     ]
 
 
-def _schur_bad(bdets, cdets, alpha, spec: FieldSpec, branks, cranks, gammas=None) -> np.ndarray:
+def _joined_rows(n: int, alpha: tuple[int, ...]) -> np.ndarray:
+    """Minor-table row of alpha u gamma for each row gamma of C = B / B[alpha]'s
+    table; the first, gamma = {}, is alpha's."""
+    return _mask(alpha) | _rows_within(tuple(i for i in range(n) if i not in alpha))
+
+
+def _schur_bad(joined, cdets, alpha, spec: FieldSpec, branks, cranks, gammas=None) -> np.ndarray:
     """Where C = B / B[alpha] breaks rank C = rank B - |alpha| or
-    det C[gamma] det B[alpha] = det B[alpha u gamma], read off the tables and ranks of
-    B and C, for every gamma or for the one gamma (a row of C's table) of each column."""
-    comp = tuple(i for i in range(len(bdets).bit_length() - 1) if i not in alpha)
-    wrong = eng.times(cdets, bdets[_mask(alpha)], spec) != bdets[_mask(alpha) | _rows_within(comp)]
+    det C[gamma] det B[alpha] = det B[alpha u gamma], read off B's rows
+    joined = table[_joined_rows(n, alpha)], C's table and both ranks, for every
+    gamma or for the one gamma (a row of C's table) of each column."""
+    wrong = eng.times(cdets, joined[0], spec) != joined
     if gammas is not None:
         wrong = np.take_along_axis(wrong, gammas[None], axis=0)
     return wrong.any(axis=0) | (branks - cranks != len(alpha))
@@ -605,7 +623,7 @@ def theorem_suite(
     word-level checks use catalogs up to ``max_n + 1``; field-generic
     identities additionally run ``gf4_cases`` seeded GF(4) cases each.
     The GF(2) checks hold each order's minor table with its letters, read
-    once per run, and one Schur case or one chunk of codes at a time.
+    once per run, and one chunk of codes at a time.
     Every drawn GF(4) case is held, as its matrix's code and a few small
     parameters, until its check's batches run, so
     ``gf4_cases`` is capped at 10^5: on a 2-vCPU host ``check-theorems``

@@ -162,7 +162,6 @@ def _gated_catalog(capsys, tmp_path, *args):
     return {w: int(c) for w, c in (line.split() for line in texts[0].splitlines())}
 
 
-@pytest.mark.slow
 def test_gated_gf2_order_7_catalog(capsys, tmp_path):
     from eprseq import accepted_epr_sequences
 
@@ -172,7 +171,6 @@ def test_gated_gf2_order_7_catalog(capsys, tmp_path):
     assert sum(counts.values()) == 1 << 28
 
 
-@pytest.mark.slow
 def test_gated_gf4_order_5_catalog(capsys, tmp_path):
     from eprseq import GF4, accepted_pr_sequences, attained_pr_sequences
 

@@ -2,7 +2,7 @@ import ast
 import random
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -94,7 +94,7 @@ def _assert_partition_independent(monkeypatch, cases, chunkings):
 
 def test_enumerate_jobs_independent(monkeypatch):
     """The catalog depends neither on the job count nor on the sweep chunk size:
-    the default, one trailing block, three, or every code at once."""
+    the default, one orbit rep's borders, three reps', or every rep at once."""
     small = [(GF2, n) for n in range(1, 6)] + [(GF4, n) for n in range(1, 4)]
     _assert_partition_independent(
         monkeypatch, small, ("default", "one block", "three blocks", "whole range")
@@ -104,9 +104,94 @@ def test_enumerate_jobs_independent(monkeypatch):
 
 @pytest.mark.slow
 def test_enumerate_jobs_independent_at_small_chunks(monkeypatch):
-    """GF(2) n = 6 and GF(4) n = 4 in chunks of one and of three trailing blocks
-    (2^15 and 2^12 chunks of one block: a minute or more of per-chunk overhead)."""
+    """GF(2) n = 6 and GF(4) n = 4 in chunks of one and of three orbit reps
+    (544 and 816 chunks of one rep)."""
     _assert_partition_independent(monkeypatch, [(GF2, 6), (GF4, 4)], ("one block", "three blocks"))
+
+
+def _every_code_catalog(n, spec):
+    """Counts and first-attaining codes of every word at order n, off the
+    every-code sweep: all trailing blocks, in runs of 2^17 codes."""
+    shift = spec.degree * n
+    blocks = 1 << (spec.degree * eng.tri(n - 1))
+    step = max(1, (1 << 17) >> shift)
+    counts, first = {}, {}
+    for lo in range(0, blocks, step):
+        keys = eng.sweep_keys(np.arange(lo, min(lo + step, blocks)), n, spec)
+        cnt = np.bincount(keys)
+        for key in np.flatnonzero(cnt).tolist():
+            word = eng.key_to_word(key, n)
+            counts[word] = counts.get(word, 0) + int(cnt[key])
+            first.setdefault(word, (lo << shift) + int(np.argmax(keys == key)))
+    return counts, first
+
+
+def test_orbit_catalog_matches_every_code_sweep():
+    """Orbit-weighted counts and exemplars equal the every-code sweep's histogram
+    and first indices, at jobs 1 and 2."""
+    cases = [(GF2, n) for n in range(1, 7)] + [(GF4, n) for n in range(1, 5)]
+    for spec, n in cases + [(GF8, n) for n in range(1, 4)]:
+        want = _every_code_catalog(n, spec)
+        for jobs in (1, 2):
+            assert eng._catalog(n, spec, jobs) == want, (spec.name, n, jobs)
+
+
+@pytest.mark.slow
+def test_gated_orbit_catalogs_match_every_code_sweep():
+    """GF(2) n = 7 and GF(4) n = 5 against 2^28 and 2^30 swept codes (about a minute)."""
+    for spec, n in ((GF2, 7), (GF4, 5)):
+        assert eng._catalog(n, spec, 2) == _every_code_catalog(n, spec), (spec.name, n)
+
+
+def _burnside_orbits(k, q):
+    """Number of S_k orbits of symmetric order-k matrices with q entry values:
+    the mean over permutations of q^(cycles on the entry positions {i, j})."""
+    from itertools import permutations
+    from math import factorial
+
+    total = 0
+    for perm in permutations(range(k)):
+        seen, cycles = set(), 0
+        for pos in combinations_with_replacement(range(k), 2):
+            if pos in seen:
+                continue
+            cycles += 1
+            while pos not in seen:
+                seen.add(pos)
+                pos = tuple(sorted((perm[pos[0]], perm[pos[1]])))
+        total += q**cycles
+    return total // factorial(k)
+
+
+def test_orbit_reps_counts():
+    # OEIS A000666, graphs with loops on k nodes
+    assert [len(eng.orbit_reps(k)[0]) for k in range(7)] == [1, 2, 6, 20, 90, 544, 5096]
+    for spec, top in ((GF2, 6), (GF4, 4), (GF8, 3)):
+        for k in range(top + 1):
+            reps, sizes = eng.orbit_reps(k, spec)
+            assert sizes.sum() == spec.order ** eng.tri(k)
+            assert (np.diff(reps.astype(np.int64)) > 0).all()
+            assert len(reps) == _burnside_orbits(k, spec.order), (spec.name, k)
+
+
+def test_orbit_reps_are_least_codes():
+    """Brute force: each code's least image over all permutations, and how many
+    codes share it, give the reps and orbit sizes."""
+    from itertools import permutations
+
+    for spec, k in ((GF2, 4), (GF4, 3), (GF8, 2)):
+        sizes = {}
+        for code in range(spec.order ** eng.tri(k)):
+            rows = eng.code_rows(code, k, spec)
+            least = min(
+                eng.triangle_code([rows[p[i]][p[j]] for i, j in combinations_with_replacement(range(k), 2)], spec)
+                for p in permutations(range(k))
+            )
+            sizes[least] = sizes.get(least, 0) + 1
+        reps, orbit = eng.orbit_reps(k, spec)
+        assert dict(zip(reps.tolist(), orbit.tolist())) == sizes, (spec.name, k)
+    with pytest.raises(ValueError):
+        eng.orbit_reps(8)  # 36 code bits
 
 
 def test_enumerate_bounds():
@@ -178,11 +263,11 @@ def test_engine_letters_match_library():
 
 def _sweep_words(codes, n, spec=GF2):
     """epr words of single codes, each read off the sweep of its trailing block."""
-    block = 1 << (spec.degree * n)
+    shift = spec.degree * n
     words = []
     for code in codes:
-        start = code - code % block
-        words.append(eng.key_to_word(int(eng.sweep_keys(start, start + block, n, spec)[code - start]), n))
+        keys = eng.sweep_keys(np.array([code >> shift]), n, spec)
+        words.append(eng.key_to_word(int(keys[code & ((1 << shift) - 1)]), n))
     return words
 
 
@@ -212,7 +297,7 @@ def test_sweep_matches_per_code_tables_exhaustive():
     for spec, top in ((GF2, 5), (GF4, 3), (GF8, 3), (field_make(3, 0b1101), 3)):
         for n in range(1, top + 1):
             codes = np.arange(1 << (spec.degree * n * (n + 1) // 2), dtype=np.uint32)
-            keys = eng.sweep_keys(0, codes.size, n, spec)
+            keys = eng.sweep_keys(np.arange(1 << (spec.degree * (n - 1) * n // 2)), n, spec)
             assert (keys == _table_keys(codes, n, spec)).all()
 
 
@@ -221,8 +306,9 @@ def test_sweep_whole_blocks_match_laplace():
     for spec, n, blocks in ((GF2, 7, 2), (GF4, 1, 1), (GF4, 2, 1), (GF4, 3, 1), (GF4, 4, 1), (GF4, 5, 1)):
         q = spec.degree
         for _ in range(blocks):
-            start = rng.randrange(1 << (q * (n - 1) * n // 2)) << (q * n)
-            keys = eng.sweep_keys(start, start + (1 << (q * n)), n, spec).tolist()
+            block = rng.randrange(1 << (q * (n - 1) * n // 2))
+            start = block << (q * n)
+            keys = eng.sweep_keys(np.array([block]), n, spec).tolist()
             for r, key in enumerate(keys):
                 assert eng.key_to_word(key, n) == naive_epr(eng.code_matrix(start + r, n, spec))
 
@@ -412,7 +498,7 @@ def _traced_peak(fn, *args, **kwargs) -> int:
 
 
 def test_theorem_suite_peak_memory():
-    """The default suite checks one Schur case and one chunk of codes at a time;
+    """The default suite checks one chunk of codes of one Schur case at a time;
     holding every Schur case of order <= 5 at once takes 5.2 MiB by itself."""
     verify._catalog_raw.cache_clear()  # the suite's word catalogs count too
     assert _traced_peak(theorem_suite) <= 6 * 2**20
@@ -475,7 +561,8 @@ def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
     for c, wrong in ((np.eye(2, dtype=np.uint8), False), (np.diag([1, 0]).astype(np.uint8), True)):
         cdets = eng.minor_tables(c[:, :, None], GF4)
         branks, cranks = (eng.ranks(eng.table_letters(dets)) for dets in (b, cdets))
-        assert verify._schur_bad(b, cdets, (0,), GF4, branks, cranks, gammas).tolist() == [wrong]
+        joined = b[verify._joined_rows(3, (0,))]
+        assert verify._schur_bad(joined, cdets, (0,), GF4, branks, cranks, gammas).tolist() == [wrong]
 
 
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
@@ -651,5 +738,5 @@ def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     with pytest.raises(Stop):
-        eng.catalog_gf2(6, jobs=4096)
+        eng.catalog_gf4(4, jobs=4096)  # 816 reps of 256 borders: two chunks
     assert seen == [2]
