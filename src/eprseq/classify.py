@@ -22,42 +22,42 @@ from collections import namedtuple
 
 from .sequence import PrSequence, parse_epr, parse_pr
 
-# Each epr form: family id, anchored pattern, extra side condition.
-# A pattern is a run of literals, X* and (XY)* units, where * means zero
-# or more repetitions; epr_instances and pr_instances expand the same units.
-_EPR_FORM_SPECS: tuple[tuple[str, str, str | None], ...] = (
-    ("N1", r"NA(NA)*", None),
-    ("N2", r"NA(NA)*N", None),
-    ("N3", r"(NS)*NN*", None),
-    ("N4", r"NS(NS)*NA", None),
-    ("N5", r"NS(NS)*NAN", None),
-    ("A1", r"AA*", None),
-    ("A2", r"AS*NN*", None),
-    ("A3", r"ASSS*A", None),
-    ("A4", r"ASSS*AA", None),
-    ("A5", r"ASSSS*AN", "even"),
-    ("A6", r"ASA(SA)*", None),
-    ("A7", r"ASA(SA)*A", None),
-    ("A8", r"ASA(SA)*N", None),
-    ("S1", r"SS*NN*", None),
-    ("S2", r"SS*A", None),
-    ("S3", r"SS*AA", None),
-    ("S4", r"SSS*AN", None),
-    ("S5", r"SASA(SA)*", None),
-    ("S6", r"SASA(SA)*A", None),
-    ("S7", r"SA(SA)*N", None),
-)
+# Each template: family id -> anchored pattern.  A pattern is a run of
+# literals, X* and (XY)* units, where * means zero or more repetitions;
+# epr_instances and pr_instances expand the same units.  A5's (SS)* states
+# its even order: an odd count of S, at least three.
+_EPR_FORM_SPECS: dict[str, str] = {
+    "N1": r"NA(NA)*",
+    "N2": r"NA(NA)*N",
+    "N3": r"(NS)*NN*",
+    "N4": r"NS(NS)*NA",
+    "N5": r"NS(NS)*NAN",
+    "A1": r"AA*",
+    "A2": r"AS*NN*",
+    "A3": r"ASSS*A",
+    "A4": r"ASSS*AA",
+    "A5": r"ASSS(SS)*AN",
+    "A6": r"ASA(SA)*",
+    "A7": r"ASA(SA)*A",
+    "A8": r"ASA(SA)*N",
+    "S1": r"SS*NN*",
+    "S2": r"SS*A",
+    "S3": r"SS*AA",
+    "S4": r"SSS*AN",
+    "S5": r"SASA(SA)*",
+    "S6": r"SASA(SA)*A",
+    "S7": r"SA(SA)*N",
+}
+EPR_FAMILIES = tuple(_EPR_FORM_SPECS)
+_EPR_FORMS = tuple((fam, re.compile(pat)) for fam, pat in _EPR_FORM_SPECS.items())
 
-EPR_FAMILIES = tuple(fam for fam, _, _ in _EPR_FORM_SPECS)
-_EPR_FORMS = tuple((fam, re.compile(pat), cond) for fam, pat, cond in _EPR_FORM_SPECS)
-
-_PR_FORM_SPECS: tuple[tuple[str, str], ...] = (
-    ("P1", r"0\]11*0*"),
-    ("P2", r"1\](01)*0*"),
-    ("P3", r"1\]11*0*"),
-)
-PR_FAMILIES = tuple(fam for fam, _ in _PR_FORM_SPECS)
-_PR_FORMS = tuple((fam, re.compile(pat)) for fam, pat in _PR_FORM_SPECS)
+_PR_FORM_SPECS: dict[str, str] = {
+    "P1": r"0\]11*0*",
+    "P2": r"1\](01)*0*",
+    "P3": r"1\]11*0*",
+}
+PR_FAMILIES = tuple(_PR_FORM_SPECS)
+_PR_FORMS = tuple((fam, re.compile(pat)) for fam, pat in _PR_FORM_SPECS.items())
 
 # Order 1 is decided by the definitions, not the patterns (P3 would admit 1]1).
 _PR_ORDER1 = {"0]1": "P1", "1]0": "P2"}
@@ -110,11 +110,7 @@ def classify_epr_z2(epr: str) -> Verdict:
     prohibition rules for diagnosis.
     """
     word = parse_epr(epr)
-    matched = tuple(
-        fam
-        for fam, rx, cond in _EPR_FORMS
-        if rx.fullmatch(word) and (cond != "even" or len(word) % 2 == 0)
-    )
+    matched = tuple(fam for fam, rx in _EPR_FORMS if rx.fullmatch(word))
     if matched:
         return Verdict(True, matched)
     return Verdict(False, (), tuple(rule_violations(word)))
@@ -314,45 +310,37 @@ def _fill(units: list[tuple[str, bool]], length: int) -> list[str]:
     return [text * c + tail for c in counts for tail in _fill(rest, length - c * len(text))]
 
 
-def _instances(pattern: str, length: int) -> list[str]:
-    """Sorted words of this length that fully match the template."""
-    units = [(group or char, bool(group or star)) for group, char, star in _UNIT.findall(pattern)]
+def _instances(specs: dict[str, str], family: str, length: int) -> list[str]:
+    """Sorted words of this length that fully match one family's template."""
+    if family not in specs:
+        raise ValueError(f"unknown family {family!r}")
+    units = [(group or char, bool(group or star)) for group, char, star in _UNIT.findall(specs[family])]
     return sorted(set(_fill(units, length)))
 
 
 def epr_instances(family: str, n: int) -> list[str]:
     """All order-n instances of one epr template family, sorted."""
-    for fam, pattern, cond in _EPR_FORM_SPECS:
-        if fam == family:
-            return _instances(pattern, n) if cond != "even" or n % 2 == 0 else []
-    raise ValueError(f"unknown family {family!r}")
-
-
-def accepted_epr_sequences(n: int) -> list[str]:
-    """Sorted list of all order-n epr words accepted by classify_epr_z2."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    out: set[str] = set()
-    for family in EPR_FAMILIES:
-        out.update(epr_instances(family, n))
-    return sorted(out)
+    return _instances(_EPR_FORM_SPECS, family, n)
 
 
 def pr_instances(family: str, n: int) -> list[str]:
     """All order-n instances of one pr template family, as sorted text."""
-    for fam, pattern in _PR_FORM_SPECS:
-        if fam == family:
-            if n == 1:
-                return [word for word, f in _PR_ORDER1.items() if f == family]
-            return _instances(pattern, n + 2)  # n bits after the two characters "r0]"
-    raise ValueError(f"unknown family {family!r}")
+    if n == 1 and family in _PR_FORM_SPECS:
+        return [word for word, f in _PR_ORDER1.items() if f == family]
+    return _instances(_PR_FORM_SPECS, family, n + 2)  # n bits after the two characters "r0]"
+
+
+def _accepted(instances, families: tuple[str, ...], n: int) -> list[str]:
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return sorted({word for family in families for word in instances(family, n)})
+
+
+def accepted_epr_sequences(n: int) -> list[str]:
+    """Sorted list of all order-n epr words accepted by classify_epr_z2."""
+    return _accepted(epr_instances, EPR_FAMILIES, n)
 
 
 def accepted_pr_sequences(n: int) -> list[str]:
     """Sorted list of all order-n pr words accepted by classify_pr_char2."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    out: set[str] = set()
-    for family in PR_FAMILIES:
-        out.update(pr_instances(family, n))
-    return sorted(out)
+    return _accepted(pr_instances, PR_FAMILIES, n)

@@ -18,8 +18,7 @@ from functools import lru_cache
 
 MAX_DEGREE = 8
 
-_GF2_SYMBOLS = ("0", "1")
-_GF4_SYMBOLS = ("0", "1", "z", "w")
+_SYMBOLS = ("0", "1", "z", "w")  # gf4's; gf2 takes the first two
 
 
 class FieldError(ValueError):
@@ -112,22 +111,16 @@ class FieldSpec(namedtuple("FieldSpec", "degree modulus")):
     def to_symbol(self, a: int) -> str:
         """Canonical text symbol; defined for gf2 and gf4 only."""
         self.validate(a)
-        if self.degree == 1:
-            return _GF2_SYMBOLS[a]
-        if self.degree == 2:
-            return _GF4_SYMBOLS[a]
-        raise FieldError(f"{self.name} has no text symbols")
+        if self.degree > 2:
+            raise FieldError(f"{self.name} has no text symbols")
+        return _SYMBOLS[a]
 
     def from_symbol(self, text: str) -> int:
         """Parse a canonical symbol (case sensitive, bit exact)."""
-        if self.degree == 1:
-            symbols = _GF2_SYMBOLS
-        elif self.degree == 2:
-            symbols = _GF4_SYMBOLS
-        else:
+        if self.degree > 2:
             raise FieldError(f"{self.name} has no text symbols")
         try:
-            return symbols.index(text)
+            return _SYMBOLS.index(text, 0, self.order)
         except ValueError:
             raise FieldError(f"{text!r} is not an element symbol of {self.name}") from None
 

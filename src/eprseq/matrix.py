@@ -6,8 +6,9 @@ elements, and every operation that eliminates (determinant, rank,
 minor, inverse, Schur complement) runs the one routine ``_eliminate``
 over every field; there is no separate GF(2) path.  It is the
 independent check on the char-2 bordering kernel of
-:mod:`eprseq.sequence`.  The bit-packed ``_gf2_det`` is unused and kept
-for the benchmark only: ``bench/tracer.py`` wraps it by name.
+:mod:`eprseq.sequence`.  There is no bit-packed kernel: ``_gf2_det`` is
+only another name for ``_generic_det``, kept because ``bench/tracer.py``
+wraps both names.
 
 Each named construction, and each operation that rearranges entries into
 a new matrix, is one entry rule that ``_build`` fills a matrix from.
@@ -64,26 +65,6 @@ def complement_labels(n: int, alpha: Iterable[int]) -> tuple[int, ...]:
 # low-level determinant / elimination kernels
 # ---------------------------------------------------------------------------
 
-def _gf2_det(rows: list[int], k: int) -> int:
-    """Determinant over GF(2) of k bit-packed rows (destructive)."""
-    for c in range(k):
-        bit = 1 << c
-        p = -1
-        for r in range(c, k):
-            if rows[r] & bit:
-                p = r
-                break
-        if p < 0:
-            return 0
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-        prow = rows[c]
-        for r in range(c + 1, k):
-            if rows[r] & bit:
-                rows[r] ^= prow
-    return 1
-
-
 def _eliminate(grid: list[list[int]], spec: FieldSpec, pivots: Iterable[int]) -> tuple[int, int]:
     """Eliminate a square entry grid on the pivot columns (destructive).
 
@@ -129,6 +110,9 @@ def _generic_det(grid: list[list[int]], spec: FieldSpec) -> int:
     ``bench/tracer.py`` counts ``matrix.det.calls`` by this name.
     """
     return _eliminate(grid, spec, range(len(grid)))[1]
+
+
+_gf2_det = _generic_det  # the second name bench/tracer.py wraps; nothing here calls it
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ and bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations, product
 
@@ -28,7 +28,6 @@ import numpy as np
 from . import _engine as eng
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import (
-    SymMatrix,
     _eliminate,
     complete_graph,
     loop_complete_graph,
@@ -49,14 +48,10 @@ class BoundExceededError(ValueError):
     """Enumeration request beyond the gated bounds."""
 
 
-@dataclass
-class EprCatalog:
+class EprCatalog(namedtuple("EprCatalog", "order field counts exemplar")):
     """Attained epr words of one order with counts and first witnesses."""
 
-    order: int
-    field: str
-    counts: dict[str, int]
-    exemplar: dict[str, SymMatrix]
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -66,21 +61,16 @@ class EprCatalog:
         return "".join(f"{w} {self.counts[w]}\n" for w in sorted(self.counts))
 
 
-@dataclass
-class CheckResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
+class CheckResult(namedtuple("CheckResult", "name cases failures", defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class SuiteReport:
-    checks: list[CheckResult]
-    seed: int | None = None
+class SuiteReport(namedtuple("SuiteReport", "checks seed", defaults=(None,))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -181,13 +171,9 @@ def _gf2_chunks(n: int):
         yield cols, eng.decode_entries(np.arange(cols.start, cols.stop), n)
 
 
-@dataclass
-class _Order:
-    """Every symmetric GF(2) matrix of one order n, column c the one of code c:
-    its (2^n, codes) principal-minor table and its (n, codes) letters 1..n."""
-
-    dets: np.ndarray
-    letters: np.ndarray
+# Every symmetric GF(2) matrix of one order n, column c the one of code c:
+# its (2^n, codes) principal-minor table and its (n, codes) letters 1..n.
+_Order = namedtuple("_Order", "dets letters")
 
 
 def _gf2_orders(max_n: int) -> list[_Order]:

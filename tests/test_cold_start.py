@@ -1,7 +1,7 @@
 """Each verb loads only what it runs: the single-matrix verbs never import numpy,
 `epr`, `pr` and `minors` never the classifier, `classify` and `classify-pr` never
-the matrix module, no single-matrix verb dataclasses, and `enumerate` neither the
-classifier nor the sequence module."""
+the matrix module, no verb dataclasses, and `enumerate` neither the classifier nor
+the sequence module."""
 
 import os
 import subprocess
@@ -67,6 +67,18 @@ assert not loaded, loaded
 """
 
 
+SWEEP_SCRIPT = """
+import contextlib, io, sys
+import eprseq.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["enumerate", "-n", "3"]) == 0
+    assert cli.main(["verify", "-n", "3"]) == 0
+    assert cli.main(["check-theorems", "--max-n", "3", "--gf4-cases", "20"]) == 0
+assert "dataclasses" not in sys.modules
+"""
+
+
 def run_script(script: str) -> None:
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -90,3 +102,7 @@ def test_classify_verbs_never_import_matrix():
 
 def test_enumerate_never_imports_classifier_or_sequence():
     run_script(ENUMERATE_SCRIPT)
+
+
+def test_sweep_verbs_never_import_dataclasses():
+    run_script(SWEEP_SCRIPT)

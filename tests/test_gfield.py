@@ -101,6 +101,20 @@ def test_symbols():
         field_make(3).to_symbol(5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: f.to_symbol(1), "gf8 has no text symbols"),
+        (lambda f: f.to_symbol(9), "9 is not an element of gf8"),  # the element is checked first
+        (lambda f: f.from_symbol("0"), "gf8 has no text symbols"),  # not "not an element symbol"
+    ],
+)
+def test_gf8_symbol_messages(call, message):
+    with pytest.raises(FieldError) as info:
+        call(field_make(3))
+    assert str(info.value) == message
+
+
 def test_element_validation():
     with pytest.raises(FieldError):
         GF2.validate(2)

@@ -1,8 +1,8 @@
 """The immutable value classes: repr, equality, hash, immutability, JSON round trip.
 
 The expected reprs and messages are literal, so a change of representation
-(these classes have been frozen dataclasses and namedtuples) cannot change
-what callers see.
+(these classes have been dataclasses and namedtuples) cannot change what
+callers see.
 """
 
 import json
@@ -18,14 +18,25 @@ from eprseq import (
     Verdict,
     classify_epr_z2,
     classify_pr_char2,
+    compare_with_classifier,
+    enumerate_epr,
     field_make,
     parse_pr,
+    theorem_suite,
     witness_epr_z2,
 )
 
 NSA_REPR = (
     "Verdict(attainable=False, matched=(), violations=(RuleHit(rule='NSA-prohibition', "
     "positions=(1, 2, 3)), RuleHit(rule='NA-NS-parity', positions=(1, 3))), note='')"
+)
+COMPARE_REPR = (
+    "SuiteReport(checks=[CheckResult(name='attained-but-rejected', cases=6, failures=[]), "
+    "CheckResult(name='accepted-but-unattained', cases=6, failures=[])], seed=None)"
+)
+CATALOG_REPR = (
+    "EprCatalog(order=1, field='gf2', counts={'N': 1, 'A': 1}, "
+    "exemplar={'N': SymMatrix(gf2, [[0]]), 'A': SymMatrix(gf2, [[1]])})"
 )
 ORDER1_REPR = (
     "Verdict(attainable=True, matched=('P2',), violations=(), note='order-1 verdict extends "
@@ -42,6 +53,10 @@ def test_reprs():
     assert repr(witness_epr_z2("AAA")[1]) == "Recipe(form='A1', steps=('identity(3)',))"
     assert repr(GF2) == "FieldSpec(degree=1, modulus=0b10)"
     assert repr(field_make(8)) == "FieldSpec(degree=8, modulus=0b100011011)"
+    assert repr(compare_with_classifier(2)) == COMPARE_REPR
+    assert repr(enumerate_epr(1)) == CATALOG_REPR
+    check = theorem_suite(max_n=2, gf4_cases=0).checks[0]
+    assert repr(check) == "CheckResult(name='nn-forces-n-tail', cases=20, failures=[])"
 
 
 def test_str_and_render():
@@ -75,6 +90,9 @@ def test_assignment_raises_attribute_error():
         (PrSequence(0, "1"), "bits"),
         (Recipe("A1", ()), "form"),
         (GF4, "degree"),
+        (enumerate_epr(1), "counts"),
+        (compare_with_classifier(2), "seed"),
+        (compare_with_classifier(2).checks[0], "failures"),
     ]
     for obj, field in objects:
         with pytest.raises(AttributeError):
