@@ -425,9 +425,9 @@ def deleted_minors(ent: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
     """(n, n, B) minors: entry (i, j) is det of ent without row i and column j."""
     n = ent.shape[0]
     keep = [[r for r in range(n) if r != i] for i in range(n)]
-    return np.array(
-        [[inverse(ent[np.ix_(keep[i], keep[j])], spec)[0] for j in range(n)] for i in range(n)]
-    )
+    # one elimination for all n^2 submatrices: call overhead dominates small batches
+    subs = np.concatenate([ent[np.ix_(keep[i], keep[j])] for i in range(n) for j in range(n)], axis=2)
+    return inverse(subs, spec)[0].reshape(n, n, ent.shape[2])
 
 
 def schur_entries(ent: np.ndarray, alpha: tuple[int, ...], spec: FieldSpec = GF2) -> np.ndarray:

@@ -7,11 +7,13 @@ into a catalog, sweeping one trailing block per permutation orbit.
 classifier agree exactly, in both directions.  ``theorem_suite`` runs sixteen independent checks, one per
 structural fact the rest of the library relies on, exhaustively over
 GF(2) up to its bounds and with seeded random GF(4) cases for the
-field-generic identities.  The suite holds each GF(2) order's minor table
-with its letters, read off it once per run.  Every check reads letters,
-minors and ranks off the minor table of the batch it checks; each
-field-generic identity is one predicate that the exhaustive GF(2) loop
-and the GF(4) cases (drawn one at a time, then batched by order) both call.
+field-generic identities.  The GF(2) cases run in one pass that holds
+no order whole: each run of consecutive codes of one order is built once,
+with its minor table and letters, handed to the GF(2) half of every
+exhaustive check, and dropped.  Every check reads letters, minors and ranks
+off the minor table of the batch it checks; each field-generic identity is
+one predicate that its GF(2) half and its GF(4) half (cases drawn one at a
+time, then batched by order) both call.
 
 All randomness is seeded; reports are reproducible given the same seed
 and bounds.
@@ -20,7 +22,7 @@ and bounds.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -37,11 +39,9 @@ from .matrix import (
 
 DEFAULT_SEED = 1729
 _MAX_FAILURES_KEPT = 20
-_SUITE_CHUNK = 1 << 12  # codes per batch of an exhaustive GF(2) check at one order
-# codes per batch of one GF(2) Schur case (order, pivot set): an order-5 case
-# has up to 2^14; all at once raised check-theorems' peak RSS by about 1 MiB,
-# and 2^12 cost a sixth more time than 2^13
-_SCHUR_CHUNK = 1 << 13
+# codes per batch of the exhaustive GF(2) pass at one order: 2^14 raised
+# check-theorems' peak RSS by about 2 MiB, and its traced peak from 3.2 to 5.0 MiB
+_SUITE_CHUNK = 1 << 13
 
 
 class BoundExceededError(ValueError):
@@ -162,32 +162,30 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
 # theorem suite helpers
 # ---------------------------------------------------------------------------
 
-def _gf2_chunks(n: int):
-    """(slice of codes, entries (n, n, codes)) of each run of _SUITE_CHUNK consecutive
-    codes of the symmetric GF(2) matrices of order n, in code order."""
-    total = 1 << eng.tri(n)
-    for start in range(0, total, _SUITE_CHUNK):
-        cols = slice(start, min(start + _SUITE_CHUNK, total))
-        yield cols, eng.decode_entries(np.arange(cols.start, cols.stop), n)
+# A run of consecutive codes of the symmetric GF(2) matrices of one order n:
+# the codes, their entries (n, n, B), (2^n, B) minor table and (n, B) letters.
+_Batch = namedtuple("_Batch", "n codes ent dets letters")
 
 
-# Every symmetric GF(2) matrix of one order n, column c the one of code c:
-# its (2^n, codes) principal-minor table and its (n, codes) letters 1..n.
-_Order = namedtuple("_Order", "dets letters")
-
-
-def _gf2_orders(max_n: int) -> list[_Order]:
-    """Entry n is the record of order n, n = 0..max_n, filled chunk by chunk."""
-    orders = []
-    for n in range(max_n + 1):
+def _gf2_pass(max_n: int, halves) -> dict[str, list]:
+    """[cases, first failures] of each check name the GF(2) halves yield over every
+    symmetric GF(2) matrix of order 1..max_n.  Each run of _SUITE_CHUNK consecutive
+    codes of one order is built once as a _Batch, handed to every half, then
+    dropped; a half yields (name, cases, failing codes, failure suffix) per batch."""
+    found: dict[str, list] = {}
+    for n in range(1, max_n + 1):
         total = 1 << eng.tri(n)
-        rec = _Order(np.empty((1 << n, total), np.uint8), np.empty((n, total), np.uint8))
-        for cols, ent in _gf2_chunks(n):
-            rec.dets[:, cols] = eng.minor_tables(ent, GF2)
-            for k, row in enumerate(eng.table_letters(rec.dets[:, cols])):
-                rec.letters[k, cols] = row
-        orders.append(rec)
-    return orders
+        for start in range(0, total, _SUITE_CHUNK):
+            codes = np.arange(start, min(start + _SUITE_CHUNK, total))
+            ent = eng.decode_entries(codes, n)
+            dets = eng.minor_tables(ent, GF2)
+            batch = _Batch(n, codes, ent, dets, np.array(eng.table_letters(dets)))
+            for half in halves:
+                for name, cases, bad, suffix in half(batch):
+                    tally = found.setdefault(name, [0, []])
+                    tally[0] += cases
+                    _keep_codes(tally[1], n, bad, suffix)
+    return found
 
 
 def _mask(idx) -> int:
@@ -255,11 +253,9 @@ def _letters(ent: np.ndarray, spec: FieldSpec) -> list[np.ndarray]:
     return eng.table_letters(eng.minor_tables(ent, spec))
 
 
-def _run_gf4(
-    drawn: list[tuple], failures: list[str], kinds, test, suffix=lambda case: "", group=lambda case: case[0]
-) -> None:
+def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", group=lambda case: case[0]) -> list[str]:
     """Run drawn GF(4) cases (n, code, ...), code encoding a matrix of order n, in
-    batches sharing group(case), by default the order.
+    batches sharing group(case), by default the order, and return the first failures.
 
     test(cases, (n, n, B) entries) flags each case's failures, one column per
     kind; each is kept in draw order as "gf4 <kind> <matrix><suffix>".
@@ -272,9 +268,11 @@ def _run_gf4(
         batch = [drawn[c] for c in idx]
         ent = eng.decode_entries(np.array([case[1] for case in batch]), batch[0][0], GF4)
         bad[idx] = np.reshape(test(batch, ent), (len(idx), -1))
+    failures: list[str] = []
     for c, kind in np.argwhere(bad).tolist():
         n, code = drawn[c][:2]
         _keep(failures, f"gf4 {kinds[kind]} {eng.code_matrix(code, n, GF4)!r}{suffix(drawn[c])}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -287,43 +285,34 @@ def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("nn-forces-n-tail", outcomes)
 
 
-def _check_inverse(orders: list[_Order]) -> CheckResult:
+def _inverse_gf2(b: _Batch):
     """epr of the inverse is the reversed word with terminal A."""
-    failures: list[str] = []
-    cases = 0
-    for n in range(1, len(orders)):
-        nz = np.flatnonzero(eng.det_table(n))
-        before = orders[n].letters[:, nz]
-        after = _letters(eng.inverse(eng.decode_entries(nz, n))[1], GF2)
-        bad = after[n - 1] != 2
-        for j in range(1, n):
-            bad |= after[j - 1] != before[n - j - 1]
-        cases += int(nz.size)
-        _keep_codes(failures, n, nz[bad])
-    return CheckResult("inverse-reversal", cases, failures)
+    nz = np.flatnonzero(eng.det_table(b.n)[b.codes])
+    if not nz.size:  # minor_tables takes no empty batch
+        return
+    after = _letters(eng.inverse(b.ent[:, :, nz])[1], GF2)
+    bad = after[b.n - 1] != 2
+    for j in range(1, b.n):
+        bad |= after[j - 1] != b.letters[b.n - j - 1, nz]
+    yield "inverse-reversal", nz.size, b.codes[nz[bad]], ""
 
 
-def _check_inheritance(orders: list[_Order]) -> CheckResult:
+def _inheritance_gf2(b: _Batch):
     """Letter inheritance between a matrix and its principal submatrices."""
-    failures: list[str] = []
-    cases = 0
-    for n in range(2, len(orders)):
-        dets, big = orders[n].dets, orders[n].letters
-        for m in range(1, n):
-            # seen[i, l]: some B[alpha] has letter i + 1 = l, read off B's rows within alpha
-            seen = np.zeros((m, 3, dets.shape[1]), bool)
-            for alpha in combinations(range(n), m):
-                small = eng.table_letters(dets[_rows_within(alpha)])
-                for i in range(m):
-                    seen[i] |= small[i] == np.arange(3)[:, None]
-            bad = np.zeros(dets.shape[1], bool)
-            for i, (some_n, some_s, some_a) in enumerate(seen):
-                bad |= (big[i] == 0) & (some_s | some_a)
-                bad |= (big[i] == 2) & (some_n | some_s)
-                bad |= (big[i] == 1) & ~(some_s if i < m - 1 else some_n & some_a)
-            cases += dets.shape[1]
-            _keep_codes(failures, n, np.flatnonzero(bad), f" m={m}")
-    return CheckResult("inheritance", cases, failures)
+    for m in range(1, b.n):
+        # seen[i, l]: some B[alpha] has letter i + 1 = l, read off B's rows within alpha
+        seen = np.zeros((m, 3, b.codes.size), bool)
+        for alpha in combinations(range(b.n), m):
+            small = eng.table_letters(b.dets[_rows_within(alpha)])
+            for i in range(m):
+                seen[i] |= small[i] == np.arange(3)[:, None]
+        bad = np.zeros(b.codes.size, bool)
+        for i, (some_n, some_s, some_a) in enumerate(seen):
+            big = b.letters[i]
+            bad |= (big == 0) & (some_s | some_a)
+            bad |= (big == 2) & (some_n | some_s)
+            bad |= (big == 1) & ~(some_s if i < m - 1 else some_n & some_a)
+        yield "inheritance", b.codes.size, b.codes[bad], f" m={m}"
 
 
 def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
@@ -337,35 +326,32 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
     )
 
 
-def _check_schur(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> list[CheckResult]:
+def _schur_gf2(b: _Batch):
     """Schur complement C = B / B[alpha]: det C[gamma] * det B[alpha] =
     det B[gamma u alpha] and rank C = rank B - k, and C keeps the A/N letters of
-    B shifted by the pivot size k.  The GF(2) cases of one order and pivot set run
-    _SCHUR_CHUNK codes at a time; each chunk feeds both checks, then is dropped."""
+    B shifted by the pivot size k.  Each (batch, pivot set) case feeds both checks."""
+    ranks = eng.ranks(b.letters)
+    for alpha, row in _subsets(b.n)[1:-1]:
+        sel = np.flatnonzero(b.dets[row])
+        if not sel.size:  # minor_tables takes no empty batch
+            continue
+        cdets = eng.minor_tables(eng.schur_entries(b.ent[:, :, sel], alpha), GF2)
+        small = eng.table_letters(cdets)
+        # .take(sel, axis=1) gathers columns 3-4x faster than indexing [rows, sel]
+        joined = b.dets[_joined_rows(b.n, alpha)].take(sel, axis=1)
+        bad = _schur_bad(joined, cdets, alpha, GF2, ranks[sel], eng.ranks(small))
+        yield "schur-complement-identity", cdets.size, b.codes[sel[bad]], f" alpha={alpha}"
+        top = b.letters[len(alpha) :].take(sel, axis=1)  # B's letters k+1..n: C keeps their As and Ns
+        bad = ((top != 1) & (np.array(small) != top)).any(axis=0)
+        yield "schur-complement-letters", top.size, b.codes[sel[bad]], f" alpha={alpha}"
+
+
+def _schur_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
+    """The Schur identity over GF(4), where the quotient genuinely divides by a
+    non-unit determinant.  The pivot draw reads b's nonzero proper minors, so it
+    stays in the draw loop."""
     from .sequence import _planes
 
-    failures: list[str] = []
-    letter_failures: list[str] = []
-    cases = letter_cases = 0
-    for n in range(2, len(orders)):
-        dets, letters = orders[n].dets, orders[n].letters
-        ranks = eng.ranks(letters)
-        for alpha, row in _subsets(n)[1:-1]:
-            nonsingular = np.flatnonzero(dets[row])
-            for start in range(0, nonsingular.size, _SCHUR_CHUNK):
-                codes = nonsingular[start : start + _SCHUR_CHUNK]
-                cdets = eng.minor_tables(eng.schur_entries(eng.decode_entries(codes, n), alpha), GF2)
-                small = eng.table_letters(cdets)
-                joined = dets[np.ix_(_joined_rows(n, alpha), codes)]
-                bad = _schur_bad(joined, cdets, alpha, GF2, ranks[codes], eng.ranks(small))
-                cases += cdets.size
-                _keep_codes(failures, n, codes[bad], f" alpha={alpha}")
-                top = letters[len(alpha) :, codes]  # B's letters k+1..n: C keeps their As and Ns
-                bad = ((top != 1) & (np.array(small) != top)).any(axis=0)
-                letter_cases += top.size
-                _keep_codes(letter_failures, n, codes[bad], f" alpha={alpha}")
-    # GF(4): the quotient genuinely divides by a non-unit determinant.  The
-    # pivot draw reads b's nonzero proper minors, so it stays in the draw loop.
     drawn = []
     for _ in range(gf4_cases):
         n = int(rng.integers(2, 6))
@@ -390,11 +376,7 @@ def _check_schur(orders: list[_Order], rng: np.random.Generator, gf4_cases: int)
         *_, alpha, gamma = case
         return f" alpha={tuple(a + 1 for a in alpha)} gamma={tuple(g + 1 for g in _members(gamma))}"
 
-    _run_gf4(drawn, failures, ["schur"], test, suffix, group=lambda case: (case[0], case[2]))
-    return [
-        CheckResult("schur-complement-identity", cases + len(drawn), failures),
-        CheckResult("schur-complement-letters", letter_cases, letter_failures),
-    ]
+    return len(drawn), _run_gf4(drawn, ["schur"], test, suffix, group=lambda case: (case[0], case[2]))
 
 
 def _joined_rows(n: int, alpha: tuple[int, ...]) -> np.ndarray:
@@ -414,19 +396,17 @@ def _schur_bad(joined, cdets, alpha, spec: FieldSpec, branks, cranks, gammas=Non
     return wrong.any(axis=0) | (branks - cranks != len(alpha))
 
 
-def _check_hyperdet(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> CheckResult:
+def _hyperdet_gf2(b: _Batch):
     """Four-term squared principal-minor identity in characteristic 2."""
-    failures: list[str] = []
-    cases = 0
-    for n in range(3, len(orders)):
-        dets = orders[n].dets
-        for tau in combinations(range(n), 3):
-            rest = [x for x in range(n) if x not in tau]
-            for sub, _ in _subsets(len(rest)):
-                base = tuple(rest[x] for x in sub)
-                total = _hyperdet_sum(dets, slice(None), _mask(base), [1 << t for t in tau], GF2)
-                cases += dets.shape[1]
-                _keep_codes(failures, n, np.flatnonzero(total), f" tau={tau} I={base}")
+    for tau in combinations(range(b.n), 3):
+        rest = [x for x in range(b.n) if x not in tau]
+        for sub, _ in _subsets(len(rest)):
+            base = tuple(rest[x] for x in sub)
+            total = _hyperdet_sum(b.dets, slice(None), _mask(base), [1 << t for t in tau], GF2)
+            yield "hyperdeterminantal-relation", b.codes.size, b.codes[total != 0], f" tau={tau} I={base}"
+
+
+def _hyperdet_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = []
     for _ in range(gf4_cases):
         n = int(rng.integers(3, 6))
@@ -446,8 +426,7 @@ def _check_hyperdet(orders: list[_Order], rng: np.random.Generator, gf4_cases: i
         *_, tau, base = case
         return f" tau={_members(tau)} I={_members(base)}"
 
-    _run_gf4(drawn, failures, ["hyperdet"], test, suffix)
-    return CheckResult("hyperdeterminantal-relation", cases + len(drawn), failures)
+    return len(drawn), _run_gf4(drawn, ["hyperdet"], test, suffix)
 
 
 def _hyperdet_sum(dets: np.ndarray, cols, s, tau_masks, spec: FieldSpec) -> np.ndarray:
@@ -462,35 +441,28 @@ def _hyperdet_sum(dets: np.ndarray, cols, s, tau_masks, spec: FieldSpec) -> np.n
     return pair(0, i | j | k) ^ pair(i, j | k) ^ pair(j, i | k) ^ pair(k, i | j)
 
 
-def _check_terminal_an_minors(orders: list[_Order]) -> CheckResult:
+def _terminal_an_gf2(b: _Batch):
     """A terminal AN forces every order-(n-1) minor nonzero, principal or not."""
-    failures: list[str] = []
-    cases = 0
-    for n in range(2, len(orders)):
-        letters = orders[n].letters
-        sel = np.flatnonzero((letters[n - 2] == 2) & (letters[n - 1] == 0))
-        bad = (eng.deleted_minors(eng.decode_entries(sel, n)) == 0).any(axis=(0, 1))
-        cases += int(sel.size)
-        _keep_codes(failures, n, sel[bad])
-    return CheckResult("terminal-an-full-minors", cases, failures)
+    if b.n < 2:
+        return
+    sel = np.flatnonzero((b.letters[b.n - 2] == 2) & (b.letters[b.n - 1] == 0))
+    bad = (eng.deleted_minors(b.ent[:, :, sel]) == 0).any(axis=(0, 1))
+    yield "terminal-an-full-minors", sel.size, b.codes[sel[bad]], ""
 
 
-def _check_append_transforms(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> CheckResult:
+def _append_gf2(b: _Batch):
     """Letterwise effect of duplicating the last index or appending a zero one."""
-    failures: list[str] = []
-    cases = 0
-    for n in range(1, len(orders)):
-        for cols, ent in _gf2_chunks(n):
-            bad_dup, bad_zero = _append_bad(ent, orders[n].letters[:, cols], GF2)
-            cases += 2 * bad_dup.size
-            _keep_codes(failures, n, cols.start + np.flatnonzero(bad_dup | bad_zero))
+    bad_dup, bad_zero = _append_bad(b.ent, b.letters, GF2)
+    yield "append-transforms", 2 * b.codes.size, b.codes[bad_dup | bad_zero], ""
+
+
+def _append_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = [(n, _draw_gf4(rng, n)) for n in (int(rng.integers(1, 5)) for _ in range(gf4_cases))]
 
     def test(batch, ent):
         return np.stack(_append_bad(ent, _letters(ent, GF4), GF4), axis=1)
 
-    _run_gf4(drawn, failures, ["append-dup", "append-zero"], test)
-    return CheckResult("append-transforms", cases + 2 * len(drawn), failures)
+    return 2 * len(drawn), _run_gf4(drawn, ["append-dup", "append-zero"], test)
 
 
 def _append_bad(ent: np.ndarray, small, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -519,17 +491,15 @@ def _check_na_ns_parity(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("na-ns-parity", ((f"{n}:{w}", holds(w)) for n, w in words))
 
 
-def _check_congruence(orders: list[_Order], rng: np.random.Generator, gf4_cases: int) -> CheckResult:
-    """Congruence by an invertible matrix preserves pr bits r_1..r_n."""
-    failures: list[str] = []
-    cases = 0
-    for n in range(2, len(orders)):
-        for _ in range(3):
-            grid = _rand_invertible(rng, n, GF2)
-            for cols, ent in _gf2_chunks(n):
-                cases += ent.shape[2]
-                changed = cols.start + np.flatnonzero(_pr_changed(ent, orders[n].letters[:, cols], grid, GF2))
-                _keep_codes(failures, n, changed, f" E={grid}")
+def _congruence_gf2(b: _Batch, grids: dict[int, list]):
+    """Congruence by an invertible matrix preserves pr bits r_1..r_n, for each
+    grid E drawn for order n."""
+    for grid in grids.get(b.n, ()):
+        changed = _pr_changed(b.ent, b.letters, grid, GF2)
+        yield "congruence-pr-invariance", b.codes.size, b.codes[changed], f" E={grid}"
+
+
+def _congruence_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = []  # E kept as its n * n entries, row by row
     for _ in range(gf4_cases):
         n = int(rng.integers(1, 5))
@@ -545,8 +515,7 @@ def _check_congruence(orders: list[_Order], rng: np.random.Generator, gf4_cases:
     def suffix(case):
         return f" E={grids(case[0], [case])[0].tolist()}"
 
-    _run_gf4(drawn, failures, ["congruence"], test, suffix)
-    return CheckResult("congruence-pr-invariance", cases + len(drawn), failures)
+    return len(drawn), _run_gf4(drawn, ["congruence"], test, suffix)
 
 
 def _pr_changed(ent: np.ndarray, before, e, spec: FieldSpec) -> np.ndarray:
@@ -600,6 +569,16 @@ def _check_attained_rule_soundness(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("attained-rule-soundness", outcomes)
 
 
+def _gf2_halves(rng: np.random.Generator, max_n: int) -> list:
+    """The GF(2) half of each exhaustive check; the congruence half checks three
+    grids E drawn for each order 2..max_n."""
+    grids = {n: [_rand_invertible(rng, n, GF2) for _ in range(3)] for n in range(2, max_n + 1)}
+    return [
+        _inverse_gf2, _inheritance_gf2, _schur_gf2, _hyperdet_gf2, _terminal_an_gf2, _append_gf2,
+        partial(_congruence_gf2, grids=grids),
+    ]
+
+
 def theorem_suite(
     *, max_n: int = 5, seed: int = DEFAULT_SEED, gf4_cases: int = 1000
 ) -> SuiteReport:
@@ -608,8 +587,8 @@ def theorem_suite(
     Matrix-quantified checks run exhaustively over GF(2) up to ``max_n``;
     word-level checks use catalogs up to ``max_n + 1``; field-generic
     identities additionally run ``gf4_cases`` seeded GF(4) cases each.
-    The GF(2) checks hold each order's minor table with its letters, read
-    once per run, and one chunk of codes at a time.
+    The GF(2) cases run in one pass, one run of codes of one order at a
+    time, shared by every exhaustive check; no order is held whole.
     Every drawn GF(4) case is held, as its matrix's code and a few small
     parameters, until its check's batches run, so
     ``gf4_cases`` is capped at 10^5: on a 2-vCPU host ``check-theorems``
@@ -621,16 +600,36 @@ def theorem_suite(
     if not 0 <= gf4_cases <= 10**5:
         raise ValueError(f"gf4_cases must be in [0, 10^5], got {gf4_cases}")
     words = _catalog_words(min(max_n + 1, 6))
-    orders = _gf2_orders(max_n)
     rng = np.random.default_rng(seed)
-    checks = [_check_nn(words), _check_inverse(orders), _check_inheritance(orders), _check_nsa(words)]
-    checks += _check_schur(orders, rng, gf4_cases)
-    checks += [
-        _check_hyperdet(orders, rng, gf4_cases),
-        _check_terminal_an_minors(orders),
-        _check_append_transforms(orders, rng, gf4_cases),
+    # The seeded draws come in this order, which the golden check-theorems
+    # outputs pin, all before the GF(2) pass.
+    gf4 = {
+        "schur-complement-identity": _schur_gf4(rng, gf4_cases),
+        "hyperdeterminantal-relation": _hyperdet_gf4(rng, gf4_cases),
+        "append-transforms": _append_gf4(rng, gf4_cases),
+    }
+    halves = _gf2_halves(rng, max_n)
+    gf4["congruence-pr-invariance"] = _congruence_gf4(rng, gf4_cases)
+    gf2 = _gf2_pass(max_n, halves)
+
+    def matrix_check(name: str) -> CheckResult:
+        """GF(2) cases and failures first, then the GF(4) ones."""
+        cases, failures = gf2.get(name, (0, []))
+        more, later = gf4.get(name, (0, []))
+        return CheckResult(name, cases + more, (failures + later)[:_MAX_FAILURES_KEPT])
+
+    checks = [
+        _check_nn(words),
+        matrix_check("inverse-reversal"),
+        matrix_check("inheritance"),
+        _check_nsa(words),
+        matrix_check("schur-complement-identity"),
+        matrix_check("schur-complement-letters"),
+        matrix_check("hyperdeterminantal-relation"),
+        matrix_check("terminal-an-full-minors"),
+        matrix_check("append-transforms"),
         _check_na_ns_parity(words),
-        _check_congruence(orders, rng, gf4_cases),
+        matrix_check("congruence-pr-invariance"),
         _check_complete_graph_epr(),
         _check_loop_split_det(),
         _check_loop_complete_nonsingular(),

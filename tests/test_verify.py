@@ -498,8 +498,9 @@ def _traced_peak(fn, *args, **kwargs) -> int:
 
 
 def test_theorem_suite_peak_memory():
-    """The default suite checks one chunk of codes of one Schur case at a time;
-    holding every Schur case of order <= 5 at once takes 5.2 MiB by itself."""
+    """The default suite holds one batch of 2^13 codes of one order at a time,
+    and one Schur case of that batch; holding every Schur case of order <= 5 at
+    once takes 5.2 MiB by itself."""
     verify._catalog_raw.cache_clear()  # the suite's word catalogs count too
     assert _traced_peak(theorem_suite) <= 6 * 2**20
 
@@ -539,7 +540,7 @@ def _det(m, labels):
 def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
     orig = eng.schur_entries
     monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec: orig(ent, alpha, spec) ^ 1)
-    result = verify._check_schur([], np.random.default_rng(3), 100)[0]
+    result = verify.CheckResult("schur", *verify._schur_gf4(np.random.default_rng(3), 100))
     assert 0 < len(result.failures) <= 20 and result.cases > 0
     for failure in result.failures:
         rows, alpha, gamma = _parse(
@@ -568,7 +569,7 @@ def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
     orig = eng.minor_tables
     monkeypatch.setattr(eng, "minor_tables", lambda ent, spec: orig(ent, spec) ^ 1)
-    result = verify._check_hyperdet([], np.random.default_rng(4), 100)
+    result = verify.CheckResult("hyperdet", *verify._hyperdet_gf4(np.random.default_rng(4), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
         rows, tau, base = _parse(
@@ -606,7 +607,7 @@ def _assert_copy_breaks_append_zero(b):
 
 def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
     _copy_index_0(monkeypatch)
-    result = verify._check_append_transforms([], np.random.default_rng(5), 100)
+    result = verify.CheckResult("append", *verify._append_gf4(np.random.default_rng(5), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 200
     for failure in result.failures:
         (rows,) = _parse(failure, r"gf4 append-zero SymMatrix\(gf4, (\[.*\])\)")
@@ -621,7 +622,7 @@ def _zero_congruence(monkeypatch):
 
 def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
     _zero_congruence(monkeypatch)
-    result = verify._check_congruence([], np.random.default_rng(6), 100)
+    result = verify.CheckResult("congruence", *verify._congruence_gf4(np.random.default_rng(6), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
         rows, e = _parse(failure, r"gf4 congruence SymMatrix\(gf4, (\[.*\])\) E=(\[.*\])")
@@ -631,11 +632,16 @@ def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
 
 # -- fault injection: the exhaustive GF(2) Schur loop reports a wrong complement -----
 
+def _gf2_check(max_n, name, halves):
+    """The check name as the GF(2) pass over orders 1..max_n gives it, running halves."""
+    return verify.CheckResult(name, *verify._gf2_pass(max_n, halves)[name])
+
+
 def _gf2_schur_failures(complement):
     """Run the GF(2) half of the Schur check up to order 4 and check that each
     reported code, with complement(B, alpha) as its faulty C = B / B[alpha],
     breaks the identity under SymMatrix elimination."""
-    result = verify._check_schur(verify._gf2_orders(4), np.random.default_rng(7), 0)[0]
+    result = _gf2_check(4, "schur-complement-identity", [verify._schur_gf2])
     assert 0 < len(result.failures) <= 20
     for failure in result.failures:
         n, code, alpha = _parse(failure, r"order (\d+) code (\d+) alpha=(\(.*\))")
@@ -684,7 +690,7 @@ def test_gf2_schur_loop_reports_a_wrong_pivot_inverse(monkeypatch):
     _gf2_schur_failures(complement)
 
 
-# -- fault injection: the exhaustive GF(2) loops that read B's letters off the order records --
+# -- fault injection: the exhaustive GF(2) halves that read B's letters off each batch --
 
 def _gf2_failures(result, suffix=""):
     """(matrix, parsed suffix fields) of each "order n code c<suffix>" failure."""
@@ -696,7 +702,7 @@ def _gf2_failures(result, suffix=""):
 
 def test_gf2_inverse_loop_reports_a_wrong_inverse(monkeypatch):
     _flip_inverse(monkeypatch)
-    for b, _ in _gf2_failures(verify._check_inverse(verify._gf2_orders(3))):
+    for b, _ in _gf2_failures(_gf2_check(3, "inverse-reversal", [verify._inverse_gf2])):
         want = compute_epr(b)[-2::-1] + "A"  # letters n-1..1 of B, then A
         assert compute_epr(b.inverse()) == want
         assert compute_epr(SymMatrix(GF2, _flip(b.inverse().rows))) != want
@@ -704,7 +710,7 @@ def test_gf2_inverse_loop_reports_a_wrong_inverse(monkeypatch):
 
 def test_gf2_append_loop_reports_a_wrong_appended_index(monkeypatch):
     _copy_index_0(monkeypatch)
-    result = verify._check_append_transforms(verify._gf2_orders(3), np.random.default_rng(5), 0)
+    result = _gf2_check(3, "append-transforms", [verify._append_gf2])
     assert result.cases == 2 * (2 + 8 + 64)
     for b, _ in _gf2_failures(result):
         _assert_copy_breaks_append_zero(b)
@@ -712,13 +718,58 @@ def test_gf2_append_loop_reports_a_wrong_appended_index(monkeypatch):
 
 def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
     _zero_congruence(monkeypatch)
-    result = verify._check_congruence(verify._gf2_orders(3), np.random.default_rng(6), 0)
+    result = _gf2_check(3, "congruence-pr-invariance", verify._gf2_halves(np.random.default_rng(6), 3))
     assert result.cases == 3 * (8 + 64)
     for b, (e,) in _gf2_failures(result, r" E=(\[.*\])"):
         congruent = matmul(matmul(e, b.rows, GF2), [list(col) for col in zip(*e)], GF2)
         assert laplace_det(e, GF2) != 0
         assert compute_pr(SymMatrix(GF2, congruent)).bits == compute_pr(b).bits
         assert "1" in compute_pr(b).bits  # the zero matrix's pr word differs
+
+
+# -- the exhaustive GF(2) pass -----------------------------------------------------
+
+def _gf2_pass_results(monkeypatch, chunk):
+    """{check name: (cases, sorted failures)} of the GF(2) pass up to order 4 in
+    batches of chunk codes."""
+    monkeypatch.setattr(verify, "_SUITE_CHUNK", chunk)
+    found = verify._gf2_pass(4, verify._gf2_halves(np.random.default_rng(1), 4))
+    return {name: (cases, sorted(failures)) for name, (cases, failures) in found.items()}
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["sound", "faulty-schur"])
+def test_gf2_pass_does_not_depend_on_the_chunk_size(monkeypatch, faulty):
+    """Batches of 2^3 and 2^7 codes split orders 3 and 4, and in some of them
+    B[alpha] is singular for every code; with a wrong Schur complement every
+    failure is kept, so the failure sets must match too."""
+    if faulty:
+        orig = eng.schur_entries
+        monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
+        monkeypatch.setattr(verify, "_MAX_FAILURES_KEPT", 10**9)
+    default = _gf2_pass_results(monkeypatch, verify._SUITE_CHUNK)
+    assert len(default) == 8
+    assert bool(default["schur-complement-identity"][1]) == faulty
+    for chunk in (1 << 3, 1 << 7):
+        assert _gf2_pass_results(monkeypatch, chunk) == default, chunk
+
+
+@pytest.mark.slow
+def test_gf2_pass_at_order_6():
+    """Every exhaustive GF(2) check over all 2^21 order-6 matrices and the lower
+    orders (about half a minute); theorem_suite itself still refuses max_n = 6."""
+    with pytest.raises(ValueError):
+        theorem_suite(max_n=6)
+    found = verify._gf2_pass(6, verify._gf2_halves(np.random.default_rng(verify.DEFAULT_SEED), 6))
+    assert {name: (cases, failures) for name, (cases, failures) in found.items()} == {
+        "inverse-reversal": (903201, []),
+        "inheritance": (10620040, []),
+        "schur-complement-identity": (668872784, []),
+        "schur-complement-letters": (183472168, []),
+        "hyperdeterminantal-relation": (336863296, []),
+        "terminal-an-full-minors": (14369, []),
+        "append-transforms": (4262036, []),
+        "congruence-pr-invariance": (6393048, []),
+    }
 
 
 def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
