@@ -1,8 +1,8 @@
-"""Exhaustive GF(2)/GF(4) sweeps on the batched principal-minor kernel.
+"""Exhaustive GF(2^k) sweeps on the batched principal-minor kernel.
 
 A symmetric order-n matrix is encoded as the integer whose bit fields
-are the n(n+1)/2 upper-triangle entries in row-major order, one bit per
-entry over GF(2) and two over GF(4); ascending code order is the
+are the n(n+1)/2 upper-triangle entries in row-major order, q bits per
+entry over GF(2^q) (one over GF(2), two over GF(4)); ascending code order is the
 canonical enumeration order.  Only triangle_code, decode_entries and
 code_rows know this layout (orbit_reps moves whole fields through it):
 everything else works on (n, n, B) entry batches, the batch on the last
@@ -25,7 +25,8 @@ congruences) map entry batches to entry batches over any GF(2^k):
 products are bit-sliced as in minor_tables, and inverses, and the
 order-(n-1) minors of the terminal-AN check, come from batched
 Gauss-Jordan elimination, never from the minor table.  table_letters
-reads the letters of any batch off its own minor table.
+reads the letters of any batch off its own minor table, as one (n, B)
+array.
 
 Everything here is internal plumbing for :mod:`eprseq.verify`.
 """
@@ -297,10 +298,16 @@ def _rows_by_size(n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(size == k) for k in range(1, n + 1))
 
 
-def table_letters(dets: np.ndarray) -> list[np.ndarray]:
-    """Letters (0=N, 1=S, 2=A) of orders 1..n of each column of a (2^n, B) minor table."""
-    nonzero = (dets[rows] != 0 for rows in _rows_by_size(len(dets).bit_length() - 1))
-    return [nz.any(axis=0).view(np.uint8) + nz.all(axis=0) for nz in nonzero]
+def table_letters(dets: np.ndarray) -> np.ndarray:
+    """Letters (0=N, 1=S, 2=A) of a (2^n, B) minor table as one (n, B) array:
+    row k - 1 holds letter k of each column."""
+    rows_by_size = _rows_by_size(len(dets).bit_length() - 1)
+    letters = np.empty((len(rows_by_size), dets.shape[1]), np.uint8)
+    for out, rows in zip(letters, rows_by_size):
+        nz = dets[rows] != 0
+        nz.any(axis=0, out=out.view(bool))
+        out += nz.all(axis=0)
+    return letters
 
 
 def key_to_word(key: int, n: int) -> str:
@@ -433,9 +440,10 @@ def deleted_minors(ent: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
 def schur_entries(ent: np.ndarray, alpha: tuple[int, ...], spec: FieldSpec = GF2) -> np.ndarray:
     """B / B[alpha] for a batch whose pivot blocks B[alpha] are nonsingular."""
     comp = [i for i in range(ent.shape[0]) if i not in alpha]
-    cross = ent[np.ix_(comp, alpha)]
-    y = matmul(cross, inverse(ent[np.ix_(alpha, alpha)], spec)[1], spec)
-    return ent[np.ix_(comp, comp)] ^ matmul(y, cross.transpose(1, 0, 2), spec)
+    rows = ent.take(comp, axis=0)  # take gathers faster than np.ix_
+    cross = rows.take(alpha, axis=1)
+    y = matmul(cross, inverse(ent.take(alpha, axis=0).take(alpha, axis=1), spec)[1], spec)
+    return rows.take(comp, axis=1) ^ matmul(y, cross.transpose(1, 0, 2), spec)
 
 
 def congruence_entries(ent: np.ndarray, e, spec: FieldSpec = GF2) -> np.ndarray:

@@ -49,12 +49,8 @@ def _is_irreducible(p: int) -> bool:
 
 
 def _default_modulus(degree: int) -> int:
-    if degree == 1:
-        # Degree-1 products never overflow one bit; the modulus is unused.
-        return 0b10
-    if degree == 2:
-        return 0b111
-    # Smallest irreducible by integer encoding, for determinism.
+    # Smallest irreducible by integer encoding, for determinism: x for
+    # degree 1 (products never overflow one bit), x^2 + x + 1 for degree 2.
     for cand in range(1 << degree, 1 << (degree + 1)):
         if _is_irreducible(cand):
             return cand
@@ -149,9 +145,8 @@ def field_make(degree: int, modulus: int | str = "default") -> FieldSpec:
     """Build a GF(2^degree) context.
 
     ``modulus`` is a bit-encoded monic polynomial over GF(2) (bit i is
-    the coefficient of x^i), or "default" for the built-in choice:
-    z^2 + z + 1 for degree 2, the lexicographically smallest irreducible
-    otherwise.
+    the coefficient of x^i), or "default" for the built-in choice: the
+    smallest irreducible by integer encoding (z^2 + z + 1 for degree 2).
     """
     if not 1 <= degree <= MAX_DEGREE:
         raise FieldError(f"degree must be in [1, {MAX_DEGREE}], got {degree}")

@@ -1,19 +1,19 @@
 """Exhaustive and randomized verification suites.
 
 ``enumerate_epr`` aggregates the epr words of every symmetric matrix of
-a given small order (free upper-triangle entries encoded as one integer)
-into a catalog, sweeping one trailing block per permutation orbit.
+a given small order over GF(2^d), gated by the matrix count, into a
+catalog, sweeping one trailing block per permutation orbit.
 ``compare_with_classifier`` checks that the catalog and the template
-classifier agree exactly, in both directions.  ``theorem_suite`` runs sixteen independent checks, one per
-structural fact the rest of the library relies on, exhaustively over
-GF(2) up to its bounds and with seeded random GF(4) cases for the
-field-generic identities.  The GF(2) cases run in one pass that holds
-no order whole: each run of consecutive codes of one order is built once,
-with its minor table and letters, handed to the GF(2) half of every
-exhaustive check, and dropped.  Every check reads letters, minors and ranks
-off the minor table of the batch it checks; each field-generic identity is
-one predicate that its GF(2) half and its GF(4) half (cases drawn one at a
-time, then batched by order) both call.
+classifier agree exactly, in both directions.  ``theorem_suite`` runs
+sixteen independent checks, one per structural fact the rest of the
+library relies on, exhaustively over GF(2) up to its bounds and with
+seeded random GF(4) cases for the field-generic identities.  Every batch
+it checks, in either field, is one ``_Batch`` (entries, minor table,
+letters, ranks) built by ``_batch``: each run of consecutive GF(2) codes
+of one order, built once for the GF(2) half of every exhaustive check and
+dropped; each group of drawn GF(4) cases; and the image of every code map.
+Each field-generic identity is one predicate over batches that its GF(2)
+half and its GF(4) half both call.
 
 All randomness is seeded; reports are reproducible given the same seed
 and bounds.
@@ -89,46 +89,50 @@ class SuiteReport(namedtuple("SuiteReport", "checks seed", defaults=(None,))):
 # enumeration
 # ---------------------------------------------------------------------------
 
+# log2 of the matrix counts open to enumerate_epr and gated behind force
+_OPEN_BITS, _GATED_BITS = 21, 30
+
+
 @lru_cache(maxsize=32)
-def _catalog_raw(n: int, field_name: str, jobs: int):
-    if field_name == "gf2":
+def _catalog_raw(n: int, spec: FieldSpec, jobs: int):
+    # bench/tracer.py times catalog_gf2 and catalog_gf4, the latter as a one-argument call
+    if spec == GF2:
         return eng.catalog_gf2(n, jobs=jobs)
-    # bench/tracer.py wraps catalog_gf4 as a one-argument call, the jobs = 1 case
-    return eng.catalog_gf4(n) if jobs == 1 else eng.catalog_gf4(n, jobs=jobs)
+    if spec == GF4:
+        return eng.catalog_gf4(n) if jobs == 1 else eng.catalog_gf4(n, jobs=jobs)
+    return eng._catalog(n, spec, jobs)
 
 
 def enumerate_epr(
     n: int, spec: FieldSpec = GF2, *, jobs: int = 1, force: bool = False
 ) -> EprCatalog:
-    """Catalog of every epr word attained at order n over GF(2) or GF(4).
+    """Catalog of every epr word attained at order n over GF(2^d).
 
-    Counts cover all q^(n(n+1)/2) matrices, and each exemplar is the first
+    Counts cover all 2^(d n(n+1)/2) matrices, and each exemplar is the first
     attaining matrix in code order, but only the matrices whose trailing
     block B[1:, 1:] is the least of its permutation orbit are swept
-    (_engine._catalog).  GF(2) is bounded at n <= 6 and GF(4) at n <= 4;
-    one order more, GF(2) n == 7 (2^28 matrices, 652K swept) or GF(4)
-    n == 5 (2^30, 50M swept), is gated behind ``force=True``.
+    (_engine._catalog).  Up to 2^21 matrices are open, up to 2^30 gated
+    behind ``force=True``, more refused: GF(2) n = 7 (2^28, 652K swept),
+    GF(4) n = 5 (2^30, 50M swept) and GF(8) n = 4 are gated.  On a 2-vCPU
+    host the slowest gated catalogs take about 7 s (GF(8) n = 4) and 30 s
+    at 36 MiB peak RSS (GF(32) n = 3).
     """
     if n < 1:
         raise BoundExceededError("enumeration needs order >= 1")
-    gate = {GF2: 7, GF4: 5}.get(spec)
-    if gate is None:
-        raise BoundExceededError(f"enumeration supports gf2 and gf4, not {spec.name}")
     label = f"GF({spec.order})"
-    if n > gate:
+    bits = spec.degree * eng.tri(n)
+    if bits > _GATED_BITS:
+        gate = max(k for k in range(1, n) if spec.degree * eng.tri(k) <= _GATED_BITS)
         raise BoundExceededError(f"{label} enumeration is bounded at n <= {gate}, got {n}")
-    if n == gate and not force:
-        raise BoundExceededError(
-            f"{label} enumeration at n = {gate} visits 2^{spec.degree * eng.tri(gate)} matrices; "
-            "pass force=True"
-        )
-    counts, exemplar_codes = _catalog_raw(n, spec.name, jobs)
+    if bits > _OPEN_BITS and not force:
+        raise BoundExceededError(f"{label} enumeration at n = {n} visits 2^{bits} matrices; pass force=True")
+    counts, exemplar_codes = _catalog_raw(n, spec, jobs)
     exemplar = {w: eng.code_matrix(code, n, spec) for w, code in exemplar_codes.items()}
     return EprCatalog(n, spec.name, dict(counts), exemplar)
 
 
 def attained_pr_sequences(n: int, spec: FieldSpec = GF2, *, force: bool = False) -> set[str]:
-    """Every pr word attained by a symmetric matrix of order n over GF(2) or GF(4),
+    """Every pr word attained by a symmetric matrix of order n over spec,
     read off the attained epr words (r0 = 1 iff letter 1 is not A), under
     the bounds of :func:`enumerate_epr`."""
     from .sequence import pr_of_epr
@@ -162,9 +166,17 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
 # theorem suite helpers
 # ---------------------------------------------------------------------------
 
-# A run of consecutive codes of the symmetric GF(2) matrices of one order n:
-# the codes, their entries (n, n, B), (2^n, B) minor table and (n, B) letters.
-_Batch = namedtuple("_Batch", "n codes ent dets letters")
+# B symmetric matrices of order n over spec, the batch on the last axis: the GF(2)
+# codes naming failures (else None), entries (n, n, B), (2^n, B) minor table,
+# (n, B) letters (0=N, 1=S, 2=A) and (B,) ranks.  Built only by _batch.
+_Batch = namedtuple("_Batch", "n spec codes ent dets letters ranks")
+
+
+def _batch(ent: np.ndarray, spec: FieldSpec, codes: np.ndarray | None = None) -> _Batch:
+    """The batch of an (n, n, B) entry array, B >= 1 (minor_tables takes no empty batch)."""
+    dets = eng.minor_tables(ent, spec)
+    letters = eng.table_letters(dets)
+    return _Batch(ent.shape[0], spec, codes, ent, dets, letters, eng.ranks(letters))
 
 
 def _gf2_pass(max_n: int, halves) -> dict[str, list]:
@@ -177,9 +189,7 @@ def _gf2_pass(max_n: int, halves) -> dict[str, list]:
         total = 1 << eng.tri(n)
         for start in range(0, total, _SUITE_CHUNK):
             codes = np.arange(start, min(start + _SUITE_CHUNK, total))
-            ent = eng.decode_entries(codes, n)
-            dets = eng.minor_tables(ent, GF2)
-            batch = _Batch(n, codes, ent, dets, np.array(eng.table_letters(dets)))
+            batch = _batch(eng.decode_entries(codes, n), GF2, codes)
             for half in halves:
                 for name, cases, bad, suffix in half(batch):
                     tally = found.setdefault(name, [0, []])
@@ -215,7 +225,7 @@ def _subsets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def _catalog_words(max_order: int) -> list[tuple[int, str]]:
     """(order, word) of every attained GF(2) epr word up to max_order, off the cached catalogs."""
-    return [(n, w) for n in range(1, max_order + 1) for w in sorted(_catalog_raw(n, "gf2", 1)[0])]
+    return [(n, w) for n in range(1, max_order + 1) for w in sorted(_catalog_raw(n, GF2, 1)[0])]
 
 
 def _keep(failures: list[str], item: str) -> None:
@@ -248,26 +258,21 @@ def _draw_gf4(rng: np.random.Generator, n: int) -> int:
     return eng.triangle_code(rng.integers(0, GF4.order, size=eng.tri(n)).tolist(), GF4)
 
 
-def _letters(ent: np.ndarray, spec: FieldSpec) -> list[np.ndarray]:
-    """Letters (0=N, 1=S, 2=A) of each matrix of an (n, n, B) entry batch."""
-    return eng.table_letters(eng.minor_tables(ent, spec))
-
-
 def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", group=lambda case: case[0]) -> list[str]:
     """Run drawn GF(4) cases (n, code, ...), code encoding a matrix of order n, in
     batches sharing group(case), by default the order, and return the first failures.
 
-    test(cases, (n, n, B) entries) flags each case's failures, one column per
-    kind; each is kept in draw order as "gf4 <kind> <matrix><suffix>".
+    test(cases, _Batch) flags each case's failures, one column per kind; each
+    is kept in draw order as "gf4 <kind> <matrix><suffix>".
     """
     groups: dict = {}
     for c, case in enumerate(drawn):
         groups.setdefault(group(case), []).append(c)
     bad = np.zeros((len(drawn), len(kinds)), bool)
     for idx in groups.values():
-        batch = [drawn[c] for c in idx]
-        ent = eng.decode_entries(np.array([case[1] for case in batch]), batch[0][0], GF4)
-        bad[idx] = np.reshape(test(batch, ent), (len(idx), -1))
+        cases = [drawn[c] for c in idx]
+        ent = eng.decode_entries(np.array([case[1] for case in cases]), cases[0][0], GF4)
+        bad[idx] = np.reshape(test(cases, _batch(ent, GF4)), (len(idx), -1))
     failures: list[str] = []
     for c, kind in np.argwhere(bad).tolist():
         n, code = drawn[c][:2]
@@ -288,12 +293,11 @@ def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
 def _inverse_gf2(b: _Batch):
     """epr of the inverse is the reversed word with terminal A."""
     nz = np.flatnonzero(eng.det_table(b.n)[b.codes])
-    if not nz.size:  # minor_tables takes no empty batch
+    if not nz.size:  # _batch takes no empty batch
         return
-    after = _letters(eng.inverse(b.ent[:, :, nz])[1], GF2)
-    bad = after[b.n - 1] != 2
-    for j in range(1, b.n):
-        bad |= after[j - 1] != b.letters[b.n - j - 1, nz]
+    after = _batch(eng.inverse(b.ent.take(nz, axis=2))[1], GF2).letters
+    # letters 1..n-1 of the inverse are B's n-1..1
+    bad = (after[-1] != 2) | (after[:-1] != b.letters[:-1].take(nz, axis=1)[::-1]).any(axis=0)
     yield "inverse-reversal", nz.size, b.codes[nz[bad]], ""
 
 
@@ -330,19 +334,15 @@ def _schur_gf2(b: _Batch):
     """Schur complement C = B / B[alpha]: det C[gamma] * det B[alpha] =
     det B[gamma u alpha] and rank C = rank B - k, and C keeps the A/N letters of
     B shifted by the pivot size k.  Each (batch, pivot set) case feeds both checks."""
-    ranks = eng.ranks(b.letters)
     for alpha, row in _subsets(b.n)[1:-1]:
         sel = np.flatnonzero(b.dets[row])
-        if not sel.size:  # minor_tables takes no empty batch
+        if not sel.size:  # _batch takes no empty batch
             continue
-        cdets = eng.minor_tables(eng.schur_entries(b.ent[:, :, sel], alpha), GF2)
-        small = eng.table_letters(cdets)
-        # .take(sel, axis=1) gathers columns 3-4x faster than indexing [rows, sel]
-        joined = b.dets[_joined_rows(b.n, alpha)].take(sel, axis=1)
-        bad = _schur_bad(joined, cdets, alpha, GF2, ranks[sel], eng.ranks(small))
-        yield "schur-complement-identity", cdets.size, b.codes[sel[bad]], f" alpha={alpha}"
+        c = _batch(eng.schur_entries(b.ent.take(sel, axis=2), alpha), GF2)
+        bad = _schur_bad(b, sel, alpha, c)
+        yield "schur-complement-identity", c.dets.size, b.codes[sel[bad]], f" alpha={alpha}"
         top = b.letters[len(alpha) :].take(sel, axis=1)  # B's letters k+1..n: C keeps their As and Ns
-        bad = ((top != 1) & (np.array(small) != top)).any(axis=0)
+        bad = ((top != 1) & (c.letters != top)).any(axis=0)
         yield "schur-complement-letters", top.size, b.codes[sel[bad]], f" alpha={alpha}"
 
 
@@ -363,14 +363,11 @@ def _schur_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]
             gamma = _mask(np.flatnonzero(rng.integers(0, 2, size=n - len(alpha))).tolist())
             drawn.append((n, code, alpha, gamma))
 
-    def test(batch, ent):
-        alpha = batch[0][2]
-        cdets = eng.minor_tables(eng.schur_entries(ent, alpha, GF4), GF4)
-        gammas = np.array([gamma for *_, gamma in batch])
-        bdets = eng.minor_tables(ent, GF4)
-        branks, cranks = (eng.ranks(eng.table_letters(dets)) for dets in (bdets, cdets))
-        joined = bdets[_joined_rows(ent.shape[0], alpha)]
-        return _schur_bad(joined, cdets, alpha, GF4, branks, cranks, gammas)
+    def test(cases, b):
+        alpha = cases[0][2]
+        c = _batch(eng.schur_entries(b.ent, alpha, b.spec), b.spec)
+        gammas = np.array([gamma for *_, gamma in cases])
+        return _schur_bad(b, np.arange(len(cases)), alpha, c, gammas)
 
     def suffix(case):
         *_, alpha, gamma = case
@@ -385,15 +382,16 @@ def _joined_rows(n: int, alpha: tuple[int, ...]) -> np.ndarray:
     return _mask(alpha) | _rows_within(tuple(i for i in range(n) if i not in alpha))
 
 
-def _schur_bad(joined, cdets, alpha, spec: FieldSpec, branks, cranks, gammas=None) -> np.ndarray:
-    """Where C = B / B[alpha] breaks rank C = rank B - |alpha| or
-    det C[gamma] det B[alpha] = det B[alpha u gamma], read off B's rows
-    joined = table[_joined_rows(n, alpha)], C's table and both ranks, for every
-    gamma or for the one gamma (a row of C's table) of each column."""
-    wrong = eng.times(cdets, joined[0], spec) != joined
+def _schur_bad(b: _Batch, cols: np.ndarray, alpha, c: _Batch, gammas=None) -> np.ndarray:
+    """Where C = B / B[alpha], the batch c of the columns cols of b, breaks
+    rank C = rank B - |alpha| or det C[gamma] det B[alpha] = det B[alpha u gamma],
+    for every gamma or for the one gamma (a row of C's table) of each column."""
+    # .take(cols, axis=1) gathers columns 3-4x faster than indexing [rows, cols]
+    joined = b.dets[_joined_rows(b.n, alpha)].take(cols, axis=1)
+    wrong = eng.times(c.dets, joined[0], b.spec) != joined
     if gammas is not None:
         wrong = np.take_along_axis(wrong, gammas[None], axis=0)
-    return wrong.any(axis=0) | (branks - cranks != len(alpha))
+    return wrong.any(axis=0) | (b.ranks.take(cols) - c.ranks != len(alpha))
 
 
 def _hyperdet_gf2(b: _Batch):
@@ -402,7 +400,7 @@ def _hyperdet_gf2(b: _Batch):
         rest = [x for x in range(b.n) if x not in tau]
         for sub, _ in _subsets(len(rest)):
             base = tuple(rest[x] for x in sub)
-            total = _hyperdet_sum(b.dets, slice(None), _mask(base), [1 << t for t in tau], GF2)
+            total = _hyperdet_sum(b, slice(None), _mask(base), [1 << t for t in tau])
             yield "hyperdeterminantal-relation", b.codes.size, b.codes[total != 0], f" tau={tau} I={base}"
 
 
@@ -416,11 +414,10 @@ def _hyperdet_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[s
         base = tuple(x for x, bit in zip(rest, rng.integers(0, 2, size=n - 3)) if bit)
         drawn.append((n, code, _mask(tau), _mask(base)))
 
-    def test(batch, ent):
-        taus = np.array([[1 << t for t in _members(tau)] for _, _, tau, _ in batch]).T
-        bases = np.array([base for *_, base in batch])
-        dets = eng.minor_tables(ent, GF4)
-        return _hyperdet_sum(dets, np.arange(len(batch)), bases, taus, GF4) != 0
+    def test(cases, b):
+        taus = np.array([[1 << t for t in _members(tau)] for _, _, tau, _ in cases]).T
+        bases = np.array([base for *_, base in cases])
+        return _hyperdet_sum(b, np.arange(len(cases)), bases, taus) != 0
 
     def suffix(case):
         *_, tau, base = case
@@ -429,14 +426,14 @@ def _hyperdet_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[s
     return len(drawn), _run_gf4(drawn, ["hyperdet"], test, suffix)
 
 
-def _hyperdet_sum(dets: np.ndarray, cols, s, tau_masks, spec: FieldSpec) -> np.ndarray:
-    """Sum over the splits {X, tau - X}, |X| even, of det B[S u X] det B[S u (tau - X)]:
-    squaring is additive and injective in characteristic 2, so it is zero where the
-    squared four-term relation holds.  Masks are scalars or one per column (cols)."""
+def _hyperdet_sum(b: _Batch, cols, s, tau_masks) -> np.ndarray:
+    """Sum over the splits {X, tau - X}, |X| even, of det B[S u X] det B[S u (tau - X)],
+    off b.dets: squaring is additive and injective in characteristic 2, so it is zero
+    where the squared four-term relation holds.  Masks are scalars or one per column (cols)."""
     i, j, k = tau_masks
 
-    def pair(a, b):
-        return eng.times(dets[s | a, cols], dets[s | b, cols], spec)
+    def pair(x, y):
+        return eng.times(b.dets[s | x, cols], b.dets[s | y, cols], b.spec)
 
     return pair(0, i | j | k) ^ pair(i, j | k) ^ pair(j, i | k) ^ pair(k, i | j)
 
@@ -446,38 +443,34 @@ def _terminal_an_gf2(b: _Batch):
     if b.n < 2:
         return
     sel = np.flatnonzero((b.letters[b.n - 2] == 2) & (b.letters[b.n - 1] == 0))
-    bad = (eng.deleted_minors(b.ent[:, :, sel]) == 0).any(axis=(0, 1))
+    bad = (eng.deleted_minors(b.ent.take(sel, axis=2)) == 0).any(axis=(0, 1))
     yield "terminal-an-full-minors", sel.size, b.codes[sel[bad]], ""
 
 
 def _append_gf2(b: _Batch):
     """Letterwise effect of duplicating the last index or appending a zero one."""
-    bad_dup, bad_zero = _append_bad(b.ent, b.letters, GF2)
+    bad_dup, bad_zero = _append_bad(b)
     yield "append-transforms", 2 * b.codes.size, b.codes[bad_dup | bad_zero], ""
 
 
 def _append_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = [(n, _draw_gf4(rng, n)) for n in (int(rng.integers(1, 5)) for _ in range(gf4_cases))]
 
-    def test(batch, ent):
-        return np.stack(_append_bad(ent, _letters(ent, GF4), GF4), axis=1)
+    def test(cases, b):
+        return np.stack(_append_bad(b), axis=1)
 
     return 2 * len(drawn), _run_gf4(drawn, ["append-dup", "append-zero"], test)
 
 
-def _append_bad(ent: np.ndarray, small, spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Where appending a copy of the last index or a zero index to a matrix of
-    ent, with letters small, breaks the rule: both end in N, the copy keeps
-    letter 1, and every other letter becomes S unless it was N."""
-    n = ent.shape[0]
-    dup, zero = (_letters(eng.gather_entries(ent, (*range(n), last)), spec) for last in (n - 1, n))
-    bad_dup = (dup[n] != 0) | (dup[0] != small[0])
-    bad_zero = zero[n] != 0
-    for i in range(n):
-        damp = np.minimum(small[i], 1)
-        if i:
-            bad_dup |= dup[i] != damp
-        bad_zero |= zero[i] != damp
+def _append_bad(b: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """Where appending a copy of the last index or a zero index to a matrix of b
+    breaks the rule: both end in N, the copy keeps letter 1, and every other
+    letter becomes S unless it was N."""
+    n = b.n
+    dup, zero = (_batch(eng.gather_entries(b.ent, (*range(n), last)), b.spec).letters for last in (n - 1, n))
+    damp = np.minimum(b.letters, 1)
+    bad_dup = (dup[n] != 0) | (dup[0] != b.letters[0]) | (dup[1:n] != damp[1:]).any(axis=0)
+    bad_zero = (zero[n] != 0) | (zero[:n] != damp).any(axis=0)
     return bad_dup, bad_zero
 
 
@@ -495,7 +488,7 @@ def _congruence_gf2(b: _Batch, grids: dict[int, list]):
     """Congruence by an invertible matrix preserves pr bits r_1..r_n, for each
     grid E drawn for order n."""
     for grid in grids.get(b.n, ()):
-        changed = _pr_changed(b.ent, b.letters, grid, GF2)
+        changed = _pr_changed(b, grid)
         yield "congruence-pr-invariance", b.codes.size, b.codes[changed], f" E={grid}"
 
 
@@ -509,8 +502,8 @@ def _congruence_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list
     def grids(n, cases):  # (cases, n, n)
         return np.frombuffer(b"".join(case[2] for case in cases), np.uint8).reshape(-1, n, n)
 
-    def test(batch, ent):
-        return _pr_changed(ent, _letters(ent, GF4), grids(ent.shape[0], batch).transpose(1, 2, 0), GF4)
+    def test(cases, b):
+        return _pr_changed(b, grids(b.n, cases).transpose(1, 2, 0))
 
     def suffix(case):
         return f" E={grids(case[0], [case])[0].tolist()}"
@@ -518,11 +511,10 @@ def _congruence_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list
     return len(drawn), _run_gf4(drawn, ["congruence"], test, suffix)
 
 
-def _pr_changed(ent: np.ndarray, before, e, spec: FieldSpec) -> np.ndarray:
-    """Where congruence by E changes some pr bit r_k (letter k is not N) of a matrix
-    of ent, with letters before."""
-    after = _letters(eng.congruence_entries(ent, e, spec), spec)
-    return np.any([(a != 0) != (b != 0) for a, b in zip(before, after)], axis=0)
+def _pr_changed(b: _Batch, e) -> np.ndarray:
+    """Where congruence by E changes some pr bit r_k (letter k is not N) of a matrix of b."""
+    after = _batch(eng.congruence_entries(b.ent, e, b.spec), b.spec).letters
+    return ((after != 0) != (b.letters != 0)).any(axis=0)
 
 
 def _check_complete_graph_epr() -> CheckResult:

@@ -64,6 +64,7 @@ def test_reducible_modulus_rejected():
 
 def test_default_fields():
     assert field_make(1).order == 2
+    assert field_make(1).modulus == 0b10
     assert field_make(2) is GF4
     assert GF4.modulus == 0b111
     assert field_make(3).modulus == 0b1011

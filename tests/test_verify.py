@@ -2,7 +2,7 @@ import ast
 import random
 import re
 import tracemalloc
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from eprseq import (
     compute_pr,
     enumerate_epr,
     field_make,
+    rule_violations,
     theorem_suite,
 )
 from eprseq import _engine as eng
@@ -204,7 +205,42 @@ def test_enumerate_bounds():
     with pytest.raises(BoundExceededError):
         enumerate_epr(6, GF4, force=True)
     with pytest.raises(BoundExceededError):
+        enumerate_epr(4, GF8)  # gated without force
+    with pytest.raises(BoundExceededError):
+        enumerate_epr(5, GF8, force=True)
+    with pytest.raises(BoundExceededError):
         enumerate_epr(0)
+
+
+# the rules of classify.py that hold over every field of characteristic 2
+_ANY_FIELD_RULES = {
+    "NN-theorem", "NSA-prohibition", "ASN-A-prohibition", "terminal-S",
+    "NA-NS-parity", "N-even", "nonN-start-N-tail",
+}
+
+
+def _any_field_words(n):
+    """The order-n words that break none of the any-field rules."""
+    words = ("".join(w) for w in product("NSA", repeat=n))
+    return {w for w in words if not _ANY_FIELD_RULES & {hit.rule for hit in rule_violations(w)}}
+
+
+def test_small_catalogs_are_the_any_field_rule_words():
+    """Over GF(4) up to n = 4 and GF(8) up to n = 3 the seven any-field rules
+    are the only restrictions: every word they allow is attained."""
+    for spec, top in ((GF4, 4), (GF8, 3)):
+        for n in range(1, top + 1):
+            catalog = enumerate_epr(n, spec)
+            assert catalog.total() == spec.order ** eng.tri(n)
+            assert set(catalog.counts) == _any_field_words(n), (spec.name, n)
+
+
+@pytest.mark.slow
+def test_gated_gf8_order_4_catalog_is_the_any_field_rule_words():
+    """The gated GF(8) n = 4 catalog (2^30 matrices, several seconds)."""
+    catalog = enumerate_epr(4, GF8, force=True)
+    assert catalog.total() == 8 ** 10
+    assert set(catalog.counts) == _any_field_words(4)
 
 
 def test_gf4_enumeration_contains_aan():
@@ -557,13 +593,11 @@ def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
 def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
     # B = I_3, alpha = {1}: the true complement is I_2.  The fake one keeps the drawn
     # minor (gamma = {1}: det C[gamma] det B[alpha] = 1 = det B[{1, 2}]) but has rank 1.
-    b = eng.minor_tables(np.eye(3, dtype=np.uint8)[:, :, None], GF4)
+    b = verify._batch(np.eye(3, dtype=np.uint8)[:, :, None], GF4)
     gammas = np.array([1])
     for c, wrong in ((np.eye(2, dtype=np.uint8), False), (np.diag([1, 0]).astype(np.uint8), True)):
-        cdets = eng.minor_tables(c[:, :, None], GF4)
-        branks, cranks = (eng.ranks(eng.table_letters(dets)) for dets in (b, cdets))
-        joined = b[verify._joined_rows(3, (0,))]
-        assert verify._schur_bad(joined, cdets, (0,), GF4, branks, cranks, gammas).tolist() == [wrong]
+        c = verify._batch(c[:, :, None], GF4)
+        assert verify._schur_bad(b, np.array([0]), (0,), c, gammas).tolist() == [wrong]
 
 
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
