@@ -234,17 +234,17 @@ class SymMatrix:
             self.spec,
         )
 
-    def append_duplicate_last(self) -> "SymMatrix":
-        """Copy the last row down and the last column across (order n+1)."""
+    def append_duplicate_last(self, count: int = 1) -> "SymMatrix":
+        """Copy the last row down and the last column across, count times (order n+count)."""
         if self.n < 1:
             raise ValueError("append_duplicate_last needs order >= 1")
-        idx = [*range(self.n), self.n - 1]
-        return _build(self.n + 1, lambda i, j: self.rows[idx[i]][idx[j]], self.spec)
+        idx = [*range(self.n), *[self.n - 1] * count]
+        return _build(self.n + count, lambda i, j: self.rows[idx[i]][idx[j]], self.spec)
 
-    def append_zero(self) -> "SymMatrix":
-        """Direct sum with the 1x1 zero matrix."""
+    def append_zero(self, count: int = 1) -> "SymMatrix":
+        """Direct sum with the count x count zero matrix."""
         n, rows = self.n, self.rows
-        return _build(n + 1, lambda i, j: i < n and j < n and rows[i][j], self.spec)
+        return _build(n + count, lambda i, j: i < n and j < n and rows[i][j], self.spec)
 
     # -- text format -----------------------------------------------------------
 

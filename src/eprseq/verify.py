@@ -9,11 +9,13 @@ sixteen independent checks, one per structural fact the rest of the
 library relies on, exhaustively over GF(2) up to its bounds and with
 seeded random GF(4) cases for the field-generic identities.  Every batch
 it checks, in either field, is one ``_Batch`` (entries, minor table,
-letters, ranks) built by ``_batch``: each run of consecutive GF(2) codes
-of one order, built once for the GF(2) half of every exhaustive check and
-dropped; each group of drawn GF(4) cases; and the image of every code map.
-Each field-generic identity is one predicate over batches that its GF(2)
-half and its GF(4) half both call.
+letters, ranks) built by ``_batch``: per GF(2) order, one batch of the
+least code of every S_n orbit, which the inverse, inheritance, both
+Schur, hyperdeterminant, terminal-AN and append halves check with case
+counts weighted by orbit size, and each run of consecutive codes, which
+the congruence half checks; each order's drawn GF(4) cases; and the image
+of every code map.  Each field-generic identity is one predicate over
+batches that its GF(2) half and its GF(4) half both call.
 
 All randomness is seeded; reports are reproducible given the same seed
 and bounds.
@@ -39,9 +41,10 @@ from .matrix import (
 
 DEFAULT_SEED = 1729
 _MAX_FAILURES_KEPT = 20
-# codes per batch of the exhaustive GF(2) pass at one order: 2^14 raised
-# check-theorems' peak RSS by about 2 MiB, and its traced peak from 3.2 to 5.0 MiB
-_SUITE_CHUNK = 1 << 13
+# codes per run of the GF(2) pass's per-code halves (congruence in the suite) at
+# one order: runs of 2^13 raised check-theorems' peak RSS from about 37.5 to
+# 37.8 MiB, and runs of 2^11 lowered it no further
+_SUITE_CHUNK = 1 << 12
 
 
 class BoundExceededError(ValueError):
@@ -168,33 +171,48 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
 
 # B symmetric matrices of order n over spec, the batch on the last axis: the GF(2)
 # codes naming failures (else None), entries (n, n, B), (2^n, B) minor table,
-# (n, B) letters (0=N, 1=S, 2=A) and (B,) ranks.  Built only by _batch.
-_Batch = namedtuple("_Batch", "n spec codes ent dets letters ranks")
+# (n, B) letters (0=N, 1=S, 2=A), (B,) ranks, and, when each matrix is the least
+# code of its S_n orbit standing for the whole orbit, the (B,) orbit sizes (else
+# None).  Built only by _batch.
+_Batch = namedtuple("_Batch", "n spec codes ent dets letters ranks sizes")
 
 
-def _batch(ent: np.ndarray, spec: FieldSpec, codes: np.ndarray | None = None) -> _Batch:
+def _batch(ent: np.ndarray, spec: FieldSpec, codes: np.ndarray | None = None, sizes=None) -> _Batch:
     """The batch of an (n, n, B) entry array, B >= 1 (minor_tables takes no empty batch)."""
     dets = eng.minor_tables(ent, spec)
     letters = eng.table_letters(dets)
-    return _Batch(ent.shape[0], spec, codes, ent, dets, letters, eng.ranks(letters))
+    return _Batch(ent.shape[0], spec, codes, ent, dets, letters, eng.ranks(letters), sizes)
 
 
-def _gf2_pass(max_n: int, halves) -> dict[str, list]:
+def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
     """[cases, first failures] of each check name the GF(2) halves yield over every
-    symmetric GF(2) matrix of order 1..max_n.  Each run of _SUITE_CHUNK consecutive
-    codes of one order is built once as a _Batch, handed to every half, then
-    dropped; a half yields (name, cases, failing codes, failure suffix) per batch."""
+    symmetric GF(2) matrix of order 1..max_n.
+
+    A half yields (name, columns checked, cases per column, failing mask over
+    those columns, failure suffix) per batch.  The per_orbit halves judge B and
+    every P B P^T alike, so each order hands them one batch of the least code of
+    every S_n orbit (orbit_reps), and a rep's cases count once per matrix of its
+    orbit.  The per_code halves get each run of _SUITE_CHUNK consecutive codes of
+    the order, built once, handed to each of them, then dropped.  With every half
+    in per_code this is the every-code pass the orbit pass is tested against."""
     found: dict[str, list] = {}
+
+    def run(halves, b: _Batch) -> None:
+        for half in halves:
+            for name, cols, per, bad, suffix in half(b):
+                tally = found.setdefault(name, [0, []])
+                codes = b.codes[cols]
+                tally[0] += per * (codes.size if b.sizes is None else int(b.sizes[cols].sum()))
+                _keep_codes(tally[1], b.n, codes[bad], suffix)
+
     for n in range(1, max_n + 1):
+        if per_orbit:
+            reps, sizes = eng.orbit_reps(n, GF2)
+            run(per_orbit, _batch(eng.decode_entries(reps, n), GF2, reps, sizes))
         total = 1 << eng.tri(n)
-        for start in range(0, total, _SUITE_CHUNK):
+        for start in range(0, total if per_code else 0, _SUITE_CHUNK):
             codes = np.arange(start, min(start + _SUITE_CHUNK, total))
-            batch = _batch(eng.decode_entries(codes, n), GF2, codes)
-            for half in halves:
-                for name, cases, bad, suffix in half(batch):
-                    tally = found.setdefault(name, [0, []])
-                    tally[0] += cases
-                    _keep_codes(tally[1], n, bad, suffix)
+            run(per_code, _batch(eng.decode_entries(codes, n), GF2, codes))
     return found
 
 
@@ -258,16 +276,16 @@ def _draw_gf4(rng: np.random.Generator, n: int) -> int:
     return eng.triangle_code(rng.integers(0, GF4.order, size=eng.tri(n)).tolist(), GF4)
 
 
-def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", group=lambda case: case[0]) -> list[str]:
+def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "") -> list[str]:
     """Run drawn GF(4) cases (n, code, ...), code encoding a matrix of order n, in
-    batches sharing group(case), by default the order, and return the first failures.
+    one batch per order, and return the first failures.
 
     test(cases, _Batch) flags each case's failures, one column per kind; each
     is kept in draw order as "gf4 <kind> <matrix><suffix>".
     """
     groups: dict = {}
     for c, case in enumerate(drawn):
-        groups.setdefault(group(case), []).append(c)
+        groups.setdefault(case[0], []).append(c)
     bad = np.zeros((len(drawn), len(kinds)), bool)
     for idx in groups.values():
         cases = [drawn[c] for c in idx]
@@ -298,7 +316,7 @@ def _inverse_gf2(b: _Batch):
     after = _batch(eng.inverse(b.ent.take(nz, axis=2))[1], GF2).letters
     # letters 1..n-1 of the inverse are B's n-1..1
     bad = (after[-1] != 2) | (after[:-1] != b.letters[:-1].take(nz, axis=1)[::-1]).any(axis=0)
-    yield "inverse-reversal", nz.size, b.codes[nz[bad]], ""
+    yield "inverse-reversal", nz, 1, bad, ""
 
 
 def _inheritance_gf2(b: _Batch):
@@ -316,7 +334,7 @@ def _inheritance_gf2(b: _Batch):
             bad |= (big == 0) & (some_s | some_a)
             bad |= (big == 2) & (some_n | some_s)
             bad |= (big == 1) & ~(some_s if i < m - 1 else some_n & some_a)
-        yield "inheritance", b.codes.size, b.codes[bad], f" m={m}"
+        yield "inheritance", slice(None), 1, bad, f" m={m}"
 
 
 def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
@@ -340,10 +358,10 @@ def _schur_gf2(b: _Batch):
             continue
         c = _batch(eng.schur_entries(b.ent.take(sel, axis=2), alpha), GF2)
         bad = _schur_bad(b, sel, alpha, c)
-        yield "schur-complement-identity", c.dets.size, b.codes[sel[bad]], f" alpha={alpha}"
+        yield "schur-complement-identity", sel, len(c.dets), bad, f" alpha={alpha}"
         top = b.letters[len(alpha) :].take(sel, axis=1)  # B's letters k+1..n: C keeps their As and Ns
         bad = ((top != 1) & (c.letters != top)).any(axis=0)
-        yield "schur-complement-letters", top.size, b.codes[sel[bad]], f" alpha={alpha}"
+        yield "schur-complement-letters", sel, len(top), bad, f" alpha={alpha}"
 
 
 def _schur_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
@@ -357,23 +375,26 @@ def _schur_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]
         n = int(rng.integers(2, 6))
         code = _draw_gf4(rng, n)
         nonzero = reduce(int.__or__, _planes(eng.code_rows(code, n, GF4), GF4))
-        pivots = [a for a, row in _subsets(n)[1:-1] if nonzero >> row & 1]
+        pivots = [row for _, row in _subsets(n)[1:-1] if nonzero >> row & 1]
         if pivots:
             alpha = pivots[int(rng.integers(0, len(pivots)))]
-            gamma = _mask(np.flatnonzero(rng.integers(0, 2, size=n - len(alpha))).tolist())
+            gamma = _mask(np.flatnonzero(rng.integers(0, 2, size=n - alpha.bit_count())).tolist())
             drawn.append((n, code, alpha, gamma))
 
-    def test(cases, b):
-        alpha = cases[0][2]
-        c = _batch(eng.schur_entries(b.ent, alpha, b.spec), b.spec)
-        gammas = np.array([gamma for *_, gamma in cases])
-        return _schur_bad(b, np.arange(len(cases)), alpha, c, gammas)
+    def test(cases, b):  # one Schur image per pivot set of the order's cases
+        alphas, gammas = np.array([case[2:] for case in cases]).T
+        bad = np.zeros(len(cases), bool)
+        for alpha in set(alphas.tolist()):
+            cols = np.flatnonzero(alphas == alpha)
+            c = _batch(eng.schur_entries(b.ent.take(cols, axis=2), _members(alpha), b.spec), b.spec)
+            bad[cols] = _schur_bad(b, cols, _members(alpha), c, gammas[cols])
+        return bad
 
     def suffix(case):
         *_, alpha, gamma = case
-        return f" alpha={tuple(a + 1 for a in alpha)} gamma={tuple(g + 1 for g in _members(gamma))}"
+        return f" alpha={tuple(a + 1 for a in _members(alpha))} gamma={tuple(g + 1 for g in _members(gamma))}"
 
-    return len(drawn), _run_gf4(drawn, ["schur"], test, suffix, group=lambda case: (case[0], case[2]))
+    return len(drawn), _run_gf4(drawn, ["schur"], test, suffix)
 
 
 def _joined_rows(n: int, alpha: tuple[int, ...]) -> np.ndarray:
@@ -401,7 +422,7 @@ def _hyperdet_gf2(b: _Batch):
         for sub, _ in _subsets(len(rest)):
             base = tuple(rest[x] for x in sub)
             total = _hyperdet_sum(b, slice(None), _mask(base), [1 << t for t in tau])
-            yield "hyperdeterminantal-relation", b.codes.size, b.codes[total != 0], f" tau={tau} I={base}"
+            yield "hyperdeterminantal-relation", slice(None), 1, total != 0, f" tau={tau} I={base}"
 
 
 def _hyperdet_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
@@ -444,13 +465,13 @@ def _terminal_an_gf2(b: _Batch):
         return
     sel = np.flatnonzero((b.letters[b.n - 2] == 2) & (b.letters[b.n - 1] == 0))
     bad = (eng.deleted_minors(b.ent.take(sel, axis=2)) == 0).any(axis=(0, 1))
-    yield "terminal-an-full-minors", sel.size, b.codes[sel[bad]], ""
+    yield "terminal-an-full-minors", sel, 1, bad, ""
 
 
 def _append_gf2(b: _Batch):
     """Letterwise effect of duplicating the last index or appending a zero one."""
     bad_dup, bad_zero = _append_bad(b)
-    yield "append-transforms", 2 * b.codes.size, b.codes[bad_dup | bad_zero], ""
+    yield "append-transforms", slice(None), 2, bad_dup | bad_zero, ""
 
 
 def _append_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
@@ -465,11 +486,15 @@ def _append_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str
 def _append_bad(b: _Batch) -> tuple[np.ndarray, np.ndarray]:
     """Where appending a copy of the last index or a zero index to a matrix of b
     breaks the rule: both end in N, the copy keeps letter 1, and every other
-    letter becomes S unless it was N."""
+    letter becomes S unless it was N.  P B P^T's last index is one of B's, so a
+    batch of orbit reps (b.sizes set) copies each of its indices in turn."""
     n = b.n
-    dup, zero = (_batch(eng.gather_entries(b.ent, (*range(n), last)), b.spec).letters for last in (n - 1, n))
     damp = np.minimum(b.letters, 1)
-    bad_dup = (dup[n] != 0) | (dup[0] != b.letters[0]) | (dup[1:n] != damp[1:]).any(axis=0)
+    bad_dup = np.zeros(b.letters.shape[1], bool)
+    for last in range(n) if b.sizes is not None else (n - 1,):
+        dup = _batch(eng.gather_entries(b.ent, (*range(n), last)), b.spec).letters
+        bad_dup |= (dup[n] != 0) | (dup[0] != b.letters[0]) | (dup[1:n] != damp[1:]).any(axis=0)
+    zero = _batch(eng.gather_entries(b.ent, (*range(n), n)), b.spec).letters
     bad_zero = (zero[n] != 0) | (zero[:n] != damp).any(axis=0)
     return bad_dup, bad_zero
 
@@ -488,8 +513,7 @@ def _congruence_gf2(b: _Batch, grids: dict[int, list]):
     """Congruence by an invertible matrix preserves pr bits r_1..r_n, for each
     grid E drawn for order n."""
     for grid in grids.get(b.n, ()):
-        changed = _pr_changed(b, grid)
-        yield "congruence-pr-invariance", b.codes.size, b.codes[changed], f" E={grid}"
+        yield "congruence-pr-invariance", slice(None), 1, _pr_changed(b, grid), f" E={grid}"
 
 
 def _congruence_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
@@ -561,14 +585,14 @@ def _check_attained_rule_soundness(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("attained-rule-soundness", outcomes)
 
 
-def _gf2_halves(rng: np.random.Generator, max_n: int) -> list:
-    """The GF(2) half of each exhaustive check; the congruence half checks three
-    grids E drawn for each order 2..max_n."""
+def _gf2_halves(rng: np.random.Generator, max_n: int) -> tuple[list, list]:
+    """The GF(2) half of each exhaustive check, as _gf2_pass's (per_code, per_orbit).
+    The congruence half checks three grids E drawn for each order 2..max_n, and
+    E (P B P^T) E^T = (E P) B (E P)^T, so it runs over every code; every other
+    half judges each matrix of an S_n orbit alike."""
     grids = {n: [_rand_invertible(rng, n, GF2) for _ in range(3)] for n in range(2, max_n + 1)}
-    return [
-        _inverse_gf2, _inheritance_gf2, _schur_gf2, _hyperdet_gf2, _terminal_an_gf2, _append_gf2,
-        partial(_congruence_gf2, grids=grids),
-    ]
+    per_orbit = [_inverse_gf2, _inheritance_gf2, _schur_gf2, _hyperdet_gf2, _terminal_an_gf2, _append_gf2]
+    return [partial(_congruence_gf2, grids=grids)], per_orbit
 
 
 def theorem_suite(
@@ -579,13 +603,15 @@ def theorem_suite(
     Matrix-quantified checks run exhaustively over GF(2) up to ``max_n``;
     word-level checks use catalogs up to ``max_n + 1``; field-generic
     identities additionally run ``gf4_cases`` seeded GF(4) cases each.
-    The GF(2) cases run in one pass, one run of codes of one order at a
-    time, shared by every exhaustive check; no order is held whole.
-    Every drawn GF(4) case is held, as its matrix's code and a few small
-    parameters, until its check's batches run, so
-    ``gf4_cases`` is capped at 10^5: on a 2-vCPU host ``check-theorems``
-    then takes about 20 s and 63 MiB of peak RSS, against 0.8 s and 40 MiB
-    at the default 1000 (both grow linearly with it).
+    The GF(2) cases run in one pass over the orders (_gf2_pass): six
+    checks judge every P B P^T as B, so they run once per S_n orbit, on
+    its least code, weighted by the orbit's size (544 reps for 32768
+    codes at order 5); the congruence check runs over every code, one run
+    of codes at a time, so no order is held whole.  Every drawn GF(4) case
+    is held, as its matrix's code and a few small parameters, until its
+    check's batches run, so ``gf4_cases`` is capped at 10^5: on a 2-vCPU
+    host ``check-theorems`` then takes about 13 s and 61 MiB of peak RSS,
+    against about 0.4 s and 37.5 MiB at the default 1000.
     """
     if not 2 <= max_n <= 5:
         raise ValueError(f"max_n must be in [2, 5], got {max_n}")
@@ -602,7 +628,7 @@ def theorem_suite(
     }
     halves = _gf2_halves(rng, max_n)
     gf4["congruence-pr-invariance"] = _congruence_gf4(rng, gf4_cases)
-    gf2 = _gf2_pass(max_n, halves)
+    gf2 = _gf2_pass(max_n, *halves)
 
     def matrix_check(name: str) -> CheckResult:
         """GF(2) cases and failures first, then the GF(4) ones."""

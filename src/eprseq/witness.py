@@ -69,10 +69,8 @@ def _schur(x, k: int):
 
 
 def _appended(x, step: str, count: int):
-    m = x[0]
-    for _ in range(count):
-        m = getattr(m, step)()
-    return m, "; ".join((x[1],) + (step,) * count)
+    """x with count indices appended in one build, its recipe naming one step per index."""
+    return getattr(x[0], step)(count), "; ".join((x[1],) + (step,) * count)
 
 
 def _a3(n: int):

@@ -298,6 +298,15 @@ def test_append_zero():
     assert got.rows == ((1, 0), (0, 0))
 
 
+def test_append_count_matches_repeated_appends():
+    for m in (identity(2), loop_split_graph(3, 1), zeros(1, GF4)):
+        for step in ("append_duplicate_last", "append_zero"):
+            one_at_a_time = m
+            for count in range(4):
+                assert getattr(m, step)(count) == one_at_a_time, (m, step, count)
+                one_at_a_time = getattr(one_at_a_time, step)()
+
+
 def _outcome(build):
     """The rows ``build()`` returns, or the text of the error it raises."""
     try:

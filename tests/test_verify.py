@@ -2,7 +2,8 @@ import ast
 import random
 import re
 import tracemalloc
-from itertools import combinations, combinations_with_replacement, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -534,9 +535,9 @@ def _traced_peak(fn, *args, **kwargs) -> int:
 
 
 def test_theorem_suite_peak_memory():
-    """The default suite holds one batch of 2^13 codes of one order at a time,
-    and one Schur case of that batch; holding every Schur case of order <= 5 at
-    once takes 5.2 MiB by itself."""
+    """The default suite holds one batch of one order's orbit reps, or of 2^12
+    of its codes, at a time, and one Schur case of that batch; holding every
+    Schur case of order <= 5 at once takes 5.2 MiB by itself."""
     verify._catalog_raw.cache_clear()  # the suite's word catalogs count too
     assert _traced_peak(theorem_suite) <= 6 * 2**20
 
@@ -667,8 +668,14 @@ def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
 # -- fault injection: the exhaustive GF(2) Schur loop reports a wrong complement -----
 
 def _gf2_check(max_n, name, halves):
-    """The check name as the GF(2) pass over orders 1..max_n gives it, running halves."""
+    """The check name as the every-code GF(2) pass over orders 1..max_n gives it, running halves."""
     return verify.CheckResult(name, *verify._gf2_pass(max_n, halves)[name])
+
+
+def _every_half(seed, max_n):
+    """Every GF(2) half of the suite, its congruence grids drawn from seed."""
+    per_code, per_orbit = verify._gf2_halves(np.random.default_rng(seed), max_n)
+    return per_code + per_orbit
 
 
 def _gf2_schur_failures(complement):
@@ -752,7 +759,7 @@ def test_gf2_append_loop_reports_a_wrong_appended_index(monkeypatch):
 
 def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
     _zero_congruence(monkeypatch)
-    result = _gf2_check(3, "congruence-pr-invariance", verify._gf2_halves(np.random.default_rng(6), 3))
+    result = _gf2_check(3, "congruence-pr-invariance", _every_half(6, 3))
     assert result.cases == 3 * (8 + 64)
     for b, (e,) in _gf2_failures(result, r" E=(\[.*\])"):
         congruent = matmul(matmul(e, b.rows, GF2), [list(col) for col in zip(*e)], GF2)
@@ -767,7 +774,7 @@ def _gf2_pass_results(monkeypatch, chunk):
     """{check name: (cases, sorted failures)} of the GF(2) pass up to order 4 in
     batches of chunk codes."""
     monkeypatch.setattr(verify, "_SUITE_CHUNK", chunk)
-    found = verify._gf2_pass(4, verify._gf2_halves(np.random.default_rng(1), 4))
+    found = verify._gf2_pass(4, _every_half(1, 4))
     return {name: (cases, sorted(failures)) for name, (cases, failures) in found.items()}
 
 
@@ -787,23 +794,102 @@ def test_gf2_pass_does_not_depend_on_the_chunk_size(monkeypatch, faulty):
         assert _gf2_pass_results(monkeypatch, chunk) == default, chunk
 
 
+# cases of each exhaustive GF(2) check over every symmetric matrix of order 1..6
+_ORDER_6_CASES = {
+    "inverse-reversal": 903201,
+    "inheritance": 10620040,
+    "schur-complement-identity": 668872784,
+    "schur-complement-letters": 183472168,
+    "hyperdeterminantal-relation": 336863296,
+    "terminal-an-full-minors": 14369,
+    "append-transforms": 4262036,
+    "congruence-pr-invariance": 6393048,
+}
+
+
 @pytest.mark.slow
 def test_gf2_pass_at_order_6():
     """Every exhaustive GF(2) check over all 2^21 order-6 matrices and the lower
     orders (about half a minute); theorem_suite itself still refuses max_n = 6."""
     with pytest.raises(ValueError):
         theorem_suite(max_n=6)
-    found = verify._gf2_pass(6, verify._gf2_halves(np.random.default_rng(verify.DEFAULT_SEED), 6))
-    assert {name: (cases, failures) for name, (cases, failures) in found.items()} == {
-        "inverse-reversal": (903201, []),
-        "inheritance": (10620040, []),
-        "schur-complement-identity": (668872784, []),
-        "schur-complement-letters": (183472168, []),
-        "hyperdeterminantal-relation": (336863296, []),
-        "terminal-an-full-minors": (14369, []),
-        "append-transforms": (4262036, []),
-        "congruence-pr-invariance": (6393048, []),
-    }
+    found = verify._gf2_pass(6, _every_half(verify.DEFAULT_SEED, 6))
+    assert found == {name: [cases, []] for name, cases in _ORDER_6_CASES.items()}
+
+
+@pytest.mark.slow
+def test_orbit_gf2_pass_at_order_6():
+    """The suite's own route to order 6: six halves over the 5096 order-6 orbit
+    reps, weighted by orbit size, and congruence over every code."""
+    halves = verify._gf2_halves(np.random.default_rng(verify.DEFAULT_SEED), 6)
+    found = verify._gf2_pass(6, *halves)
+    assert found == {name: [cases, []] for name, cases in _ORDER_6_CASES.items()}
+
+
+@lru_cache(maxsize=None)
+def _least_in_orbit(n, code):
+    """Least code of the S_n orbit of code under B -> P B P^T, by trying every P."""
+    rows = eng.code_rows(code, n)
+    pairs = list(combinations_with_replacement(range(n), 2))
+    return min(eng.triangle_code([rows[p[i]][p[j]] for i, j in pairs]) for p in permutations(range(n)))
+
+
+def _failing_orbits(found):
+    """{check name: (cases, {(order, least code of the orbit)} of its failures)}."""
+    out = {}
+    for name, (cases, failures) in found.items():
+        codes = {tuple(_parse(f, r"order (\d+) code (\d+).*")) for f in failures}
+        out[name] = cases, {(n, _least_in_orbit(n, code)) for n, code in codes}
+    return out
+
+
+def _flip_schur(monkeypatch):
+    orig = eng.schur_entries
+    monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
+
+
+def _unloop_appended(monkeypatch):
+    """Make eng.gather_entries give the appended index no loop.  A copy of a looped
+    index then breaks the append rule where a copy of an unlooped one does not, so
+    an orbit rep that duplicated only its last index would miss failing orbits."""
+    orig = eng.gather_entries
+
+    def unlooped(ent, idx):
+        out = orig(ent, idx)
+        out[-1, -1] = 0
+        return out
+
+    monkeypatch.setattr(eng, "gather_entries", unlooped)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None, _flip_schur, _flip_inverse, _copy_index_0, _unloop_appended],
+    ids=["sound", "schur", "inverse", "append-zero", "append-copy"],
+)
+def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
+    """With six halves over orbit reps, every check counts the cases the
+    every-code pass counts, and fails on the least code of exactly the orbits
+    with a failing matrix there (every failure kept)."""
+    if fault:
+        fault(monkeypatch)
+        monkeypatch.setattr(verify, "_MAX_FAILURES_KEPT", 10**9)
+    per_code, per_orbit = verify._gf2_halves(np.random.default_rng(2), 4)
+    every = _failing_orbits(verify._gf2_pass(4, per_code + per_orbit))
+    orbit = verify._gf2_pass(4, per_code, per_orbit)
+    assert len(orbit) == 8
+    assert _failing_orbits(orbit) == every
+    failing = {name for name, (_, bad) in every.items() if bad}
+    assert failing == {
+        None: set(),
+        _flip_schur: {"schur-complement-identity", "schur-complement-letters"},
+        _flip_inverse: {"inverse-reversal", "schur-complement-identity", "schur-complement-letters"},
+        _copy_index_0: {"append-transforms"},
+        _unloop_appended: {"append-transforms"},
+    }[fault]
+    for name in failing:  # each failing code of the orbit pass is itself its orbit's least code
+        reps = {tuple(_parse(f, r"order (\d+) code (\d+).*")) for f in orbit[name][1]}
+        assert reps == every[name][1], name
 
 
 def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
