@@ -4,8 +4,8 @@ Every symmetric GF(2) matrix of order n is counted (the upper triangle
 packed into one integer).  The epr word is invariant under simultaneous
 row and column permutation, so only the matrices whose trailing block
 B[1:, 1:] is the least of its orbit are swept, each word weighted by the
-orbit's size; the matrices sharing a trailing block read their minors
-off that block's one table and a border word each.  The attained set is
+orbit's size; the sweep is bit-sliced, one Python int per minor with one
+bit per matrix, so it needs no numpy.  The attained set is
 compared with the classifier in both directions; the two must agree
 exactly.
 """

@@ -8,8 +8,8 @@ against exhaustive enumeration.
 
 The package is one lazy namespace: ``import eprseq`` loads no submodule,
 and each public name imports the submodule that defines it on first use
-(PEP 562), so a process pays only for what it touches.  ``eprseq.verify``
-alone imports numpy, which the single-matrix code paths never need.
+(PEP 562), so a process pays only for what it touches.  Only the theorem
+suite (``eprseq.verify.theorem_suite``) imports numpy.
 """
 
 __version__ = "0.1.0"

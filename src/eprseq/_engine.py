@@ -1,56 +1,28 @@
-"""Exhaustive GF(2^k) sweeps on the batched principal-minor kernel.
+"""Batched numpy kernels of the theorem suite, on (n, n, B) entry batches.
 
-A symmetric order-n matrix is encoded as the integer whose bit fields
-are the n(n+1)/2 upper-triangle entries in row-major order, q bits per
-entry over GF(2^q) (one over GF(2), two over GF(4)); ascending code order is the
-canonical enumeration order.  Only triangle_code, decode_entries and
-code_rows know this layout (orbit_reps moves whole fields through it):
-everything else works on (n, n, B) entry batches, the batch on the last
-axis.  Row 0 takes the lowest bits, so each run of 2^(q n) consecutive
-codes (q bits per entry) shares its trailing block A = B[1:, 1:].  The
-border sweep (sweep_keys) hands a list of A's to minor_tables, the
-batched char-2 bordering kernel (eprseq.sequence.minor_planes computes
-the same table for one matrix without numpy), and reads the letters of
-all 2^(q n) matrices bordering each A off A's packed table and one
-border word per matrix: A where every minor of an order is nonzero, N
-where none is.  The epr word is invariant under B -> P B P^T, so a
-catalog borders only the least A of each S_(n-1) orbit (orbit_reps) and
-weights its words by the orbit's size; it sweeps the reps in runs of
-about _CHUNK_CODES codes, one sweep_keys call each, so its working set
-stays near the L2 cache and its partition does not depend on the job
-count.  letter_arrays sweeps every A, for the theorem suite.  The
-theorem suite's code maps
-(principal submatrices, appended rows, inverses, Schur complements,
-congruences) map entry batches to entry batches over any GF(2^k):
-products are bit-sliced as in minor_tables, and inverses, and the
-order-(n-1) minors of the terminal-AN check, come from batched
-Gauss-Jordan elimination, never from the minor table.  table_letters
-reads the letters of any batch off its own minor table, as one (n, B)
-array.
-
-Everything here is internal plumbing for :mod:`eprseq.verify`.
+minor_tables is the batched char-2 bordering kernel, the principal-minor
+table of each matrix of a batch (eprseq.sequence.minor_planes builds it
+for one matrix, eprseq._sweep bit-sliced across a catalog).  The suite's
+code maps (submatrices, appended rows, inverses, Schur complements,
+congruences) map batches to batches over any GF(2^k), products
+bit-sliced as in minor_tables, inverses and the terminal-AN check's
+minors by batched Gauss-Jordan elimination.  catalog_gf2, catalog_gf4
+and _merge_chunks are eprseq._sweep's, named here where
+bench/tracer.py times them.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .gfield import GF2, GF4, FieldSpec, _inverse_table
-from .matrix import SymMatrix
+from ._sweep import _layout, _merge_chunks, catalog_gf2, catalog_gf4, tri  # noqa: F401
+from .gfield import GF2, FieldSpec, _inverse_table
 
 _MAX_TABLE_ORDER = 6
 
-# Codes per sweep chunk, whatever the job count: a chunk's keys and border
-# words (about 12 bytes a code) stay near a 2 MiB L2 cache.  Larger chunks
-# spill it; smaller ones pay more per-chunk overhead (2^16 made the GF(2)
-# n = 7 sweep slower on two threads).
-_CHUNK_CODES = 1 << 17
-
-_LETTER_CHARS = "NSA"  # letter codes 0, 1, 2
+_RUN_CODES = 1 << 12
 
 
 @lru_cache(maxsize=None)
@@ -93,16 +65,6 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return dets
 
 
-def tri(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def _layout(n: int, spec: FieldSpec):
-    """(shift, i, j) of every upper-triangle entry, in row-major code order."""
-    for p, (i, j) in enumerate(combinations_with_replacement(range(n), 2)):
-        yield spec.degree * p, i, j
-
-
 def decode_entries(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarray:
     """Entries (n, n, B) of the matrices encoded by ``codes``."""
     ent = np.empty((n, n, codes.size), np.uint8)
@@ -111,158 +73,19 @@ def decode_entries(codes: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarr
     return ent
 
 
-def triangle_code(values, spec: FieldSpec = GF2) -> int:
-    """Code of the matrix whose upper triangle, read row by row, holds values."""
-    return sum(int(v) << (spec.degree * p) for p, v in enumerate(values))
-
-
-def code_rows(code: int, n: int, spec: FieldSpec = GF2) -> list[list[int]]:
-    """Rows of the matrix encoded by one code."""
-    rows = [[0] * n for _ in range(n)]
-    for shift, i, j in _layout(n, spec):
-        rows[i][j] = rows[j][i] = (code >> shift) & (spec.order - 1)
-    return rows
-
-
-def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
-    """The matrix encoded by one code."""
-    return SymMatrix(spec, code_rows(code, n, spec))
-
-
-def _permutation_tables(k: int, spec: FieldSpec) -> np.ndarray:
-    """Byte lookup tables (k!, bytes, 256) of every permutation p of range(k):
-    OR-ing table[p, b] at byte b of a code, over its bytes, gives the code of
-    the matrix with entry (p(i), p(j)) = b_ij.  A bit moves with its field."""
-    perms = np.array(list(permutations(range(k))), np.intp).reshape(-1, k)
-    pos = np.zeros((k, k), np.intp)
-    for shift, i, j in _layout(k, spec):
-        pos[i, j] = pos[j, i] = shift
-    src_i, src_j = np.triu_indices(k)  # row-major, as in _layout
-    dest = pos[perms[:, src_i], perms[:, src_j]][:, :, None] + np.arange(spec.degree)
-    nbits = spec.degree * tri(k)
-    moved = np.zeros((len(perms), -(-nbits // 8) * 8), np.uint32)
-    moved[:, :nbits] = np.uint32(1) << dest.reshape(len(perms), nbits).astype(np.uint32)
-    bits = (np.arange(256, dtype=np.uint32)[:, None] >> np.arange(8, dtype=np.uint32)) & 1
-    return moved.reshape(len(perms), -1, 8) @ bits.T
-
-
-def orbit_reps(k: int, spec: FieldSpec = GF2) -> tuple[np.ndarray, np.ndarray]:
-    """(least code, size k!/|Aut|) of every S_k orbit of symmetric order-k
-    matrices over spec under B -> P B P^T, by ascending code.
-
-    Row 0 takes the lowest q k bits, so an orbit's least code has a least
-    trailing block B[1:, 1:] (a permutation fixing index 0 would otherwise
-    lower it): the candidates, each order-(k-1) rep bordered by every row,
-    hold every least code once.  A candidate is kept when no permutation of
-    its entry fields lowers its code, and the permutations that keep it are
-    its automorphisms.  Codes are uint32, so q tri(k) <= 32.
-    """
-    q = spec.degree
-    if q * tri(k) > 32:
-        raise ValueError(f"orbit codes of order {k} over {spec.name} exceed 32 bits")
-    if k == 0:
-        return np.zeros(1, np.uint32), np.ones(1, np.int64)
-    prev = orbit_reps(k - 1, spec)[0]
-    cand = (prev[:, None] << np.uint32(q * k) | np.arange(1 << (q * k), dtype=np.uint32)).ravel()
-    tables = _permutation_tables(k, spec)
-    aut = np.zeros(cand.size, np.int64)
-    for table in tables:
-        image = table[0][cand & 255]
-        for b in range(1, len(table)):
-            image |= table[b][cand >> np.uint32(8 * b) & 255]
-        keep = image >= cand
-        aut += image == cand
-        if not keep.all():
-            cand, aut = cand[keep], aut[keep]
-    return cand, len(tables) // aut
-
-
-@lru_cache(maxsize=None)
-def _subset_masks(n: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Masks of words holding one q-bit field per subset T of a trailing block's
-    n - 1 indices, at bit q*T: (bit 0 of the fields of each size 0..n, the
-    whole fields of the T without index a, for each a < n - 1)."""
-    sizes, without = [0] * (n + 1), [0] * (n - 1)
-    for t in range(1 << (n - 1)):
-        sizes[t.bit_count()] |= 1 << (q * t)
-        for a in range(n - 1):
-            if not t >> a & 1:
-                without[a] |= ((1 << q) - 1) << (q * t)
-    return tuple(sizes), tuple(without)
-
-
-def _times_x(word: np.ndarray, e: int, low: int, spec: FieldSpec) -> np.ndarray:
-    """x^e times every q-bit field of a packed word over spec; low masks bit 0 of each."""
-    q = spec.degree
-    for _ in range(e):
-        carry = (word >> (q - 1)) & low  # each field's x^(q-1) bit, reduced by the modulus
-        word = ((word ^ (carry << (q - 1))) << 1) ^ carry * (spec.modulus ^ spec.order)
-    return word
-
-
-def _nonzero_fields(word: np.ndarray, q: int, low: int) -> np.ndarray:
-    """Bit 0 of each q-bit field of a packed word set iff that field is nonzero."""
-    out = word
-    for s in range(1, q):  # shifts below q, so bit 0 sees only its own field
-        out = out | word >> s
-    return out & low
-
-
-def sweep_keys(blocks: np.ndarray, n: int, spec: FieldSpec = GF2) -> np.ndarray:
-    """Letter keys (letter k in bits 2k-2, 2k-1; 0=N, 1=S, 2=A) of the order-n
-    matrices bordering each trailing-block code in blocks.
-
-    Row 0 of B takes the lowest q*n code bits (q = spec.degree), so the
-    code of B is (code of A = B[1:, 1:]) << q*n | r, r = row 0; the key of
-    blocks[i] bordered by r is at index i * 2^(q n) + r.  The minors without
-    index 0 are A's: one minor_tables call per A, packed into one word of
-    q-bit fields.  The minors with index 0 are
-    det B[{0} u T] = b_00 det A[T] + sum_{i in T} b_0i^2 det A[T - {i}],
-    GF(2)-linear in the bits of row 0, so their word U(r) for row bits r
-    is the XOR of one column word per set bit: bit t of b_00 multiplies
-    A's word by x^t, bit t of b_0i (Frobenius: b^2 is additive) multiplies
-    A's word shifted onto the T holding i by x^(2t).  Every U(r) comes by
-    doubling, U <- [U, U ^ col], so r ascends in code order; a letter is
-    read off mask tests on A's word and U(r).
-    """
-    q = spec.degree
-    dtype = np.uint32 if q << (n - 1) <= 32 else np.uint64
-    sizes, without = _subset_masks(n, q)
-    low = sum(sizes)  # bit 0 of every field
-    word = np.zeros(len(blocks), dtype)
-    for t, row in enumerate(minor_tables(decode_entries(blocks, n - 1, spec), spec)):
-        word |= row.astype(dtype) << (q * t)
-    u = np.empty((word.size, 1 << (q * n)), dtype)
-    u[:, 0] = 0
-    width = 1
-    for p in range(n):
-        base = word if p == 0 else (word & without[p - 1]) << (q << (p - 1))
-        for t in range(q):
-            col = _times_x(base, t if p == 0 else 2 * t, low, spec)
-            np.bitwise_xor(u[:, :width], col[:, None], out=u[:, width : 2 * width])
-            width *= 2
-    if q > 1:
-        word, u = _nonzero_fields(word, q, low), _nonzero_fields(u, q, low)
-    keys = np.zeros(u.shape, np.uint16)
-    for k in range(1, n + 1):
-        m, ma = sizes[k - 1], sizes[k]
-        hit = u & m
-        every = (hit == m) & ((word & ma) == ma)[:, None]
-        some = (hit != 0) | ((word & ma) != 0)[:, None]
-        keys |= (some.view(np.uint8) + every).astype(np.uint16) << (2 * k - 2)
-    return keys.ravel()
-
-
 @lru_cache(maxsize=None)
 def letter_arrays(n: int) -> tuple[np.ndarray, ...]:
-    """Letter arrays over all codes of order n (cached; n <= 6)."""
+    """Letter arrays over all codes of order n (cached; n <= 6), read off minor_tables
+    in runs of _RUN_CODES codes (runs of 2^16 raised check-theorems' peak RSS by 2.8 MiB)."""
     if n > _MAX_TABLE_ORDER:
         raise ValueError(f"letter arrays are built up to order {_MAX_TABLE_ORDER}")
-    keys = sweep_keys(np.arange(1 << tri(n - 1)), n)
-    letters = tuple(((keys >> (2 * k)) & 3).astype(np.uint8) for k in range(n))
-    for arr in letters:
-        arr.setflags(write=False)
-    return letters
+    total = 1 << tri(n)
+    letters = np.empty((n, total), np.uint8)
+    for lo in range(0, total, _RUN_CODES):
+        codes = np.arange(lo, min(lo + _RUN_CODES, total))
+        letters[:, lo : lo + codes.size] = table_letters(minor_tables(decode_entries(codes, n), GF2))
+    letters.setflags(write=False)
+    return tuple(letters)
 
 
 @lru_cache(maxsize=None)
@@ -308,71 +131,6 @@ def table_letters(dets: np.ndarray) -> np.ndarray:
         nz.any(axis=0, out=out.view(bool))
         out += nz.all(axis=0)
     return letters
-
-
-def key_to_word(key: int, n: int) -> str:
-    return "".join(_LETTER_CHARS[(key >> (2 * k)) & 3] for k in range(n))
-
-
-def _merge_chunks(results, n):
-    counts: dict[str, int] = {}
-    exemplar: dict[str, int] = {}
-    for keys, first, cnt in results:
-        for key, code, c in zip(keys.tolist(), first, cnt.tolist()):
-            word = key_to_word(key, n)
-            counts[word] = counts.get(word, 0) + c
-            exemplar.setdefault(word, code)
-    return counts, exemplar
-
-
-def _catalog(n: int, spec: FieldSpec, jobs: int):
-    """Counts and first-attaining codes of every epr word at order n over spec.
-
-    The word is invariant under B -> P B P^T, and a permutation fixing
-    index 0 permutes the trailing block A = B[1:, 1:] alone, so the sweep
-    borders one A per S_(n-1) orbit (orbit_reps) and weights each word by
-    the orbit's size.  The first code attaining a word has a least trailing
-    block (mapping A to its orbit's least code would lower it), so it is
-    the first hit in (rep, row 0) order.  Work is split into runs of
-    consecutive reps of about _CHUNK_CODES codes, whatever the job count;
-    the runs go to at most os.cpu_count() threads, and the merge keeps the
-    first run's exemplar, so the result is identical for any job count.
-    """
-    shift = spec.degree * n  # row 0's bits
-    rows = 1 << shift
-    reps, sizes = orbit_reps(n - 1, spec)
-    step = max(1, _CHUNK_CODES // rows)
-
-    def process(lo: int):
-        keys = sweep_keys(reps[lo : lo + step], n, spec)
-        # float weights are exact: counts stay far below 2^53 (2^30 at the gated orders)
-        weights = np.repeat(sizes[lo : lo + step].astype(float), rows)
-        cnt = np.bincount(keys, weights, minlength=1 << (2 * n))
-        present = np.flatnonzero(cnt)
-        first = (int(np.argmax(keys == key)) for key in present.tolist())
-        codes = [int(reps[lo + i // rows]) << shift | i % rows for i in first]
-        return present, codes, cnt[present].astype(np.int64)
-
-    starts = range(0, len(reps), step)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(process, starts))
-    else:
-        results = [process(lo) for lo in starts]
-    return _merge_chunks(results, n)
-
-
-def catalog_gf2(n: int, jobs: int = 1):
-    """Counts and first-attaining codes of every GF(2) epr word at order n."""
-    return _catalog(n, GF2, jobs)
-
-
-def catalog_gf4(n: int, jobs: int = 1):
-    """Counts and first-attaining codes of every GF(4) epr word at order n."""
-    return _catalog(n, GF4, jobs)
 
 
 # ---------------------------------------------------------------------------

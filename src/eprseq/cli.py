@@ -16,13 +16,12 @@ One verb per invocation::
 FILE may be ``-`` for standard input, and ``-o -`` writes to standard
 output.  Exit status: 0 success / attainable / zero failures, 1 not
 attainable or check failures, 2 usage or parse errors.  ``--jobs``
-(default from EPRSEQ_JOBS, a positive integer) splits enumeration into
-ranges of orbit representatives run on at most os.cpu_count() threads;
-output is byte-identical for every job count.
+(default from EPRSEQ_JOBS) must be a positive integer; the sweep runs on
+one thread, so output is byte-identical for every job count.
 
 This module imports no other eprseq module at load time: each verb
 imports what it runs when it runs, so ``epr`` never loads the classifier
-and only the sweep verbs load numpy (through eprseq.verify).
+and only ``check-theorems`` loads numpy (through eprseq._suite).
 """
 
 from __future__ import annotations

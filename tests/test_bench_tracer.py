@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eprseq import cli
+from eprseq import cli, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
@@ -42,6 +42,16 @@ def test_traced_check_theorems_run(capsys, monkeypatch):
     cases = dict(line.split()[:2] for line in plain.splitlines()[1:])
     gf2_dets = int(cases["loop-split-determinant"]) + int(cases["loop-complete-nonsingular"])
     assert tracer.counts["matrix.det.calls"] >= gf2_dets > 0
+
+
+def test_traced_enumerate_run(capsys, monkeypatch):
+    """The catalog sweep runs under the names the tracer wraps."""
+    assert cli.main(["enumerate", "-n", "4"]) == 0
+    plain = capsys.readouterr().out
+    verify._catalog_raw.cache_clear()  # so the traced run sweeps again
+    code, tracer = traced_main(monkeypatch, ["enumerate", "-n", "4"])
+    assert (code, capsys.readouterr().out) == (0, plain)
+    assert {"engine.catalog_gf2", "verify.enumerate"} <= {s.name for s in tracer.spans}
 
 
 # inverse, A8 and S4 Schur, and appended-step recipes

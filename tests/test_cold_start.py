@@ -1,7 +1,7 @@
-"""Each verb loads only what it runs: the single-matrix verbs never import numpy,
-`epr`, `pr` and `minors` never the classifier, `classify` and `classify-pr` never
-the matrix module, no verb dataclasses, and `enumerate` neither the classifier nor
-the sequence module."""
+"""Each verb loads only what it runs: only `check-theorems` imports numpy (and
+the batched kernels and the theorem suite), `epr`, `pr` and `minors` never the
+classifier, `classify` and `classify-pr` never the matrix module, no verb
+dataclasses, and `enumerate` neither the classifier nor the sequence module."""
 
 import os
 import subprocess
@@ -36,7 +36,11 @@ assert run("witness-pr", "1]010")[0] == 0
 assert run("classify", "NSNA")[0] == 0
 not_loaded("dataclasses", "numpy")
 assert run("enumerate", "-n", "3")[0] == 0
-assert "numpy" in sys.modules, "enumerate ran without numpy"
+assert run("enumerate", "--field", "gf4", "-n", "2")[0] == 0
+assert run("verify", "-n", "3")[0] == 0
+not_loaded("numpy", "eprseq._engine", "eprseq._suite")
+assert run("check-theorems", "--max-n", "2")[0] == 0
+assert "numpy" in sys.modules, "check-theorems ran without numpy"
 missing = [name for name in eprseq.__all__ if not hasattr(eprseq, name)]
 assert not missing, missing
 assert set(eprseq.__all__) <= set(dir(eprseq))
@@ -91,6 +95,7 @@ def run_script(script: str) -> None:
 
 
 def test_single_matrix_verbs_never_import_numpy():
+    """Nor do enumerate and verify: their sweep is pure Python."""
     run_script(SCRIPT.replace("{gf4}", str(DATA / "sasn.txt")))
 
 

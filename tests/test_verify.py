@@ -24,6 +24,8 @@ from eprseq import (
     theorem_suite,
 )
 from eprseq import _engine as eng
+from eprseq import _suite as suite
+from eprseq import _sweep as sw
 from eprseq import verify
 from eprseq._engine import minor_tables
 from oracles import all_symmetric_gf2, laplace_det, matmul, naive_epr, subgrid
@@ -76,27 +78,29 @@ def test_catalog_export_format():
 
 
 def _assert_partition_independent(monkeypatch, cases, chunkings):
-    """eng._catalog of each (spec, n) gives the counts and first-attaining codes of
-    the default chunks at one job, for every chunking and jobs 1, 2 and 3."""
-    default = eng._CHUNK_CODES
+    """The catalog of each (spec, n) gives the counts and first-attaining codes of
+    the default runs at one job, for every run size and jobs 1, 2 and 3."""
+    default = sw._CHUNK_BITS
     for spec, n in cases:
-        want = eng._catalog(n, spec, 1)
+        want = sw._catalog(n, spec)
         block = 1 << (spec.degree * n)
         sizes = {
             "default": default,
             "one block": block,
             "three blocks": 3 * block,
-            "whole range": 1 << (spec.degree * eng.tri(n)),
+            "whole range": 1 << (spec.degree * sw.tri(n)),
         }
         for chunking in chunkings:
-            monkeypatch.setattr(eng, "_CHUNK_CODES", sizes[chunking])
+            monkeypatch.setattr(sw, "_CHUNK_BITS", sizes[chunking])
             for jobs in (1, 2, 3):
-                assert eng._catalog(n, spec, jobs) == want, (spec.name, n, chunking, jobs)
+                got = verify._catalog_raw.__wrapped__(n, spec, jobs)  # past the cache
+                assert got == want, (spec.name, n, chunking, jobs)
 
 
 def test_enumerate_jobs_independent(monkeypatch):
-    """The catalog depends neither on the job count nor on the sweep chunk size:
-    the default, one orbit rep's borders, three reps', or every rep at once."""
+    """The catalog depends neither on the job count nor on the sweep run size:
+    the default, one orbit rep's borders, three reps', or every rep of an
+    orbit size at once."""
     small = [(GF2, n) for n in range(1, 6)] + [(GF4, n) for n in range(1, 4)]
     _assert_partition_independent(
         monkeypatch, small, ("default", "one block", "three blocks", "whole range")
@@ -106,43 +110,52 @@ def test_enumerate_jobs_independent(monkeypatch):
 
 @pytest.mark.slow
 def test_enumerate_jobs_independent_at_small_chunks(monkeypatch):
-    """GF(2) n = 6 and GF(4) n = 4 in chunks of one and of three orbit reps
-    (544 and 816 chunks of one rep)."""
+    """GF(2) n = 6 and GF(4) n = 4 in runs of one and of three orbit reps
+    (544 and 816 runs of one rep)."""
     _assert_partition_independent(monkeypatch, [(GF2, 6), (GF4, 4)], ("one block", "three blocks"))
 
 
 def _every_code_catalog(n, spec):
-    """Counts and first-attaining codes of every word at order n, off the
-    every-code sweep: all trailing blocks, in runs of 2^17 codes."""
-    shift = spec.degree * n
-    blocks = 1 << (spec.degree * eng.tri(n - 1))
-    step = max(1, (1 << 17) >> shift)
+    """Counts and first-attaining codes of every word at order n, read off each
+    code's own numpy minor table, in runs of 2^16 codes."""
+    total = 1 << (spec.degree * sw.tri(n))
     counts, first = {}, {}
-    for lo in range(0, blocks, step):
-        keys = eng.sweep_keys(np.arange(lo, min(lo + step, blocks)), n, spec)
+    for lo in range(0, total, 1 << 16):
+        keys = _table_keys(np.arange(lo, min(lo + (1 << 16), total)), n, spec)
         cnt = np.bincount(keys)
         for key in np.flatnonzero(cnt).tolist():
-            word = eng.key_to_word(key, n)
+            word = sw.key_to_word(key, n)
             counts[word] = counts.get(word, 0) + int(cnt[key])
-            first.setdefault(word, (lo << shift) + int(np.argmax(keys == key)))
+            first.setdefault(word, lo + int(np.argmax(keys == key)))
     return counts, first
 
 
+def _every_block_catalog(n, spec):
+    """The catalog the bit-sliced sweep gives over every trailing block, each
+    standing for itself alone (orbit size 1), in ascending runs."""
+    blocks = range(1 << (spec.degree * sw.tri(n - 1)))
+    step = max(1, sw._CHUNK_BITS >> (spec.degree * n))
+    seen = set()
+    runs = (sw._sweep(blocks[lo : lo + step], 1, n, spec, seen) for lo in range(0, len(blocks), step))
+    return sw._merge_chunks(runs, n)
+
+
 def test_orbit_catalog_matches_every_code_sweep():
-    """Orbit-weighted counts and exemplars equal the every-code sweep's histogram
-    and first indices, at jobs 1 and 2."""
+    """Orbit-weighted counts and exemplars equal the histogram and first codes
+    of the per-code numpy tables, and those of the sweep over every block."""
     cases = [(GF2, n) for n in range(1, 7)] + [(GF4, n) for n in range(1, 5)]
     for spec, n in cases + [(GF8, n) for n in range(1, 4)]:
         want = _every_code_catalog(n, spec)
-        for jobs in (1, 2):
-            assert eng._catalog(n, spec, jobs) == want, (spec.name, n, jobs)
+        assert sw._catalog(n, spec) == want, (spec.name, n)
+        assert _every_block_catalog(n, spec) == want, (spec.name, n)
 
 
 @pytest.mark.slow
 def test_gated_orbit_catalogs_match_every_code_sweep():
-    """GF(2) n = 7 and GF(4) n = 5 against 2^28 and 2^30 swept codes (about a minute)."""
+    """GF(2) n = 7 and GF(4) n = 5 against the sweep of all 2^28 and 2^30 codes
+    (about half a minute)."""
     for spec, n in ((GF2, 7), (GF4, 5)):
-        assert eng._catalog(n, spec, 2) == _every_code_catalog(n, spec), (spec.name, n)
+        assert sw._catalog(n, spec) == _every_block_catalog(n, spec), (spec.name, n)
 
 
 def _burnside_orbits(k, q):
@@ -167,33 +180,35 @@ def _burnside_orbits(k, q):
 
 def test_orbit_reps_counts():
     # OEIS A000666, graphs with loops on k nodes
-    assert [len(eng.orbit_reps(k)[0]) for k in range(7)] == [1, 2, 6, 20, 90, 544, 5096]
+    assert [len(sw.orbit_reps(k)[0]) for k in range(7)] == [1, 2, 6, 20, 90, 544, 5096]
     for spec, top in ((GF2, 6), (GF4, 4), (GF8, 3)):
         for k in range(top + 1):
-            reps, sizes = eng.orbit_reps(k, spec)
-            assert sizes.sum() == spec.order ** eng.tri(k)
-            assert (np.diff(reps.astype(np.int64)) > 0).all()
+            reps, sizes = sw.orbit_reps(k, spec)
+            assert sum(sizes) == spec.order ** sw.tri(k)
+            assert list(reps) == sorted(set(reps))
             assert len(reps) == _burnside_orbits(k, spec.order), (spec.name, k)
 
 
-def test_orbit_reps_are_least_codes():
-    """Brute force: each code's least image over all permutations, and how many
-    codes share it, give the reps and orbit sizes."""
-    from itertools import permutations
+def _least_images(k, spec):
+    """Least image of every code of order k under B -> P B P^T, over every P
+    (numpy brute force)."""
+    codes = np.arange(spec.order ** sw.tri(k), dtype=np.int64)
+    ent = eng.decode_entries(codes, k, spec).astype(np.int64)
+    pairs = list(combinations_with_replacement(range(k), 2))
+    least = codes
+    for p in permutations(range(k)):
+        image = sum(ent[p[i], p[j]] << (spec.degree * f) for f, (i, j) in enumerate(pairs))
+        least = np.minimum(least, image)
+    return least
 
-    for spec, k in ((GF2, 4), (GF4, 3), (GF8, 2)):
-        sizes = {}
-        for code in range(spec.order ** eng.tri(k)):
-            rows = eng.code_rows(code, k, spec)
-            least = min(
-                eng.triangle_code([rows[p[i]][p[j]] for i, j in combinations_with_replacement(range(k), 2)], spec)
-                for p in permutations(range(k))
-            )
-            sizes[least] = sizes.get(least, 0) + 1
-        reps, orbit = eng.orbit_reps(k, spec)
-        assert dict(zip(reps.tolist(), orbit.tolist())) == sizes, (spec.name, k)
-    with pytest.raises(ValueError):
-        eng.orbit_reps(8)  # 36 code bits
+
+def test_orbit_reps_are_least_codes():
+    """Brute force: each code's least image over every permutation, and how many
+    codes share it, give the reps and orbit sizes."""
+    for spec, top in ((GF2, 5), (GF4, 4), (GF8, 3)):
+        for k in range(top + 1):
+            reps, sizes = np.unique(_least_images(k, spec), return_counts=True)
+            assert sw.orbit_reps(k, spec) == (tuple(reps.tolist()), tuple(sizes.tolist())), (spec.name, k)
 
 
 def test_enumerate_bounds():
@@ -232,7 +247,7 @@ def test_small_catalogs_are_the_any_field_rule_words():
     for spec, top in ((GF4, 4), (GF8, 3)):
         for n in range(1, top + 1):
             catalog = enumerate_epr(n, spec)
-            assert catalog.total() == spec.order ** eng.tri(n)
+            assert catalog.total() == spec.order ** sw.tri(n)
             assert set(catalog.counts) == _any_field_words(n), (spec.name, n)
 
 
@@ -282,7 +297,7 @@ def test_engine_det_table_matches_library():
         table = eng.det_table(n)
         codes = [rng.randrange(1 << (n * (n + 1) // 2)) for _ in range(200)]
         for code in codes:
-            m = eng.code_matrix(code, n)
+            m = sw.code_matrix(code, n)
             assert int(table[code]) == m.determinant()
 
 
@@ -293,61 +308,70 @@ def test_engine_letters_match_library():
         letters = eng.letter_arrays(n)
         for _ in range(60):
             code = rng.randrange(1 << (n * (n + 1) // 2))
-            m = eng.code_matrix(code, n)
+            m = sw.code_matrix(code, n)
             got = "".join("NSA"[letters[k][code]] for k in range(n))
             assert got == naive_epr(m)
+
+
+def _kernel_words(blocks, n, spec=GF2):
+    """{code: epr word} of every matrix bordering the trailing blocks (one run),
+    read bit by bit off the kernel's letter planes."""
+    shift = spec.degree * n
+    width = len(blocks) << shift
+    some, every = ([format(p, f"0{width}b")[::-1] for p in planes] for planes in sw._letter_planes(blocks, n, spec))
+    words = {}
+    for pos in range(width):
+        r, i = divmod(pos, len(blocks))
+        words[blocks[i] << shift | r] = "".join("NSA"[int(some[k][pos]) + int(every[k][pos])] for k in range(1, n + 1))
+    return words
 
 
 def _sweep_words(codes, n, spec=GF2):
     """epr words of single codes, each read off the sweep of its trailing block."""
     shift = spec.degree * n
-    words = []
-    for code in codes:
-        keys = eng.sweep_keys(np.array([code >> shift]), n, spec)
-        words.append(eng.key_to_word(int(keys[code & ((1 << shift) - 1)]), n))
-    return words
+    return [_kernel_words([code >> shift], n, spec)[code] for code in codes]
 
 
 def test_engine_letters_gf4_sampled():
     rng = random.Random(16)
     for n in range(1, 5):
-        codes = np.array(sorted(rng.randrange(1 << (n * (n + 1))) for _ in range(40)), np.uint32)
-        words = _sweep_words(codes.tolist(), n, GF4)
-        for pos, code in enumerate(codes.tolist()):
-            m = eng.code_matrix(code, n, GF4)
-            got = words[pos]
-            assert got == naive_epr(m)
+        codes = sorted(rng.randrange(1 << (n * (n + 1))) for _ in range(40))
+        for code, got in zip(codes, _sweep_words(codes, n, GF4)):
+            assert got == naive_epr(sw.code_matrix(code, n, GF4))
 
 
 def _table_keys(codes, n, spec):
     """Letter keys read off each code's own full minor table, one order at a time."""
     dets = minor_tables(eng.decode_entries(codes, n, spec), spec)
-    keys = np.zeros(codes.size, np.uint32)
+    keys = np.zeros(codes.size, np.intp)
     for k in range(1, n + 1):
         minors = dets[[m for m in range(1 << n) if m.bit_count() == k]] != 0
-        keys |= (minors.any(axis=0).astype(np.uint32) + minors.all(axis=0)) << (2 * k - 2)
+        keys |= (minors.any(axis=0).astype(np.intp) + minors.all(axis=0)) << (2 * k - 2)
     return keys
 
 
 def test_sweep_matches_per_code_tables_exhaustive():
+    """The kernel's word of every code, its trailing blocks swept in runs of
+    three, against the letters of each code's own numpy minor table."""
     # GF(8) twice: x^3 = x + 1 under the default modulus, x^3 = x^2 + 1 under 0b1101
-    for spec, top in ((GF2, 5), (GF4, 3), (GF8, 3), (field_make(3, 0b1101), 3)):
+    for spec, top in ((GF2, 5), (GF4, 3), (GF8, 2), (field_make(3, 0b1101), 2)):
         for n in range(1, top + 1):
-            codes = np.arange(1 << (spec.degree * n * (n + 1) // 2), dtype=np.uint32)
-            keys = eng.sweep_keys(np.arange(1 << (spec.degree * (n - 1) * n // 2)), n, spec)
-            assert (keys == _table_keys(codes, n, spec)).all()
+            codes = np.arange(1 << (spec.degree * sw.tri(n)))
+            want = [sw.key_to_word(key, n) for key in _table_keys(codes, n, spec).tolist()]
+            blocks = range(1 << (spec.degree * sw.tri(n - 1)))
+            got = {}
+            for lo in range(0, len(blocks), 3):
+                got.update(_kernel_words(blocks[lo : lo + 3], n, spec))
+            assert [got[code] for code in range(codes.size)] == want, (spec.name, n)
 
 
 def test_sweep_whole_blocks_match_laplace():
+    """Every matrix bordering sampled blocks (two at once at GF(2) n = 7)."""
     rng = random.Random(19)
-    for spec, n, blocks in ((GF2, 7, 2), (GF4, 1, 1), (GF4, 2, 1), (GF4, 3, 1), (GF4, 4, 1), (GF4, 5, 1)):
-        q = spec.degree
-        for _ in range(blocks):
-            block = rng.randrange(1 << (q * (n - 1) * n // 2))
-            start = block << (q * n)
-            keys = eng.sweep_keys(np.array([block]), n, spec).tolist()
-            for r, key in enumerate(keys):
-                assert eng.key_to_word(key, n) == naive_epr(eng.code_matrix(start + r, n, spec))
+    for spec, n, count in ((GF2, 7, 2), (GF4, 1, 1), (GF4, 2, 1), (GF4, 3, 1), (GF4, 4, 1), (GF4, 5, 1)):
+        blocks = [rng.randrange(1 << (spec.degree * sw.tri(n - 1))) for _ in range(count)]
+        for code, word in _kernel_words(blocks, n, spec).items():
+            assert word == naive_epr(sw.code_matrix(code, n, spec))
 
 
 def test_engine_schur_matches_library():
@@ -356,7 +380,7 @@ def test_engine_schur_matches_library():
         for n in (3, 4, 5):
             for _ in range(40):
                 code = rng.randrange(1 << (spec.degree * n * (n + 1) // 2))
-                m = eng.code_matrix(code, n, spec)
+                m = sw.code_matrix(code, n, spec)
                 k = rng.randint(1, n - 1)
                 alpha = tuple(sorted(rng.sample(range(1, n + 1), k)))
                 if m.principal_submatrix(alpha).determinant() == 0:
@@ -381,21 +405,16 @@ def test_engine_rank_matches_library():
         ranks = eng.rank_array(n)
         for _ in range(60):
             code = rng.randrange(1 << (n * (n + 1) // 2))
-            m = eng.code_matrix(code, n)
+            m = sw.code_matrix(code, n)
             assert int(ranks[code]) == m.rank()
 
 
 def test_engine_letters_order_7_sampled():
     # the gated n=7 path has no full det table; spot-check its letters
     rng = random.Random(15)
-    codes = np.array(
-        sorted(rng.randrange(1 << 28) for _ in range(40)), np.uint32
-    )
-    words = _sweep_words(codes.tolist(), 7)
-    for pos, code in enumerate(codes.tolist()):
-        m = eng.code_matrix(code, 7)
-        got = words[pos]
-        assert got == naive_epr(m)
+    codes = sorted(rng.randrange(1 << 28) for _ in range(40))
+    for code, got in zip(codes, _sweep_words(codes, 7)):
+        assert got == naive_epr(sw.code_matrix(code, 7))
 
 
 # -- code layout and entry-batch code maps ------------------------------------------
@@ -413,11 +432,11 @@ def test_code_layout_round_trips():
             ent = eng.decode_entries(codes, n, spec)
             assert (ent == ent.transpose(1, 0, 2)).all() and ent.max() < spec.order
             for code in rng.sample(range(codes.size), min(codes.size, 100)):
-                assert eng.code_matrix(code, n, spec).rows == _grid(ent, code)
+                assert sw.code_matrix(code, n, spec).rows == _grid(ent, code)
     # row-major upper triangle, as the independent enumeration in oracles lays it out
     for n in range(1, 5):
         for code, m in enumerate(all_symmetric_gf2(n)):
-            assert eng.code_matrix(code, n) == m
+            assert sw.code_matrix(code, n) == m
 
 
 def test_gather_codes_match_library_exhaustive():
@@ -495,7 +514,7 @@ def test_congruence_entries_match_matmul_exhaustive():
         mats = list(all_symmetric_gf2(n))
         ent = np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0)
         for _ in range(2):
-            e = verify._rand_invertible(rng, n, GF2)
+            e = suite._rand_invertible(rng, n, GF2)
             et = [list(col) for col in zip(*e)]
             got = eng.congruence_entries(ent, e)
             for b, m in enumerate(mats):
@@ -504,7 +523,7 @@ def test_congruence_entries_match_matmul_exhaustive():
     # sampled GF(4) and GF(8) batches: one E for the batch, then one E per column
     for spec, mats, ent in _sampled_batches(21):
         n = ent.shape[0]
-        grids = [verify._rand_invertible(rng, n, spec) for _ in mats]
+        grids = [suite._rand_invertible(rng, n, spec) for _ in mats]
         one = eng.congruence_entries(ent, grids[0], spec)
         each = eng.congruence_entries(ent, np.array(grids, np.uint8).transpose(1, 2, 0), spec)
         for b, m in enumerate(mats):
@@ -543,7 +562,7 @@ def test_theorem_suite_peak_memory():
 
 
 def test_catalog_peak_memory():
-    """The GF(2) n = 6 sweep holds one 2^17-code chunk at a time (2^21 codes)."""
+    """The GF(2) n = 6 sweep holds one run of its reps (at most 2^20 bordered matrices) at a time."""
     assert _traced_peak(eng.catalog_gf2, 6) <= 4 * 2**20
 
 
@@ -577,7 +596,7 @@ def _det(m, labels):
 def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
     orig = eng.schur_entries
     monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec: orig(ent, alpha, spec) ^ 1)
-    result = verify.CheckResult("schur", *verify._schur_gf4(np.random.default_rng(3), 100))
+    result = verify.CheckResult("schur", *suite._schur_gf4(np.random.default_rng(3), 100))
     assert 0 < len(result.failures) <= 20 and result.cases > 0
     for failure in result.failures:
         rows, alpha, gamma = _parse(
@@ -594,17 +613,17 @@ def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
 def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
     # B = I_3, alpha = {1}: the true complement is I_2.  The fake one keeps the drawn
     # minor (gamma = {1}: det C[gamma] det B[alpha] = 1 = det B[{1, 2}]) but has rank 1.
-    b = verify._batch(np.eye(3, dtype=np.uint8)[:, :, None], GF4)
+    b = suite._batch(np.eye(3, dtype=np.uint8)[:, :, None], GF4)
     gammas = np.array([1])
     for c, wrong in ((np.eye(2, dtype=np.uint8), False), (np.diag([1, 0]).astype(np.uint8), True)):
-        c = verify._batch(c[:, :, None], GF4)
-        assert verify._schur_bad(b, np.array([0]), (0,), c, gammas).tolist() == [wrong]
+        c = suite._batch(c[:, :, None], GF4)
+        assert suite._schur_bad(b, np.array([0]), (0,), c, gammas).tolist() == [wrong]
 
 
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
     orig = eng.minor_tables
     monkeypatch.setattr(eng, "minor_tables", lambda ent, spec: orig(ent, spec) ^ 1)
-    result = verify.CheckResult("hyperdet", *verify._hyperdet_gf4(np.random.default_rng(4), 100))
+    result = verify.CheckResult("hyperdet", *suite._hyperdet_gf4(np.random.default_rng(4), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
         rows, tau, base = _parse(
@@ -642,7 +661,7 @@ def _assert_copy_breaks_append_zero(b):
 
 def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
     _copy_index_0(monkeypatch)
-    result = verify.CheckResult("append", *verify._append_gf4(np.random.default_rng(5), 100))
+    result = verify.CheckResult("append", *suite._append_gf4(np.random.default_rng(5), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 200
     for failure in result.failures:
         (rows,) = _parse(failure, r"gf4 append-zero SymMatrix\(gf4, (\[.*\])\)")
@@ -657,7 +676,7 @@ def _zero_congruence(monkeypatch):
 
 def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
     _zero_congruence(monkeypatch)
-    result = verify.CheckResult("congruence", *verify._congruence_gf4(np.random.default_rng(6), 100))
+    result = verify.CheckResult("congruence", *suite._congruence_gf4(np.random.default_rng(6), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
         rows, e = _parse(failure, r"gf4 congruence SymMatrix\(gf4, (\[.*\])\) E=(\[.*\])")
@@ -669,12 +688,12 @@ def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
 
 def _gf2_check(max_n, name, halves):
     """The check name as the every-code GF(2) pass over orders 1..max_n gives it, running halves."""
-    return verify.CheckResult(name, *verify._gf2_pass(max_n, halves)[name])
+    return verify.CheckResult(name, *suite._gf2_pass(max_n, halves)[name])
 
 
 def _every_half(seed, max_n):
     """Every GF(2) half of the suite, its congruence grids drawn from seed."""
-    per_code, per_orbit = verify._gf2_halves(np.random.default_rng(seed), max_n)
+    per_code, per_orbit = suite._gf2_halves(np.random.default_rng(seed), max_n)
     return per_code + per_orbit
 
 
@@ -682,11 +701,11 @@ def _gf2_schur_failures(complement):
     """Run the GF(2) half of the Schur check up to order 4 and check that each
     reported code, with complement(B, alpha) as its faulty C = B / B[alpha],
     breaks the identity under SymMatrix elimination."""
-    result = _gf2_check(4, "schur-complement-identity", [verify._schur_gf2])
+    result = _gf2_check(4, "schur-complement-identity", [suite._schur_gf2])
     assert 0 < len(result.failures) <= 20
     for failure in result.failures:
         n, code, alpha = _parse(failure, r"order (\d+) code (\d+) alpha=(\(.*\))")
-        b = eng.code_matrix(code, n)
+        b = sw.code_matrix(code, n)
         alpha = tuple(a + 1 for a in alpha)
         c = complement(b, alpha)
         labels = [i for i in range(1, n + 1) if i not in alpha]
@@ -738,12 +757,12 @@ def _gf2_failures(result, suffix=""):
     assert 0 < len(result.failures) <= 20
     for failure in result.failures:
         n, code, *rest = _parse(failure, r"order (\d+) code (\d+)" + suffix)
-        yield eng.code_matrix(code, n), rest
+        yield sw.code_matrix(code, n), rest
 
 
 def test_gf2_inverse_loop_reports_a_wrong_inverse(monkeypatch):
     _flip_inverse(monkeypatch)
-    for b, _ in _gf2_failures(_gf2_check(3, "inverse-reversal", [verify._inverse_gf2])):
+    for b, _ in _gf2_failures(_gf2_check(3, "inverse-reversal", [suite._inverse_gf2])):
         want = compute_epr(b)[-2::-1] + "A"  # letters n-1..1 of B, then A
         assert compute_epr(b.inverse()) == want
         assert compute_epr(SymMatrix(GF2, _flip(b.inverse().rows))) != want
@@ -751,7 +770,7 @@ def test_gf2_inverse_loop_reports_a_wrong_inverse(monkeypatch):
 
 def test_gf2_append_loop_reports_a_wrong_appended_index(monkeypatch):
     _copy_index_0(monkeypatch)
-    result = _gf2_check(3, "append-transforms", [verify._append_gf2])
+    result = _gf2_check(3, "append-transforms", [suite._append_gf2])
     assert result.cases == 2 * (2 + 8 + 64)
     for b, _ in _gf2_failures(result):
         _assert_copy_breaks_append_zero(b)
@@ -773,8 +792,8 @@ def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
 def _gf2_pass_results(monkeypatch, chunk):
     """{check name: (cases, sorted failures)} of the GF(2) pass up to order 4 in
     batches of chunk codes."""
-    monkeypatch.setattr(verify, "_SUITE_CHUNK", chunk)
-    found = verify._gf2_pass(4, _every_half(1, 4))
+    monkeypatch.setattr(suite, "_SUITE_CHUNK", chunk)
+    found = suite._gf2_pass(4, _every_half(1, 4))
     return {name: (cases, sorted(failures)) for name, (cases, failures) in found.items()}
 
 
@@ -786,8 +805,8 @@ def test_gf2_pass_does_not_depend_on_the_chunk_size(monkeypatch, faulty):
     if faulty:
         orig = eng.schur_entries
         monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
-        monkeypatch.setattr(verify, "_MAX_FAILURES_KEPT", 10**9)
-    default = _gf2_pass_results(monkeypatch, verify._SUITE_CHUNK)
+        monkeypatch.setattr(suite, "_MAX_FAILURES_KEPT", 10**9)
+    default = _gf2_pass_results(monkeypatch, suite._SUITE_CHUNK)
     assert len(default) == 8
     assert bool(default["schur-complement-identity"][1]) == faulty
     for chunk in (1 << 3, 1 << 7):
@@ -813,7 +832,7 @@ def test_gf2_pass_at_order_6():
     orders (about half a minute); theorem_suite itself still refuses max_n = 6."""
     with pytest.raises(ValueError):
         theorem_suite(max_n=6)
-    found = verify._gf2_pass(6, _every_half(verify.DEFAULT_SEED, 6))
+    found = suite._gf2_pass(6, _every_half(verify.DEFAULT_SEED, 6))
     assert found == {name: [cases, []] for name, cases in _ORDER_6_CASES.items()}
 
 
@@ -821,17 +840,17 @@ def test_gf2_pass_at_order_6():
 def test_orbit_gf2_pass_at_order_6():
     """The suite's own route to order 6: six halves over the 5096 order-6 orbit
     reps, weighted by orbit size, and congruence over every code."""
-    halves = verify._gf2_halves(np.random.default_rng(verify.DEFAULT_SEED), 6)
-    found = verify._gf2_pass(6, *halves)
+    halves = suite._gf2_halves(np.random.default_rng(verify.DEFAULT_SEED), 6)
+    found = suite._gf2_pass(6, *halves)
     assert found == {name: [cases, []] for name, cases in _ORDER_6_CASES.items()}
 
 
 @lru_cache(maxsize=None)
 def _least_in_orbit(n, code):
     """Least code of the S_n orbit of code under B -> P B P^T, by trying every P."""
-    rows = eng.code_rows(code, n)
+    rows = sw.code_rows(code, n)
     pairs = list(combinations_with_replacement(range(n), 2))
-    return min(eng.triangle_code([rows[p[i]][p[j]] for i, j in pairs]) for p in permutations(range(n)))
+    return min(sw.triangle_code([rows[p[i]][p[j]] for i, j in pairs]) for p in permutations(range(n)))
 
 
 def _failing_orbits(found):
@@ -873,10 +892,10 @@ def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
     with a failing matrix there (every failure kept)."""
     if fault:
         fault(monkeypatch)
-        monkeypatch.setattr(verify, "_MAX_FAILURES_KEPT", 10**9)
-    per_code, per_orbit = verify._gf2_halves(np.random.default_rng(2), 4)
-    every = _failing_orbits(verify._gf2_pass(4, per_code + per_orbit))
-    orbit = verify._gf2_pass(4, per_code, per_orbit)
+        monkeypatch.setattr(suite, "_MAX_FAILURES_KEPT", 10**9)
+    per_code, per_orbit = suite._gf2_halves(np.random.default_rng(2), 4)
+    every = _failing_orbits(suite._gf2_pass(4, per_code + per_orbit))
+    orbit = suite._gf2_pass(4, per_code, per_orbit)
     assert len(orbit) == 8
     assert _failing_orbits(orbit) == every
     failing = {name for name, (_, bad) in every.items() if bad}
@@ -890,24 +909,3 @@ def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
     for name in failing:  # each failing code of the orbit pass is itself its orbit's least code
         reps = {tuple(_parse(f, r"order (\d+) code (\d+).*")) for f in orbit[name][1]}
         assert reps == every[name][1], name
-
-
-def test_catalog_threads_clamped_to_cpu_count(monkeypatch):
-    import concurrent.futures
-    import os
-
-    class Stop(Exception):
-        pass
-
-    seen = []
-
-    class RecordingPool:  # stands in for ThreadPoolExecutor; starts no thread
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-            raise Stop
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    with pytest.raises(Stop):
-        eng.catalog_gf4(4, jobs=4096)  # 816 reps of 256 borders: two chunks
-    assert seen == [2]
