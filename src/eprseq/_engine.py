@@ -4,11 +4,11 @@ minor_tables is the batched char-2 bordering kernel, the principal-minor
 table of each matrix of a batch (eprseq.sequence.minor_planes builds it
 for one matrix, eprseq._sweep bit-sliced across a catalog).  The suite's
 code maps (submatrices, appended rows, inverses, Schur complements,
-congruences) map batches to batches over any GF(2^k), products
-bit-sliced as in minor_tables, inverses and the terminal-AN check's
-minors by batched Gauss-Jordan elimination.  catalog_gf2, catalog_gf4
-and _merge_chunks are eprseq._sweep's, named here where
-bench/tracer.py times them.
+congruences) map batches to batches over any GF(2^k).  Each kernel takes
+one path for every batch, B = 0 included: every product is bit-sliced by
+times, inverses and deleted minors come by batched Gauss-Jordan
+elimination.  catalog_gf2, catalog_gf4 and _merge_chunks are
+eprseq._sweep's, named here where bench/tracer.py times them.
 """
 
 from __future__ import annotations
@@ -35,33 +35,24 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """det B[S] for every subset S of each matrix in a batch.
 
     ``entries`` is a uint8 array (n, n, B) holding B symmetric matrices, the
-    batch on the last axis; the result is a uint8 array (2^n, B) indexed by
-    bitmask (bit i selects index i + 1; det B[{}] = 1).  In characteristic 2
-    the cross terms of c^T adj(A) c cancel in pairs, so with no pivot, for
-    j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S} b_ij^2 det B[S - {i}].
-    A term whose coefficient c is one value in every column is skipped (c = 0),
-    a plain XOR (c = 1) or a lookup in the row of c; otherwise c * v is taken
-    bit-sliced by times, which avoids a two-dimensional gather.
+    batch on the last axis (B may be 0); the result is a uint8 array (2^n, B)
+    indexed by bitmask (bit i selects index i + 1; det B[{}] = 1).  In
+    characteristic 2 the cross terms of c^T adj(A) c cancel in pairs, so with
+    no pivot, for j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S}
+    b_ij^2 det B[S - {i}].  Each term is one bit-sliced product by times.
     """
     n, _, batch = entries.shape
-    mul = _mul_table(spec)
-    coef = mul.diagonal()[entries]  # b_ij^2, and b_jj on the diagonal
+    coef = times(entries, entries, spec)  # b_ij^2, and b_jj on the diagonal
     coef.reshape(n * n, batch)[:: n + 1] = entries.reshape(n * n, batch)[:: n + 1]
-    lo, hi = coef.min(axis=2).tolist(), coef.max(axis=2).tolist()
     dets = np.zeros((1 << n, batch), np.uint8)
     dets[0] = 1
     for j in range(n):
         lower, upper = dets[: 1 << j], dets[1 << j : 2 << j]
         for i in range(j + 1):  # i == j is the b_jj term over every S
-            c = hi[j][i]
-            if not c:
-                continue
-            src = lower if i == j else lower.reshape(-1, 2, 1 << i, batch)[:, 0]
-            dst = upper if i == j else upper.reshape(-1, 2, 1 << i, batch)[:, 1]
-            if c == lo[j][i]:
-                dst ^= src if c == 1 else mul[c][src]
-            else:
-                dst ^= times(coef[j, i], src, spec)
+            halves = ((1 << j) >> (i + 1), 2, 1 << i, batch)  # S without and with i
+            src = lower if i == j else lower.reshape(halves)[:, 0]
+            dst = upper if i == j else upper.reshape(halves)[:, 1]
+            dst ^= times(coef[j, i], src, spec)
     return dets
 
 
@@ -91,8 +82,6 @@ def letter_arrays(n: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=None)
 def det_table(k: int) -> np.ndarray:
     """det (0/1) of every symmetric k x k GF(2) matrix, indexed by code."""
-    if k == 0:
-        return np.ones(1, np.uint8)
     table = (letter_arrays(k)[k - 1] == 2).view(np.uint8)
     table.setflags(write=False)
     return table
@@ -139,16 +128,12 @@ def table_letters(dets: np.ndarray) -> np.ndarray:
 
 def gather_entries(ent: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     """Entries of ent[idx][:, idx]; index n stands for an appended zero row."""
-    if ent.shape[0] in idx:
-        ent = np.pad(ent, ((0, 1), (0, 1), (0, 0)))
-    return ent[np.ix_(idx, idx)]
+    return np.pad(ent, ((0, 1), (0, 1), (0, 0)))[np.ix_(idx, idx)]
 
 
 def times(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
     """a * b entrywise over spec (broadcasting), bit-sliced: the XOR over the
-    bits t of b of a x^t, which over GF(2) is a & b."""
-    if spec.degree == 1:
-        return a & b
+    bits t of b of a x^t."""
     out = a * (b & 1)
     for t in range(1, spec.degree):
         out ^= _mul_table(spec)[a, 1 << t] * (b >> t & 1)
@@ -157,7 +142,7 @@ def times(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
 
 def matmul(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
     """Products over spec of (r, t, B) and (t, c, B) batches (B may broadcast)."""
-    out = np.zeros((a.shape[0], b.shape[1], max(a.shape[2], b.shape[2])), np.uint8)
+    out = np.zeros((a.shape[0], b.shape[1], *np.broadcast_shapes(a.shape[2:], b.shape[2:])), np.uint8)
     for t in range(a.shape[1]):
         out ^= times(a[:, t, None], b[None, t], spec)
     return out
@@ -178,8 +163,7 @@ def inverse(ent: np.ndarray, spec: FieldSpec = GF2) -> tuple[np.ndarray, np.ndar
         for r in range(j + 1, k):  # while the pivot is zero, add each later row to its row
             aug[j] ^= aug[r] * (aug[j, j] == 0).view(np.uint8)
         det = times(det, aug[j, j], spec)
-        if spec.degree > 1:  # over GF(2) every nonzero pivot is already 1
-            aug[j] = times(recip[aug[j, j]], aug[j], spec)
+        aug[j] = times(recip[aug[j, j]], aug[j], spec)
         for r in range(k):
             if r != j:
                 aug[r] ^= times(aug[r, j], aug[j], spec)

@@ -38,7 +38,7 @@ _Batch = namedtuple("_Batch", "n spec codes ent dets letters ranks sizes")
 
 
 def _batch(ent: np.ndarray, spec: FieldSpec, codes: np.ndarray | None = None, sizes=None) -> _Batch:
-    """The batch of an (n, n, B) entry array, B >= 1 (minor_tables takes no empty batch)."""
+    """The batch of an (n, n, B) entry array."""
     dets = eng.minor_tables(ent, spec)
     letters = eng.table_letters(dets)
     return _Batch(ent.shape[0], spec, codes, ent, dets, letters, eng.ranks(letters), sizes)
@@ -171,8 +171,6 @@ def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
 def _inverse_gf2(b: _Batch):
     """epr of the inverse is the reversed word with terminal A."""
     nz = np.flatnonzero(eng.det_table(b.n)[b.codes])
-    if not nz.size:  # _batch takes no empty batch
-        return
     after = _batch(eng.inverse(b.ent.take(nz, axis=2))[1], GF2).letters
     # letters 1..n-1 of the inverse are B's n-1..1
     bad = (after[-1] != 2) | (after[:-1] != b.letters[:-1].take(nz, axis=1)[::-1]).any(axis=0)
@@ -214,8 +212,6 @@ def _schur_gf2(b: _Batch):
     B shifted by the pivot size k.  Each (batch, pivot set) case feeds both checks."""
     for alpha, row in _subsets(b.n)[1:-1]:
         sel = np.flatnonzero(b.dets[row])
-        if not sel.size:  # _batch takes no empty batch
-            continue
         c = _batch(eng.schur_entries(b.ent.take(sel, axis=2), alpha), GF2)
         bad = _schur_bad(b, sel, alpha, c)
         yield "schur-complement-identity", sel, len(c.dets), bad, f" alpha={alpha}"

@@ -277,6 +277,6 @@ def catalog_gf2(n: int, jobs: int = 1):
     return _catalog(n, GF2)
 
 
-def catalog_gf4(n: int, jobs: int = 1):
+def catalog_gf4(n: int):
     """Counts and first-attaining codes of every GF(4) epr word at order n."""
     return _catalog(n, GF4)

@@ -76,7 +76,7 @@ def _catalog_raw(n: int, spec: FieldSpec, jobs: int):
     if spec == GF2:
         return catalog_gf2(n, jobs=jobs)
     if spec == GF4:
-        return catalog_gf4(n) if jobs == 1 else catalog_gf4(n, jobs=jobs)
+        return catalog_gf4(n)
     return _catalog(n, spec)
 
 

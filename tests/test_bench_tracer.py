@@ -37,7 +37,8 @@ def test_traced_check_theorems_run(capsys, monkeypatch):
     plain = capsys.readouterr().out
     code, tracer = traced_main(monkeypatch, argv)
     assert (code, capsys.readouterr().out) == (0, plain)
-    assert "verify.theorem_suite" in {s.name for s in tracer.spans}
+    # verify.table_share needs a table span, and _inverse_gf2's det_table is the one
+    assert {"verify.theorem_suite", "engine.det_table"} <= {s.name for s in tracer.spans}
     # each case of these two checks takes one GF(2) determinant by elimination
     cases = dict(line.split()[:2] for line in plain.splitlines()[1:])
     gf2_dets = int(cases["loop-split-determinant"]) + int(cases["loop-complete-nonsingular"])
@@ -45,13 +46,17 @@ def test_traced_check_theorems_run(capsys, monkeypatch):
 
 
 def test_traced_enumerate_run(capsys, monkeypatch):
-    """The catalog sweep runs under the names the tracer wraps."""
-    assert cli.main(["enumerate", "-n", "4"]) == 0
-    plain = capsys.readouterr().out
-    verify._catalog_raw.cache_clear()  # so the traced run sweeps again
-    code, tracer = traced_main(monkeypatch, ["enumerate", "-n", "4"])
-    assert (code, capsys.readouterr().out) == (0, plain)
-    assert {"engine.catalog_gf2", "verify.enumerate"} <= {s.name for s in tracer.spans}
+    """The catalog sweeps run under the names the tracer wraps, at any --jobs."""
+    for argv, span in (
+        (["enumerate", "-n", "4"], "engine.catalog_gf2"),
+        (["enumerate", "--field", "gf4", "-n", "2", "--jobs", "2"], "engine.catalog_gf4"),
+    ):
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        verify._catalog_raw.cache_clear()  # so the traced run sweeps again
+        code, tracer = traced_main(monkeypatch, argv)
+        assert (code, capsys.readouterr().out) == (0, plain), argv
+        assert {span, "verify.enumerate"} <= {s.name for s in tracer.spans}
 
 
 # inverse, A8 and S4 Schur, and appended-step recipes

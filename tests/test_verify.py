@@ -533,6 +533,28 @@ def test_congruence_entries_match_matmul_exhaustive():
                 assert _grid(got, b) == tuple(map(tuple, want))
 
 
+def test_kernels_take_an_empty_batch():
+    """Each kernel maps an (n, n, 0) batch to an empty batch of its image's shape."""
+    for spec in (GF2, GF4, GF8):
+        for n in range(1, 5):
+            ent = np.zeros((n, n, 0), np.uint8)
+            dets = eng.minor_tables(ent, spec)
+            letters = eng.table_letters(dets)
+            det, inv = eng.inverse(ent, spec)
+            got = [
+                dets,
+                letters,
+                eng.ranks(letters),
+                det,
+                inv,
+                eng.deleted_minors(ent, spec),
+                eng.schur_entries(ent, (0,), spec),
+                eng.congruence_entries(ent, np.eye(n, dtype=np.uint8), spec),
+                eng.gather_entries(ent, (*range(n), n)),
+            ]
+            want = [(1 << n, 0), (n, 0), (0,), (0,), (n, n, 0), (n, n, 0), (n - 1, n - 1, 0), (n, n, 0), (n + 1, n + 1, 0)]
+            assert [a.shape for a in got] == want, (spec.name, n)
+
 
 # -- theorem suite ----------------------------------------------------------------
 
