@@ -5,10 +5,11 @@ table of each matrix of a batch (eprseq.sequence.minor_planes builds it
 for one matrix, eprseq._sweep bit-sliced across a catalog).  The suite's
 code maps (submatrices, appended rows, inverses, Schur complements,
 congruences) map batches to batches over any GF(2^k).  Each kernel takes
-one path for every batch, B = 0 included: every product is bit-sliced by
-times, inverses and deleted minors come by batched Gauss-Jordan
-elimination.  catalog_gf2, catalog_gf4 and _merge_chunks are
-eprseq._sweep's, named here where bench/tracer.py times them.
+one path for every batch, B = 0 included: every product is times, which
+runs FieldSpec.mul's shift-and-reduce loop on whole arrays, and inverses
+and deleted minors come by batched Gauss-Jordan elimination.  catalog_gf2,
+catalog_gf4 and _merge_chunks are eprseq._sweep's, named here where
+bench/tracer.py times them.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ _MAX_TABLE_ORDER = 6
 _RUN_CODES = 1 << 12
 
 
-@lru_cache(maxsize=None)
-def _mul_table(spec: FieldSpec) -> np.ndarray:
-    q = range(spec.order)
-    return np.array([[spec.mul(a, b) for b in q] for a in q], np.uint8)
-
-
 def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """det B[S] for every subset S of each matrix in a batch.
 
@@ -39,7 +34,7 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
     indexed by bitmask (bit i selects index i + 1; det B[{}] = 1).  In
     characteristic 2 the cross terms of c^T adj(A) c cancel in pairs, so with
     no pivot, for j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S}
-    b_ij^2 det B[S - {i}].  Each term is one bit-sliced product by times.
+    b_ij^2 det B[S - {i}].  Each term is one product by times.
     """
     n, _, batch = entries.shape
     coef = times(entries, entries, spec)  # b_ij^2, and b_jj on the diagonal
@@ -132,11 +127,12 @@ def gather_entries(ent: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
 
 
 def times(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
-    """a * b entrywise over spec (broadcasting), bit-sliced: the XOR over the
-    bits t of b of a x^t."""
+    """a * b entrywise over spec (broadcasting) by FieldSpec.mul's loop: the XOR
+    over the bits t of b of a x^t, each a x^t the last one shifted and reduced."""
     out = a * (b & 1)
     for t in range(1, spec.degree):
-        out ^= _mul_table(spec)[a, 1 << t] * (b >> t & 1)
+        a = (a << 1 & spec.order - 1) ^ (a >> spec.degree - 1) * (spec.modulus & spec.order - 1)
+        out ^= a * (b >> t & 1)
     return out
 
 

@@ -264,9 +264,6 @@ class SymMatrix:
         lines += [" ".join(sym(x) for x in row) for row in self.rows]
         return "\n".join(lines) + "\n"
 
-    def write(self, stream: io.TextIOBase) -> None:
-        stream.write(self.to_text())
-
 
 def read_matrix(source: str | io.TextIOBase) -> SymMatrix:
     """Parse the exchange format; leading '#' comment lines are skipped.

@@ -157,6 +157,8 @@ def theorem_suite(
         raise ValueError(f"max_n must be in [2, 5], got {max_n}")
     if not 0 <= gf4_cases <= 10**5:
         raise ValueError(f"gf4_cases must be in [0, 10^5], got {gf4_cases}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     from ._suite import run_checks
 
     return SuiteReport(run_checks(max_n, seed, gf4_cases), seed=seed)

@@ -120,6 +120,13 @@ def test_template_instances_match_filtering():
         assert by_templates == by_filter
 
 
+def test_instances_refuse_an_unknown_family_and_order_0():
+    with pytest.raises(ValueError, match=r"^unknown family 'X9'$"):
+        epr_instances("X9", 3)
+    with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+        accepted_epr_sequences(0)
+
+
 def test_instances_respect_their_own_family():
     for n in range(1, 13):
         for fam in EPR_FAMILIES:

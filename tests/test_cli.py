@@ -109,6 +109,26 @@ def test_minors_match_the_laplace_oracle(capsys, tmp_path):
                 assert out.splitlines() == want, (spec.name, n, k)
 
 
+def test_minors_listing_longer_than_one_flush(capsys, tmp_path):
+    """C(19, 9) = 92,378 lines, more than the 2^16 the listing holds before it
+    writes; the lines on both sides of that first write are checked by elimination."""
+    rng = random.Random(19)
+    grid = [[0] * 19 for _ in range(19)]
+    for i in range(19):
+        for j in range(i, 19):
+            grid[i][j] = grid[j][i] = rng.randrange(2)
+    m = SymMatrix(GF2, grid)
+    path = tmp_path / "order19.txt"
+    path.write_text(m.to_text())
+    code, out, _ = run(capsys, "minors", str(path), "-k", "9")
+    assert code == 0
+    lines = out.splitlines()
+    subsets = list(combinations(range(1, 20), 9))
+    assert [line.split("=")[0] for line in lines] == ["{" + ",".join(map(str, s)) + "}" for s in subsets]
+    for at in (0, (1 << 16) - 1, 1 << 16, len(subsets) - 1):
+        assert lines[at].endswith(f"={m.principal_submatrix(subsets[at]).determinant()}"), at
+
+
 def test_minors_bad_k(capsys):
     code, _, err = run(capsys, "minors", str(DATA / "aan.txt"), "-k", "9")
     assert code == 2
@@ -200,6 +220,12 @@ def test_check_theorems_refuses_gf4_case_counts_out_of_range(capsys, cases):
     code, out, err = run(capsys, "check-theorems", "--max-n", "2", "--gf4-cases", cases)
     assert code == 2 and out == ""
     assert f"gf4_cases must be in [0, 10^5], got {cases}" in err
+
+
+def test_check_theorems_refuses_a_negative_seed(capsys):
+    code, out, err = run(capsys, "check-theorems", "--max-n", "2", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("max_n, seed", [(5, 1729), (4, 3), (2, 11)])

@@ -111,3 +111,11 @@ def test_enumerate_never_imports_classifier_or_sequence():
 
 def test_sweep_verbs_never_import_dataclasses():
     run_script(SWEEP_SCRIPT)
+
+
+def test_dir_lists_every_public_name():
+    import eprseq
+
+    names = dir(eprseq)
+    assert names == sorted(names)
+    assert set(eprseq.__all__) <= set(names) and "__version__" in names

@@ -1,6 +1,6 @@
 import pytest
 
-from eprseq import GF2, GF4, FieldError, field_make
+from eprseq import GF2, GF4, FieldError, FieldSpec, field_make
 
 
 def brute_mul_table(spec):
@@ -60,6 +60,20 @@ def test_reducible_modulus_rejected():
         field_make(0)
     with pytest.raises(FieldError):
         field_make(9)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: field_make(2, "x"), "modulus must be an int or 'default', got 'x'"),
+        (lambda: field_make(2, 0b11), "modulus 0b11 is not monic of degree 2"),
+        (lambda: FieldSpec(2, 0b101).inv(3), "element 3 has no inverse; modulus 0b101 is not irreducible"),
+    ],
+)
+def test_bad_modulus_messages(make, message):
+    with pytest.raises(FieldError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_default_fields():

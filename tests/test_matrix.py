@@ -51,6 +51,14 @@ def test_gf4_example_matrix_accepted():
     assert m.determinant() == 0
 
 
+def test_entry_and_hash():
+    m = complete_graph(3)
+    with pytest.raises(IndexError) as info:
+        m.entry(0, 1)
+    assert str(info.value) == "entry (0,1) out of range 1..3"
+    assert hash(m) == hash(complete_graph(3)) and len({m, complete_graph(3), identity(3)}) == 2
+
+
 def test_immutability():
     m = identity(2)
     with pytest.raises(AttributeError):
@@ -133,6 +141,9 @@ def test_principal_submatrix():
         identity(3).principal_submatrix([0])
     with pytest.raises(IndexError):
         identity(3).principal_submatrix([4])
+    with pytest.raises(IndexError) as info:
+        identity(3).principal_submatrix([1, 1])
+    assert str(info.value) == "alpha: duplicate index 1"
 
 
 def test_minor():
@@ -459,6 +470,12 @@ def test_text_round_trip():
     assert read_matrix(text) == m4
 
 
+def test_text_refuses_gf8():
+    with pytest.raises(ValueError) as info:
+        identity(2, field_make(3)).to_text()
+    assert str(info.value) == "text format supports gf2 and gf4, not gf8"
+
+
 def test_text_comments_skipped():
     text = "# recipe: N2: complete_graph(3)\n" + complete_graph(3).to_text()
     assert read_matrix(text) == complete_graph(3)
@@ -481,3 +498,17 @@ def test_text_rejects_with_diagnostics(text, line, column):
         read_matrix(text)
     assert err.value.line == line
     assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# recipe only\n", "line 2, column 1: missing 'field' header"),
+        ("field gf2\n", "line 2, column 1: missing 'n' header"),
+        ("field gf2\nn 2\n0 1\n", "line 4, column 1: missing matrix row 2"),
+    ],
+)
+def test_text_rejects_a_truncated_file(text, message):
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(text)
+    assert str(err.value) == message

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprseq import (
+    DEFAULT_MAX_ORDER,
     GF2,
     GF4,
     OrderLimitError,
@@ -28,6 +29,7 @@ from eprseq import (
     read_matrix,
     zeros,
 )
+from eprseq import sequence
 from eprseq._engine import minor_tables, table_letters
 from eprseq.sequence import _nonzero_per_order, minor_planes
 from oracles import all_symmetric_gf2, laplace_det, naive_epr, naive_pr, subgrid
@@ -106,6 +108,17 @@ def test_order_guardrail():
     with pytest.raises(OrderLimitError, match="physical memory"):
         compute_epr(identity(40), max_order=None)  # lifting the guardrail keeps the ceiling
     assert minor_planes(zeros(0)) == [1]
+
+
+def test_memory_ceiling_falls_back_to_the_guardrail_table(monkeypatch):
+    """Where os.sysconf cannot say, physical memory reads as the 2^24-byte table of the guardrail."""
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(sequence.os, "sysconf", unknown)
+    assert sequence._physical_memory() == 1 << DEFAULT_MAX_ORDER
+    with pytest.raises(OrderLimitError, match="physical memory"):
+        compute_epr(identity(25), max_order=None)
 
 
 # -- properties -------------------------------------------------------------------

@@ -556,6 +556,28 @@ def test_kernels_take_an_empty_batch():
             assert [a.shape for a in got] == want, (spec.name, n)
 
 
+def test_times_is_the_field_product_in_every_field():
+    """times runs FieldSpec.mul's shift-and-reduce loop on whole uint8 arrays; at
+    degree 8 the uint8 shift drops x^8, which the modulus term must add back."""
+    for d in range(1, 9):
+        spec = field_make(d)
+        q = np.arange(spec.order, dtype=np.uint8)
+        want = np.array([[spec.mul(a, b) for b in range(spec.order)] for a in range(spec.order)], np.uint8)
+        got = eng.times(q[:, None], q[None, :], spec)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), spec.name
+    rng = np.random.default_rng(8)
+    for spec in (GF4, GF8, field_make(8)):
+        col = rng.integers(0, spec.order, 50, np.uint8)  # a (B,) column times a (2k, B) block, as in inverse
+        block = rng.integers(0, spec.order, (6, 50), np.uint8)
+        want = [[spec.mul(int(c), int(x)) for c, x in zip(col, row)] for row in block]
+        assert eng.times(col, block, spec).tolist() == want, spec.name
+
+
+def test_letter_arrays_refuse_order_7():
+    with pytest.raises(ValueError, match=r"^letter arrays are built up to order 6$"):
+        eng.letter_arrays(7)
+
+
 # -- theorem suite ----------------------------------------------------------------
 
 def test_theorem_suite_reduced_bounds():
@@ -588,6 +610,16 @@ def test_catalog_peak_memory():
     assert _traced_peak(eng.catalog_gf2, 6) <= 4 * 2**20
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_n": 1}, "max_n must be in [2, 5], got 1"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_theorem_suite_refuses_arguments_out_of_range(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        theorem_suite(**kwargs)
+    assert str(info.value) == message
+
+
 def test_theorem_suite_reproducible():
     a = theorem_suite(max_n=2, gf4_cases=60, seed=5)
     b = theorem_suite(max_n=2, gf4_cases=60, seed=5)
@@ -600,6 +632,15 @@ def test_suite_report_format():
     assert len(lines) >= 16
     name, cases, failures = lines[0].split()
     assert int(cases) > 0 and failures == "0"
+
+
+def test_suite_report_lists_each_failure_after_the_counts():
+    report = verify.SuiteReport([
+        verify.CheckResult("schur", 4, ("case 1", "case 3")),
+        verify.CheckResult("append", 2),
+    ])
+    assert not report.ok
+    assert report.to_text() == "schur 4 2\nappend 2 0\nFAIL schur: case 1\nFAIL schur: case 3\n"
 
 
 # -- fault injection: each batched GF(4) path reports a wrong component ------------
