@@ -5,7 +5,10 @@ order, the least codes of the S_n orbits, which six halves check with
 case counts weighted by orbit size, and each run of consecutive codes,
 which the congruence half checks; each order's drawn GF(4) cases; and
 the image of every code map.  Each field-generic identity is one
-predicate over batches that its GF(2) and GF(4) halves both call.
+predicate over batches that its GF(2) and GF(4) halves both call.  The
+seeded draws (the GF(4) cases, the congruence grids E) come from eprseq._rng,
+numpy.random.default_rng's stream replayed in pure Python, so the suite loads
+numpy's arrays but never numpy.random.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _engine as eng
+from ._rng import Rng
 from ._sweep import code_matrix, code_rows, orbit_reps, triangle_code, tri
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import _eliminate, complete_graph, loop_complete_graph, loop_split_graph, pendant_loop_complete
@@ -124,16 +128,16 @@ def _examples(name: str, outcomes) -> CheckResult:
     return CheckResult(name, len(outcomes), failures[:_MAX_FAILURES_KEPT])
 
 
-def _rand_invertible(rng: np.random.Generator, n: int, spec: FieldSpec) -> list[list[int]]:
+def _rand_invertible(rng: Rng, n: int, spec: FieldSpec) -> list[list[int]]:
     while True:
-        grid = rng.integers(0, spec.order, size=(n, n)).tolist()
+        grid = [rng.integers(0, spec.order, n) for _ in range(n)]
         if _eliminate([row[:] for row in grid], spec, range(n))[0] == n:
             return grid
 
 
-def _draw_gf4(rng: np.random.Generator, n: int) -> int:
+def _draw_gf4(rng: Rng, n: int) -> int:
     """Code of a random symmetric GF(4) matrix of order n, its upper triangle drawn row by row."""
-    return triangle_code(rng.integers(0, GF4.order, size=tri(n)).tolist(), GF4)
+    return triangle_code(rng.integers(0, GF4.order, tri(n)), GF4)
 
 
 def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "") -> list[str]:
@@ -220,7 +224,7 @@ def _schur_gf2(b: _Batch):
         yield "schur-complement-letters", sel, len(top), bad, f" alpha={alpha}"
 
 
-def _schur_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
+def _schur_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
     """The Schur identity over GF(4), where the quotient genuinely divides by a
     non-unit determinant.  The pivot draw reads b's nonzero proper minors, so it
     stays in the draw loop."""
@@ -228,13 +232,13 @@ def _schur_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]
 
     drawn = []
     for _ in range(gf4_cases):
-        n = int(rng.integers(2, 6))
+        n = rng.integers(2, 6)
         code = _draw_gf4(rng, n)
         nonzero = reduce(int.__or__, _planes(code_rows(code, n, GF4), GF4))
         pivots = [row for _, row in _subsets(n)[1:-1] if nonzero >> row & 1]
         if pivots:
-            alpha = pivots[int(rng.integers(0, len(pivots)))]
-            gamma = _mask(np.flatnonzero(rng.integers(0, 2, size=n - alpha.bit_count())).tolist())
+            alpha = pivots[rng.integers(0, len(pivots))]
+            gamma = sum(bit << i for i, bit in enumerate(rng.integers(0, 2, n - alpha.bit_count())))
             drawn.append((n, code, alpha, gamma))
 
     def test(cases, b):  # one Schur image per pivot set of the order's cases
@@ -281,14 +285,14 @@ def _hyperdet_gf2(b: _Batch):
             yield "hyperdeterminantal-relation", slice(None), 1, total != 0, f" tau={tau} I={base}"
 
 
-def _hyperdet_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
+def _hyperdet_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = []
     for _ in range(gf4_cases):
-        n = int(rng.integers(3, 6))
+        n = rng.integers(3, 6)
         code = _draw_gf4(rng, n)
-        tau = tuple(sorted(rng.choice(n, size=3, replace=False).tolist()))
+        tau = tuple(sorted(rng.sample(n, 3)))
         rest = [x for x in range(n) if x not in tau]
-        base = tuple(x for x, bit in zip(rest, rng.integers(0, 2, size=n - 3)) if bit)
+        base = tuple(x for x, bit in zip(rest, rng.integers(0, 2, n - 3)) if bit)
         drawn.append((n, code, _mask(tau), _mask(base)))
 
     def test(cases, b):
@@ -330,8 +334,8 @@ def _append_gf2(b: _Batch):
     yield "append-transforms", slice(None), 2, bad_dup | bad_zero, ""
 
 
-def _append_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
-    drawn = [(n, _draw_gf4(rng, n)) for n in (int(rng.integers(1, 5)) for _ in range(gf4_cases))]
+def _append_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
+    drawn = [(n, _draw_gf4(rng, n)) for n in (rng.integers(1, 5) for _ in range(gf4_cases))]
 
     def test(cases, b):
         return np.stack(_append_bad(b), axis=1)
@@ -372,10 +376,10 @@ def _congruence_gf2(b: _Batch, grids: dict[int, list]):
         yield "congruence-pr-invariance", slice(None), 1, _pr_changed(b, grid), f" E={grid}"
 
 
-def _congruence_gf4(rng: np.random.Generator, gf4_cases: int) -> tuple[int, list[str]]:
+def _congruence_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = []  # E kept as its n * n entries, row by row
     for _ in range(gf4_cases):
-        n = int(rng.integers(1, 5))
+        n = rng.integers(1, 5)
         code = _draw_gf4(rng, n)
         drawn.append((n, code, bytes(sum(_rand_invertible(rng, n, GF4), []))))
 
@@ -441,7 +445,7 @@ def _check_attained_rule_soundness(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("attained-rule-soundness", outcomes)
 
 
-def _gf2_halves(rng: np.random.Generator, max_n: int) -> tuple[list, list]:
+def _gf2_halves(rng: Rng, max_n: int) -> tuple[list, list]:
     """The GF(2) half of each exhaustive check, as _gf2_pass's (per_code, per_orbit).
     The congruence half checks three grids E drawn for each order 2..max_n, and
     E (P B P^T) E^T = (E P) B (E P)^T, so it runs over every code; every other
@@ -454,7 +458,7 @@ def _gf2_halves(rng: np.random.Generator, max_n: int) -> tuple[list, list]:
 def run_checks(max_n: int, seed: int, gf4_cases: int) -> list[CheckResult]:
     """The sixteen checks of eprseq.verify.theorem_suite, in report order."""
     words = _catalog_words(min(max_n + 1, 6))
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     # The seeded draws come in this order, which the golden check-theorems
     # outputs pin, all before the GF(2) pass.
     gf4 = {

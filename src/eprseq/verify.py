@@ -11,6 +11,7 @@ GF(4) by sampling; they live in eprseq._suite, which alone loads numpy.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from functools import lru_cache
 from itertools import product
@@ -139,6 +140,14 @@ def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
     return SuiteReport([sound, complete])
 
 
+def _int_arg(name: str, value) -> int:
+    """value as an int (bools and numpy integers too), refusing anything else by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {value!r}") from None
+
+
 def theorem_suite(
     *, max_n: int = 5, seed: int = DEFAULT_SEED, gf4_cases: int = 1000
 ) -> SuiteReport:
@@ -150,13 +159,16 @@ def theorem_suite(
     catalogs up to ``max_n + 1``; field-generic identities also run
     ``gf4_cases`` seeded GF(4) cases each, each held until its check's
     batches run, so ``gf4_cases`` is capped at 10^5: on a 2-vCPU host
-    ``check-theorems`` then takes about 13 s and 61 MiB of peak RSS,
-    against about 0.4 s and 37.5 MiB at the default 1000.
+    ``check-theorems`` then takes about 10 s and 55 MiB of peak RSS,
+    against about 0.5 s and 31 MiB at the default 1000.
     """
+    max_n = _int_arg("max_n", max_n)
     if not 2 <= max_n <= 5:
         raise ValueError(f"max_n must be in [2, 5], got {max_n}")
+    gf4_cases = _int_arg("gf4_cases", gf4_cases)
     if not 0 <= gf4_cases <= 10**5:
         raise ValueError(f"gf4_cases must be in [0, 10^5], got {gf4_cases}")
+    seed = _int_arg("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     from ._suite import run_checks

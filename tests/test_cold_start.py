@@ -1,5 +1,6 @@
 """Each verb loads only what it runs: only `check-theorems` imports numpy (and
-the batched kernels and the theorem suite), `epr`, `pr` and `minors` never the
+the batched kernels and the theorem suite), though never `numpy.random`, since
+the suite draws its seeded cases from eprseq._rng; `epr`, `pr` and `minors` never the
 classifier, `classify` and `classify-pr` never the matrix module, no verb
 dataclasses, and `enumerate` neither the classifier nor the sequence module."""
 
@@ -41,6 +42,7 @@ assert run("verify", "-n", "3")[0] == 0
 not_loaded("numpy", "eprseq._engine", "eprseq._suite")
 assert run("check-theorems", "--max-n", "2")[0] == 0
 assert "numpy" in sys.modules, "check-theorems ran without numpy"
+not_loaded("numpy.random")
 missing = [name for name in eprseq.__all__ if not hasattr(eprseq, name)]
 assert not missing, missing
 assert set(eprseq.__all__) <= set(dir(eprseq))

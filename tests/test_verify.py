@@ -28,6 +28,7 @@ from eprseq import _suite as suite
 from eprseq import _sweep as sw
 from eprseq import verify
 from eprseq._engine import minor_tables
+from eprseq._rng import Rng
 from oracles import all_symmetric_gf2, laplace_det, matmul, naive_epr, subgrid
 
 GF8 = field_make(3)
@@ -509,7 +510,7 @@ def test_deleted_minors_match_laplace_exhaustive():
 
 
 def test_congruence_entries_match_matmul_exhaustive():
-    rng = np.random.default_rng(18)
+    rng = Rng(18)
     for n in range(1, 5):
         mats = list(all_symmetric_gf2(n))
         ent = np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0)
@@ -620,6 +621,24 @@ def test_theorem_suite_refuses_arguments_out_of_range(kwargs, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": 1.5}, "seed must be an int, got 1.5"),
+    ({"max_n": 2.5}, "max_n must be an int, got 2.5"),
+    ({"gf4_cases": 10.5}, "gf4_cases must be an int, got 10.5"),
+    ({"seed": "3"}, "seed must be an int, got '3'"),
+])
+def test_theorem_suite_refuses_arguments_that_are_not_ints(kwargs, message):
+    with pytest.raises(TypeError) as info:
+        theorem_suite(**kwargs)
+    assert str(info.value) == message
+
+
+def test_theorem_suite_takes_numpy_integers_as_ints():
+    plain = theorem_suite(max_n=2, gf4_cases=20, seed=2**63 + 3)
+    wrapped = theorem_suite(max_n=np.int64(2), gf4_cases=np.uint8(20), seed=np.uint64(2**63 + 3))
+    assert wrapped.to_text() == plain.to_text() and type(wrapped.seed) is int
+
+
 def test_theorem_suite_reproducible():
     a = theorem_suite(max_n=2, gf4_cases=60, seed=5)
     b = theorem_suite(max_n=2, gf4_cases=60, seed=5)
@@ -659,7 +678,7 @@ def _det(m, labels):
 def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
     orig = eng.schur_entries
     monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec: orig(ent, alpha, spec) ^ 1)
-    result = verify.CheckResult("schur", *suite._schur_gf4(np.random.default_rng(3), 100))
+    result = verify.CheckResult("schur", *suite._schur_gf4(Rng(3), 100))
     assert 0 < len(result.failures) <= 20 and result.cases > 0
     for failure in result.failures:
         rows, alpha, gamma = _parse(
@@ -686,7 +705,7 @@ def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
     orig = eng.minor_tables
     monkeypatch.setattr(eng, "minor_tables", lambda ent, spec: orig(ent, spec) ^ 1)
-    result = verify.CheckResult("hyperdet", *suite._hyperdet_gf4(np.random.default_rng(4), 100))
+    result = verify.CheckResult("hyperdet", *suite._hyperdet_gf4(Rng(4), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
         rows, tau, base = _parse(
@@ -724,7 +743,7 @@ def _assert_copy_breaks_append_zero(b):
 
 def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
     _copy_index_0(monkeypatch)
-    result = verify.CheckResult("append", *suite._append_gf4(np.random.default_rng(5), 100))
+    result = verify.CheckResult("append", *suite._append_gf4(Rng(5), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 200
     for failure in result.failures:
         (rows,) = _parse(failure, r"gf4 append-zero SymMatrix\(gf4, (\[.*\])\)")
@@ -739,7 +758,7 @@ def _zero_congruence(monkeypatch):
 
 def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
     _zero_congruence(monkeypatch)
-    result = verify.CheckResult("congruence", *suite._congruence_gf4(np.random.default_rng(6), 100))
+    result = verify.CheckResult("congruence", *suite._congruence_gf4(Rng(6), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
         rows, e = _parse(failure, r"gf4 congruence SymMatrix\(gf4, (\[.*\])\) E=(\[.*\])")
@@ -756,7 +775,7 @@ def _gf2_check(max_n, name, halves):
 
 def _every_half(seed, max_n):
     """Every GF(2) half of the suite, its congruence grids drawn from seed."""
-    per_code, per_orbit = suite._gf2_halves(np.random.default_rng(seed), max_n)
+    per_code, per_orbit = suite._gf2_halves(Rng(seed), max_n)
     return per_code + per_orbit
 
 
@@ -903,7 +922,7 @@ def test_gf2_pass_at_order_6():
 def test_orbit_gf2_pass_at_order_6():
     """The suite's own route to order 6: six halves over the 5096 order-6 orbit
     reps, weighted by orbit size, and congruence over every code."""
-    halves = suite._gf2_halves(np.random.default_rng(verify.DEFAULT_SEED), 6)
+    halves = suite._gf2_halves(Rng(verify.DEFAULT_SEED), 6)
     found = suite._gf2_pass(6, *halves)
     assert found == {name: [cases, []] for name, cases in _ORDER_6_CASES.items()}
 
@@ -956,7 +975,7 @@ def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
     if fault:
         fault(monkeypatch)
         monkeypatch.setattr(suite, "_MAX_FAILURES_KEPT", 10**9)
-    per_code, per_orbit = suite._gf2_halves(np.random.default_rng(2), 4)
+    per_code, per_orbit = suite._gf2_halves(Rng(2), 4)
     every = _failing_orbits(suite._gf2_pass(4, per_code + per_orbit))
     orbit = suite._gf2_pass(4, per_code, per_orbit)
     assert len(orbit) == 8
