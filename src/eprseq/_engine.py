@@ -5,11 +5,10 @@ table of each matrix of a batch (eprseq.sequence.minor_planes builds it
 for one matrix, eprseq._sweep bit-sliced across a catalog).  The suite's
 code maps (submatrices, appended rows, inverses, Schur complements,
 congruences) map batches to batches over any GF(2^k).  Each kernel takes
-one path for every batch, B = 0 included: every product is times, which
-runs FieldSpec.mul's shift-and-reduce loop on whole arrays, and inverses
-and deleted minors come by batched Gauss-Jordan elimination.  catalog_gf2,
-catalog_gf4 and _merge_chunks are eprseq._sweep's, named here where
-bench/tracer.py times them.
+one path for every batch, B = 0 included: every product is FieldSpec.mul
+on whole arrays, and inverses and deleted minors come by batched
+Gauss-Jordan elimination.  catalog_gf2, catalog_gf4 and _merge_chunks are
+eprseq._sweep's, named here where bench/tracer.py times them.
 """
 
 from __future__ import annotations
@@ -23,6 +22,9 @@ from .gfield import GF2, FieldSpec, _inverse_table
 
 _MAX_TABLE_ORDER = 6
 
+# codes per minor table over every code of one order (letter_arrays, the theorem
+# suite's per-code halves): runs of 2^13 raised check-theorems' peak RSS from
+# about 37.5 to 37.8 MiB, runs of 2^11 lowered it no further
 _RUN_CODES = 1 << 12
 
 
@@ -34,10 +36,10 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
     indexed by bitmask (bit i selects index i + 1; det B[{}] = 1).  In
     characteristic 2 the cross terms of c^T adj(A) c cancel in pairs, so with
     no pivot, for j > max S, det B[S + {j}] = b_jj det B[S] + sum_{i in S}
-    b_ij^2 det B[S - {i}].  Each term is one product by times.
+    b_ij^2 det B[S - {i}].  Each term is one product by FieldSpec.mul.
     """
     n, _, batch = entries.shape
-    coef = times(entries, entries, spec)  # b_ij^2, and b_jj on the diagonal
+    coef = spec.mul(entries, entries)  # b_ij^2, and b_jj on the diagonal
     coef.reshape(n * n, batch)[:: n + 1] = entries.reshape(n * n, batch)[:: n + 1]
     dets = np.zeros((1 << n, batch), np.uint8)
     dets[0] = 1
@@ -47,7 +49,7 @@ def minor_tables(entries: np.ndarray, spec: FieldSpec) -> np.ndarray:
             halves = ((1 << j) >> (i + 1), 2, 1 << i, batch)  # S without and with i
             src = lower if i == j else lower.reshape(halves)[:, 0]
             dst = upper if i == j else upper.reshape(halves)[:, 1]
-            dst ^= times(coef[j, i], src, spec)
+            dst ^= spec.mul(coef[j, i], src)
     return dets
 
 
@@ -126,21 +128,11 @@ def gather_entries(ent: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     return np.pad(ent, ((0, 1), (0, 1), (0, 0)))[np.ix_(idx, idx)]
 
 
-def times(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
-    """a * b entrywise over spec (broadcasting) by FieldSpec.mul's loop: the XOR
-    over the bits t of b of a x^t, each a x^t the last one shifted and reduced."""
-    out = a * (b & 1)
-    for t in range(1, spec.degree):
-        a = (a << 1 & spec.order - 1) ^ (a >> spec.degree - 1) * (spec.modulus & spec.order - 1)
-        out ^= a * (b >> t & 1)
-    return out
-
-
 def matmul(a: np.ndarray, b: np.ndarray, spec: FieldSpec = GF2) -> np.ndarray:
     """Products over spec of (r, t, B) and (t, c, B) batches (B may broadcast)."""
     out = np.zeros((a.shape[0], b.shape[1], *np.broadcast_shapes(a.shape[2:], b.shape[2:])), np.uint8)
     for t in range(a.shape[1]):
-        out ^= times(a[:, t, None], b[None, t], spec)
+        out ^= spec.mul(a[:, t, None], b[None, t])
     return out
 
 
@@ -158,11 +150,11 @@ def inverse(ent: np.ndarray, spec: FieldSpec = GF2) -> tuple[np.ndarray, np.ndar
     for j in range(k):
         for r in range(j + 1, k):  # while the pivot is zero, add each later row to its row
             aug[j] ^= aug[r] * (aug[j, j] == 0).view(np.uint8)
-        det = times(det, aug[j, j], spec)
-        aug[j] = times(recip[aug[j, j]], aug[j], spec)
+        det = spec.mul(det, aug[j, j])
+        aug[j] = spec.mul(recip[aug[j, j]], aug[j])
         for r in range(k):
             if r != j:
-                aug[r] ^= times(aug[r, j], aug[j], spec)
+                aug[r] ^= spec.mul(aug[r, j], aug[j])
     return det, aug[:, k:]
 
 

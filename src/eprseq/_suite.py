@@ -27,10 +27,6 @@ from .matrix import _eliminate, complete_graph, loop_complete_graph, loop_split_
 from .verify import CheckResult, _catalog_raw
 
 _MAX_FAILURES_KEPT = 20
-# codes per run of the GF(2) pass's per-code halves (congruence in the suite) at
-# one order: runs of 2^13 raised check-theorems' peak RSS from about 37.5 to
-# 37.8 MiB, and runs of 2^11 lowered it no further
-_SUITE_CHUNK = 1 << 12
 
 
 # B symmetric matrices of order n over spec, the batch on the last axis: the GF(2)
@@ -56,9 +52,9 @@ def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
     those columns, failure suffix) per batch.  The per_orbit halves judge B and
     every P B P^T alike, so each order hands them one batch of the least code of
     every S_n orbit (orbit_reps), and a rep's cases count once per matrix of its
-    orbit.  The per_code halves get each run of _SUITE_CHUNK consecutive codes of
-    the order, built once, handed to each of them, then dropped.  With every half
-    in per_code this is the every-code pass the orbit pass is tested against."""
+    orbit.  The per_code halves get each run of eng._RUN_CODES consecutive codes
+    of the order, built once, handed to each of them, then dropped.  With every
+    half in per_code this is the every-code pass the orbit pass is tested against."""
     found: dict[str, list] = {}
 
     def run(halves, b: _Batch) -> None:
@@ -74,8 +70,8 @@ def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
             reps, sizes = map(np.array, orbit_reps(n, GF2))
             run(per_orbit, _batch(eng.decode_entries(reps, n), GF2, reps, sizes))
         total = 1 << tri(n)
-        for start in range(0, total if per_code else 0, _SUITE_CHUNK):
-            codes = np.arange(start, min(start + _SUITE_CHUNK, total))
+        for start in range(0, total if per_code else 0, eng._RUN_CODES):
+            codes = np.arange(start, min(start + eng._RUN_CODES, total))
             run(per_code, _batch(eng.decode_entries(codes, n), GF2, codes))
     return found
 
@@ -269,7 +265,7 @@ def _schur_bad(b: _Batch, cols: np.ndarray, alpha, c: _Batch, gammas=None) -> np
     for every gamma or for the one gamma (a row of C's table) of each column."""
     # .take(cols, axis=1) gathers columns 3-4x faster than indexing [rows, cols]
     joined = b.dets[_joined_rows(b.n, alpha)].take(cols, axis=1)
-    wrong = eng.times(c.dets, joined[0], b.spec) != joined
+    wrong = b.spec.mul(c.dets, joined[0]) != joined
     if gammas is not None:
         wrong = np.take_along_axis(wrong, gammas[None], axis=0)
     return wrong.any(axis=0) | (b.ranks.take(cols) - c.ranks != len(alpha))
@@ -314,7 +310,7 @@ def _hyperdet_sum(b: _Batch, cols, s, tau_masks) -> np.ndarray:
     i, j, k = tau_masks
 
     def pair(x, y):
-        return eng.times(b.dets[s | x, cols], b.dets[s | y, cols], b.spec)
+        return b.spec.mul(b.dets[s | x, cols], b.dets[s | y, cols])
 
     return pair(0, i | j | k) ^ pair(i, j | k) ^ pair(j, i | k) ^ pair(k, i | j)
 

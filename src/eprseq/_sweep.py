@@ -37,8 +37,6 @@ from .matrix import SymMatrix
 # runs of 2^19 or 2^21 bits swept GF(4) n = 5 no faster, 2^18 slower.
 _CHUNK_BITS = 1 << 20
 
-_LETTER_CHARS = "NSA"  # letter codes 0, 1, 2
-
 
 def tri(n: int) -> int:
     return n * (n + 1) // 2
@@ -206,24 +204,24 @@ def _letter_planes(codes, n: int, spec: FieldSpec) -> tuple[list[int], list[int]
 
 
 def _sweep(codes, size: int, n: int, spec: FieldSpec, seen: set):
-    """(letter key, count, least code or None) of each epr word of the order-n
+    """(epr word, count, least code or None) of each epr word of the order-n
     matrices bordering the trailing blocks codes (ascending, one orbit size);
-    the least code is found only for keys not in seen, which it joins."""
+    the least code is found only for words not in seen, which it joins."""
     row_bits = spec.degree * n
     some, every = _letter_planes(codes, n, spec)
-    nodes = [(0, (1 << (len(codes) << row_bits)) - 1)]
+    nodes = [("", (1 << (len(codes) << row_bits)) - 1)]
     for k in range(1, n + 1):  # split by letter k: N, S, A
         split = []
-        for key, node in nodes:
+        for word, node in nodes:
             s_or_a = node & some[k]
             a = s_or_a & every[k]
-            for letter, part in enumerate((node ^ s_or_a, s_or_a ^ a, a)):
+            for letter, part in zip("NSA", (node ^ s_or_a, s_or_a ^ a, a)):
                 if part:
-                    split.append((key | letter << (2 * k - 2), part))
+                    split.append((word + letter, part))
         nodes = split
-    new = {key for key, _ in nodes} - seen
+    new = {word for word, _ in nodes} - seen
     seen |= new
-    return [(key, size * node.bit_count(), _least(node, codes, row_bits) if key in new else None) for key, node in nodes]
+    return [(word, size * node.bit_count(), _least(node, codes, row_bits) if word in new else None) for word, node in nodes]
 
 
 def _least(node: int, codes, row_bits: int) -> int:
@@ -238,15 +236,10 @@ def _least(node: int, codes, row_bits: int) -> int:
     return codes[i] << row_bits | ((rows & -rows).bit_length() - 1) // reps
 
 
-def key_to_word(key: int, n: int) -> str:
-    return "".join(_LETTER_CHARS[(key >> (2 * k)) & 3] for k in range(n))
-
-
-def _merge_chunks(results, n):
-    """Counts and least exemplar codes of every word over the swept runs."""
+def _merge_chunks(results):
+    """Counts and least exemplar codes of every epr word over the swept runs."""
     counts, exemplar = {}, {}
-    for key, count, code in chain.from_iterable(results):
-        word = key_to_word(key, n)
+    for word, count, code in chain.from_iterable(results):
         counts[word] = counts.get(word, 0) + count
         if code is not None:
             exemplar[word] = min(code, exemplar.get(word, code))
@@ -268,7 +261,7 @@ def _catalog(n: int, spec: FieldSpec):
         seen: set = set()
         for lo in range(0, len(codes), step):
             results.append(_sweep(codes[lo : lo + step], size, n, spec, seen))
-    return _merge_chunks(results, n)
+    return _merge_chunks(results)
 
 
 def catalog_gf2(n: int, jobs: int = 1):

@@ -4,7 +4,8 @@ Field elements are plain integers in ``[0, 2**k)`` whose bits are the
 coefficients of the polynomial-basis representation (bit ``i`` is the
 coefficient of ``x**i``).  Every field here has characteristic 2, so
 addition is XOR, negation is the identity map and subtraction equals
-addition.
+addition.  ``FieldSpec.mul``, the one field product, multiplies numpy
+uint8 arrays of elements entrywise too; this module imports no numpy.
 
 Only small degrees are supported (``1 <= k <= 8``).  The rest of the
 library works over GF(2) and over GF(4) = {0, 1, z, w}, where w = z + 1
@@ -84,19 +85,16 @@ class FieldSpec(namedtuple("FieldSpec", "degree modulus")):
         """Field addition: XOR of coefficient vectors.  add(a, a) == 0."""
         return a ^ b
 
-    def mul(self, a: int, b: int) -> int:
-        """Shift-xor product reduced by the modulus."""
-        acc = 0
-        top = 1 << self.degree
-        mod = self.modulus
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return acc
+    def mul(self, a, b):
+        """a * b for elements of [0, 2^k), ints or uint8 arrays (broadcasting): the XOR
+        over the bits t of b of a x^t, each a x^t the last one shifted and reduced."""
+        k = self.degree
+        top, low = (1 << k) - 1, self.modulus ^ 1 << k
+        out = a * (b & 1)
+        for t in range(1, k):
+            a = (a << 1 & top) ^ (a >> k - 1) * low
+            out ^= a * (b >> t & 1)
+        return out
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""

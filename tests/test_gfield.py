@@ -1,3 +1,7 @@
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from eprseq import GF2, GF4, FieldError, FieldSpec, field_make
@@ -17,6 +21,37 @@ def brute_mul_table(spec):
         return prod
 
     return {(a, b): poly_mul(a, b) for a in range(spec.order) for b in range(spec.order)}
+
+
+def test_mul_is_the_brute_product_on_ints_and_uint8_arrays():
+    """mul takes ints and uint8 arrays (broadcasting) alike; at degree 8 the
+    uint8 shift drops x^8, which the modulus term must add back."""
+    specs = [field_make(d) for d in range(1, 9)] + [field_make(3, 0b1101), field_make(8, 0x11D)]
+    for spec in specs:
+        table = brute_mul_table(spec)
+        q = np.arange(spec.order, dtype=np.uint8)
+        got = spec.mul(q[:, None], q[None, :])
+        want = [[table[a, b] for b in range(spec.order)] for a in range(spec.order)]
+        assert got.dtype == np.uint8 and got.tolist() == want, spec
+        assert [[spec.mul(a, b) for b in range(spec.order)] for a in range(spec.order)] == want, spec
+    rng = np.random.default_rng(8)
+    for spec in (GF4, field_make(3), field_make(8)):
+        table = brute_mul_table(spec)
+        col = rng.integers(0, spec.order, 50, np.uint8)  # a (B,) column times a (2k, B) block, as in inverse
+        block = rng.integers(0, spec.order, (2 * spec.degree, 50), np.uint8)
+        want = [[table[int(c), int(x)] for c, x in zip(col, row)] for row in block]
+        assert spec.mul(col, block).tolist() == want, spec
+
+
+def test_only_gfield_reads_the_modulus():
+    """FieldSpec.mul is the one field product: no other module reduces by the modulus."""
+    readers = {
+        path.name
+        for path in (Path(__file__).resolve().parents[1] / "src" / "eprseq").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "modulus"
+    }
+    assert readers == {"gfield.py"}, readers
 
 
 def test_gf2_is_integer_arithmetic_mod_2():

@@ -125,7 +125,7 @@ def _every_code_catalog(n, spec):
         keys = _table_keys(np.arange(lo, min(lo + (1 << 16), total)), n, spec)
         cnt = np.bincount(keys)
         for key in np.flatnonzero(cnt).tolist():
-            word = sw.key_to_word(key, n)
+            word = _key_word(key, n)
             counts[word] = counts.get(word, 0) + int(cnt[key])
             first.setdefault(word, lo + int(np.argmax(keys == key)))
     return counts, first
@@ -138,7 +138,7 @@ def _every_block_catalog(n, spec):
     step = max(1, sw._CHUNK_BITS >> (spec.degree * n))
     seen = set()
     runs = (sw._sweep(blocks[lo : lo + step], 1, n, spec, seen) for lo in range(0, len(blocks), step))
-    return sw._merge_chunks(runs, n)
+    return sw._merge_chunks(runs)
 
 
 def test_orbit_catalog_matches_every_code_sweep():
@@ -351,6 +351,11 @@ def _table_keys(codes, n, spec):
     return keys
 
 
+def _key_word(key, n):
+    """The epr word of a letter key: letter k + 1 is bits 2k, 2k + 1 (0=N, 1=S, 2=A)."""
+    return "".join("NSA"[key >> 2 * k & 3] for k in range(n))
+
+
 def test_sweep_matches_per_code_tables_exhaustive():
     """The kernel's word of every code, its trailing blocks swept in runs of
     three, against the letters of each code's own numpy minor table."""
@@ -358,7 +363,7 @@ def test_sweep_matches_per_code_tables_exhaustive():
     for spec, top in ((GF2, 5), (GF4, 3), (GF8, 2), (field_make(3, 0b1101), 2)):
         for n in range(1, top + 1):
             codes = np.arange(1 << (spec.degree * sw.tri(n)))
-            want = [sw.key_to_word(key, n) for key in _table_keys(codes, n, spec).tolist()]
+            want = [_key_word(key, n) for key in _table_keys(codes, n, spec).tolist()]
             blocks = range(1 << (spec.degree * sw.tri(n - 1)))
             got = {}
             for lo in range(0, len(blocks), 3):
@@ -555,23 +560,6 @@ def test_kernels_take_an_empty_batch():
             ]
             want = [(1 << n, 0), (n, 0), (0,), (0,), (n, n, 0), (n, n, 0), (n - 1, n - 1, 0), (n, n, 0), (n + 1, n + 1, 0)]
             assert [a.shape for a in got] == want, (spec.name, n)
-
-
-def test_times_is_the_field_product_in_every_field():
-    """times runs FieldSpec.mul's shift-and-reduce loop on whole uint8 arrays; at
-    degree 8 the uint8 shift drops x^8, which the modulus term must add back."""
-    for d in range(1, 9):
-        spec = field_make(d)
-        q = np.arange(spec.order, dtype=np.uint8)
-        want = np.array([[spec.mul(a, b) for b in range(spec.order)] for a in range(spec.order)], np.uint8)
-        got = eng.times(q[:, None], q[None, :], spec)
-        assert got.dtype == np.uint8 and np.array_equal(got, want), spec.name
-    rng = np.random.default_rng(8)
-    for spec in (GF4, GF8, field_make(8)):
-        col = rng.integers(0, spec.order, 50, np.uint8)  # a (B,) column times a (2k, B) block, as in inverse
-        block = rng.integers(0, spec.order, (6, 50), np.uint8)
-        want = [[spec.mul(int(c), int(x)) for c, x in zip(col, row)] for row in block]
-        assert eng.times(col, block, spec).tolist() == want, spec.name
 
 
 def test_letter_arrays_refuse_order_7():
@@ -874,7 +862,7 @@ def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
 def _gf2_pass_results(monkeypatch, chunk):
     """{check name: (cases, sorted failures)} of the GF(2) pass up to order 4 in
     batches of chunk codes."""
-    monkeypatch.setattr(suite, "_SUITE_CHUNK", chunk)
+    monkeypatch.setattr(eng, "_RUN_CODES", chunk)
     found = suite._gf2_pass(4, _every_half(1, 4))
     return {name: (cases, sorted(failures)) for name, (cases, failures) in found.items()}
 
@@ -888,7 +876,7 @@ def test_gf2_pass_does_not_depend_on_the_chunk_size(monkeypatch, faulty):
         orig = eng.schur_entries
         monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
         monkeypatch.setattr(suite, "_MAX_FAILURES_KEPT", 10**9)
-    default = _gf2_pass_results(monkeypatch, suite._SUITE_CHUNK)
+    default = _gf2_pass_results(monkeypatch, eng._RUN_CODES)
     assert len(default) == 8
     assert bool(default["schur-complement-identity"][1]) == faulty
     for chunk in (1 << 3, 1 << 7):
