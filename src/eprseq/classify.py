@@ -9,9 +9,10 @@ classifier matches; the instance lists behind accepted_epr_sequences and
 accepted_pr_sequences expand those same patterns.
 
 A separate rule engine reports every known prohibition an epr word
-violates.  Each rule is one search for its first trigger and one test of
-what that trigger forces; no later trigger can fire where the first one
-did not.  The rules are necessary conditions only; they exist for
+violates.  A subword rule is a pattern, hit at its first match; every
+other rule is one search for its first trigger and one test of what that
+trigger forces, and no later trigger can fire where the first one did
+not.  The rules are necessary conditions only; they exist for
 diagnostics and cross-checking, never as the accept/reject decision.
 """
 
@@ -136,6 +137,17 @@ def classify_pr_char2(pr: PrSequence | str) -> Verdict:
 # prohibition rules
 # ---------------------------------------------------------------------------
 
+def _subword(rule: str, pattern: str, start: int = 0):
+    """The rule that no match of pattern begins at index start or later; hit the first."""
+    rx = re.compile(pattern)
+
+    def hits(s: str) -> RuleHit | None:
+        m = rx.search(s, start)
+        return RuleHit(rule, tuple(range(m.start() + 1, m.end() + 1))) if m else None
+
+    return hits
+
+
 def _n_tail(rule: str, s: str, k: int, start: int) -> RuleHit | None:
     # The trigger at index k forces N from index start on; hit the first A or S there.
     rest = s[start:].lstrip("N")
@@ -146,12 +158,6 @@ def _hits_nn(s: str) -> RuleHit | None:
     # Two consecutive Ns force N forever after.
     p = s.find("NN")
     return _n_tail("NN-theorem", s, p, p + 2) if p >= 0 else None
-
-
-def _hits_nsa(s: str) -> RuleHit | None:
-    # NSA never occurs, over any field.
-    p = s.find("NSA")
-    return RuleHit("NSA-prohibition", (p + 1, p + 2, p + 3)) if p >= 0 else None
 
 
 def _hits_asn_a(s: str) -> RuleHit | None:
@@ -225,20 +231,6 @@ def _hits_sa_start(s: str) -> RuleHit | None:
     return RuleHit("SA-start-forms", (1, 2)) if broken else None
 
 
-def _hits_saxn(s: str) -> RuleHit | None:
-    # Over Z2, S A ? N never occurs as a subword.
-    for k in range(len(s) - 3):
-        if s[k] == "S" and s[k + 1] == "A" and s[k + 3] == "N":
-            return RuleHit("SAXN-prohibition", (k + 1, k + 2, k + 3, k + 4))
-    return None
-
-
-def _hits_ass(s: str) -> RuleHit | None:
-    # Over Z2, ASS occurs only as the initial subword.
-    p = s.find("ASS", 1)
-    return RuleHit("ASS-non-initial", (p + 1, p + 2, p + 3)) if p >= 0 else None
-
-
 def _hits_asa_parity(s: str) -> RuleHit | None:
     # Over Z2, ASA at position k needs a non-N start, and the start letter
     # fixes the parity of k (A-initial: k odd; S-initial: k even); the
@@ -261,14 +253,9 @@ def _hits_asa_forms(s: str) -> RuleHit | None:
     return RuleHit("ASA-forms", (p + 1,)) if p >= 0 and not _ASA_FORMS.fullmatch(s) else None
 
 
-def _hits_terminal_s(s: str) -> RuleHit | None:
-    # The last letter reflects the single order-n minor: never S.
-    return RuleHit("terminal-S", (len(s),)) if s[-1] == "S" else None
-
-
 _RULES = (
     _hits_nn,
-    _hits_nsa,
+    _subword("NSA-prohibition", "NSA"),  # over any field
     _hits_asn_a,
     _hits_na_ns_parity,
     _hits_n_even,
@@ -277,12 +264,13 @@ _RULES = (
     _hits_aa,
     _hits_a_an_even,
     _hits_sa_start,
-    _hits_saxn,
-    _hits_ass,
+    _subword("SAXN-prohibition", "SA.N"),  # over Z2: S A ? N
+    _subword("ASS-non-initial", "ASS", 1),  # over Z2: ASS only as the initial subword
     _hits_asa_parity,
     _hits_asa_forms,
-    _hits_terminal_s,
+    _subword("terminal-S", "S$"),  # over any field: the order-n letter is never S
 )
+
 
 def rule_violations(epr: str) -> list[RuleHit]:
     """Every prohibition rule violated by the word, with positions.

@@ -15,9 +15,12 @@ One verb per invocation::
 
 FILE may be ``-`` for standard input, and ``-o -`` writes to standard
 output.  Exit status: 0 success / attainable / zero failures, 1 not
-attainable or check failures, 2 usage or parse errors.  ``--jobs``
-(default from EPRSEQ_JOBS) must be a positive integer; the sweep runs on
-one thread, so output is byte-identical for every job count.
+attainable or check failures, 2 usage or parse errors.  Every refusal
+after parsing (a bad file, an order out of bounds, an unwritable
+output) prints one ``error: ...`` line to stderr and exits 2 from
+``main``.  ``--jobs`` (default from EPRSEQ_JOBS) must be a positive
+integer; the sweep runs on one thread, so output is byte-identical for
+every job count.
 
 This module imports no other eprseq module at load time: each verb
 imports what it runs when it runs, so ``epr`` never loads the classifier
@@ -48,10 +51,13 @@ def _read_matrix_arg(path: str):
         return read_matrix(fh.read())
 
 
-def _open_out(path: str | None):
+def _write_out(path: str | None, write) -> None:
+    """Call write(stream) on standard output if path is None or -, else on the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        write(sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        write(fh)
 
 
 def _arg(*flags, **kwargs):
@@ -137,10 +143,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except ValueError as exc:  # MatrixFormatError and OrderLimitError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # MatrixFormatError and OrderLimitError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -157,8 +160,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.verb == "minors":
         m = _read_matrix_arg(args.file)
         if not 0 <= args.k <= m.n:
-            print(f"error: -k must be in 0..{m.n}", file=sys.stderr)
-            return 2
+            raise ValueError(f"-k must be in 0..{m.n}")
         _write_minors(m, args.k)
         return 0
 
@@ -179,12 +181,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         except NotAttainableError as exc:
             print(exc.verdict.render())
             return 1
-        stream, close = _open_out(args.output)
-        try:
-            write_witness(matrix, recipe, stream)
-        finally:
-            if close:
-                stream.close()
+        _write_out(args.output, lambda stream: write_witness(matrix, recipe, stream))
         return 0
 
     if args.verb == "enumerate":
@@ -194,12 +191,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         jobs = _jobs(args.jobs)
         spec = GF2 if args.field == "gf2" else GF4
         catalog = enumerate_epr(args.n, spec, jobs=jobs, force=args.force)
-        stream, close = _open_out(args.catalog)
-        try:
-            stream.write(catalog.to_text())
-        finally:
-            if close:
-                stream.close()
+        _write_out(args.catalog, lambda stream: stream.write(catalog.to_text()))
         return 0
 
     if args.verb == "verify":

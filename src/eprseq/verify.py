@@ -103,7 +103,8 @@ def enumerate_epr(
         gate = max(k for k in range(1, n) if spec.degree * tri(k) <= _GATED_BITS)
         raise BoundExceededError(f"{label} enumeration is bounded at n <= {gate}, got {n}")
     if bits > _OPEN_BITS and not force:
-        raise BoundExceededError(f"{label} enumeration at n = {n} visits 2^{bits} matrices; pass force=True")
+        advice = "run it with force=True (eprseq enumerate --force)"
+        raise BoundExceededError(f"{label} enumeration at n = {n} visits 2^{bits} matrices; {advice}")
     counts, exemplar_codes = _catalog_raw(n, spec, jobs)
     exemplar = {w: code_matrix(code, n, spec) for w, code in exemplar_codes.items()}
     return EprCatalog(n, spec.name, dict(counts), exemplar)

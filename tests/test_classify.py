@@ -102,6 +102,27 @@ def test_rules_fire_individually():
     assert "nonN-start-N-tail" in hit_names("SNSN")
 
 
+def _first(word, sub, start=0):
+    """1-based positions of the first occurrence of sub at index start or later, else None."""
+    k = next((k for k in range(start, len(word)) if word.startswith(sub, k)), None)
+    return None if k is None else tuple(range(k + 1, k + len(sub) + 1))
+
+
+def test_subword_rules_match_a_plain_scan_at_order_9():
+    # the golden digest pins every word of order <= 8; this reaches order 9
+    for letters in product("NSA", repeat=9):
+        word = "".join(letters)
+        k = next((k for k in range(6) if word[k] == "S" and word[k + 1] == "A" and word[k + 3] == "N"), None)
+        want = {
+            "NSA-prohibition": _first(word, "NSA"),
+            "SAXN-prohibition": None if k is None else (k + 1, k + 2, k + 3, k + 4),
+            "ASS-non-initial": _first(word, "ASS", 1),
+            "terminal-S": (9,) if word[-1] == "S" else None,
+        }
+        got = {h.rule: h.positions for h in rule_violations(word)}
+        assert {rule: got.get(rule) for rule in want} == want, word
+
+
 def test_accepted_sequences_never_violate_rules():
     # soundness of the rule engine against the template classifier
     for n in range(1, 13):

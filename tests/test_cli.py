@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import random
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from eprseq import GF2, GF4, SymMatrix, identity, read_matrix, witness_epr_z2
+from eprseq import cli
 from eprseq.cli import main
 from oracles import laplace_det, subgrid
 
@@ -132,6 +134,7 @@ def test_minors_listing_longer_than_one_flush(capsys, tmp_path):
 def test_minors_bad_k(capsys):
     code, _, err = run(capsys, "minors", str(DATA / "aan.txt"), "-k", "9")
     assert code == 2
+    assert err == "error: -k must be in 0..3\n"
 
 
 def test_enumerate_to_file_and_determinism(capsys, tmp_path):
@@ -162,12 +165,34 @@ def test_enumerate_gated_bound(capsys):
     code, _, err = run(capsys, "enumerate", "-n", "7")
     assert code == 2
     assert "force" in err
+    assert "--force" in err
 
 
 def test_enumerate_gf4_order_5_gated(capsys):
     code, out, err = run(capsys, "enumerate", "--field", "gf4", "-n", "5")
     assert code == 2
     assert out == "" and "force" in err
+    assert "--force" in err
+
+
+def test_verify_gated_bound_refuses_like_enumerate(capsys):
+    code, out, err = run(capsys, "verify", "-n", "7")
+    assert (code, out) == (2, "")
+    assert err == run(capsys, "enumerate", "-n", "7")[2]
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--force" in err
+
+
+def test_only_main_writes_to_stderr():
+    """Every refusal leaves through main's one handler, so no other function of cli names sys.stderr."""
+    writers = {
+        func.name
+        for func in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "stderr"
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+    }
+    assert writers == {"main"}, writers
 
 
 def _gated_catalog(capsys, tmp_path, *args):
