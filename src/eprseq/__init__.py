@@ -8,8 +8,9 @@ against exhaustive enumeration.
 
 The package is one lazy namespace: ``import eprseq`` loads no submodule,
 and each public name imports the submodule that defines it on first use
-(PEP 562), so a process pays only for what it touches.  Only the theorem
-suite (``eprseq.verify.theorem_suite``) imports numpy.
+(PEP 562), so a process pays only for what it touches.  No public name
+imports numpy: eprseq._engine, the batched numpy oracle the tests hold the
+theorem suite's bit-sliced kernels to, is imported by no module here.
 """
 
 __version__ = "0.1.0"

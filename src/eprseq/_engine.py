@@ -1,14 +1,17 @@
-"""Batched numpy kernels of the theorem suite, on (n, n, B) entry batches.
+"""Batched numpy kernels on (n, n, B) entry batches, the oracle of the
+theorem suite's bit-sliced ones.
 
 minor_tables is the batched char-2 bordering kernel, the principal-minor
 table of each matrix of a batch (eprseq.sequence.minor_planes builds it
-for one matrix, eprseq._sweep bit-sliced across a catalog).  The suite's
-code maps (submatrices, appended rows, inverses, Schur complements,
-congruences) map batches to batches over any GF(2^k).  Each kernel takes
-one path for every batch, B = 0 included: every product is FieldSpec.mul
-on whole arrays, and inverses and deleted minors come by batched
-Gauss-Jordan elimination.  catalog_gf2, catalog_gf4 and _merge_chunks are
-eprseq._sweep's, named here where bench/tracer.py times them.
+for one matrix, eprseq._sweep bit-sliced across a batch).  The code maps
+(submatrices, appended rows, inverses, Schur complements, congruences)
+map batches to batches over any GF(2^k).  Each kernel takes one path for
+every batch, B = 0 included: every product is FieldSpec.mul on whole
+arrays, and inverses and deleted minors come by batched Gauss-Jordan
+elimination.  No module of the package imports this one: the tests hold
+eprseq._suite's bit-sliced kernels to these, and bench/tracer.py times
+det_table, letter_arrays and rank_array here, and catalog_gf2, catalog_gf4
+and _merge_chunks, eprseq._sweep's, under the names they have here.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """numpy.random.default_rng(seed)'s stream in pure Python, for the draws the
-theorem suite makes, so check-theorems never loads numpy.random.
+theorem suite makes, so check-theorems never loads numpy.
 
 The seed goes through numpy's SeedSequence into PCG64, whose XSL-RR output
 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good

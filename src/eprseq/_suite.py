@@ -1,14 +1,19 @@
-"""The sixteen checks of eprseq.verify.theorem_suite, on eprseq._engine.
+"""The sixteen checks of eprseq.verify.theorem_suite, bit-sliced in pure Python.
 
 Every batch checked is one ``_Batch`` built by ``_batch``: per GF(2)
 order, the least codes of the S_n orbits, which six halves check with
 case counts weighted by orbit size, and each run of consecutive codes,
-which the congruence half checks; each order's drawn GF(4) cases; and
-the image of every code map.  Each field-generic identity is one
+which the congruence half checks; each group of drawn GF(4) cases; and
+the image of every code map.  A batch is bit-sliced as eprseq._sweep
+slices a catalog (Biham's DES): each entry and each principal minor is
+spec.degree Python ints with one bit per matrix, each letter a pair of
+masks, and the code maps (principal submatrix and appended index,
+congruence, inverse, Schur complement, deleted minors) take planes to
+planes by _sweep's _mul and _linear.  Each field-generic identity is one
 predicate over batches that its GF(2) and GF(4) halves both call.  The
-seeded draws (the GF(4) cases, the congruence grids E) come from eprseq._rng,
-numpy.random.default_rng's stream replayed in pure Python, so the suite loads
-numpy's arrays but never numpy.random.
+seeded draws (the GF(4) cases, the congruence grids E) come from
+eprseq._rng, numpy.random.default_rng's stream replayed in pure Python,
+so the suite imports no numpy.
 """
 
 from __future__ import annotations
@@ -16,43 +21,99 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import combinations
+from operator import and_, or_
 
-import numpy as np
-
-from . import _engine as eng
 from ._rng import Rng
-from ._sweep import code_matrix, code_rows, orbit_reps, triangle_code, tri
+from ._sweep import (
+    _add,
+    _counting,
+    _entry_grid,
+    _letters,
+    _linear,
+    _minor_table,
+    _mul,
+    _powers,
+    _transpose,
+    code_matrix,
+    code_rows,
+    orbit_reps,
+    triangle_code,
+    tri,
+)
 from .gfield import GF2, GF4, FieldSpec
 from .matrix import _eliminate, complete_graph, loop_complete_graph, loop_split_graph, pendant_loop_complete
 from .verify import CheckResult, _catalog_raw
 
 _MAX_FAILURES_KEPT = 20
 
-
-# B symmetric matrices of order n over spec, the batch on the last axis: the GF(2)
-# codes naming failures (else None), entries (n, n, B), (2^n, B) minor table,
-# (n, B) letters (0=N, 1=S, 2=A), (B,) ranks, and, when each matrix is the least
-# code of its S_n orbit standing for the whole orbit, the (B,) orbit sizes (else
-# None).  Built only by _batch.
-_Batch = namedtuple("_Batch", "n spec codes ent dets letters ranks sizes")
+# codes per batch of the every-code half (congruence), each order <= 5 in one: the
+# tests' order-6 orbit pass takes 0.5 s in runs of 2^15 against 1.8 s in runs of
+# 2^12, at the same peak RSS (16.3 MiB)
+_RUN_CODES = 1 << 15
 
 
-def _batch(ent: np.ndarray, spec: FieldSpec, codes: np.ndarray | None = None, sizes=None) -> _Batch:
-    """The batch of an (n, n, B) entry array."""
-    dets = eng.minor_tables(ent, spec)
-    letters = eng.table_letters(dets)
-    return _Batch(ent.shape[0], spec, codes, ent, dets, letters, eng.ranks(letters), sizes)
+# B symmetric matrices of order n over spec, bit-sliced: bit r of each mask and
+# plane stands for matrix r, and ones is the mask of all B.  codes: the GF(2)
+# codes naming failures (else None); ent[i][j]: entry (i, j)'s spec.degree planes;
+# dets: the minor table, planes by subset bitmask, and nonzero its nonzero masks;
+# some[k], every[k]: some, every order-k minor is nonzero (letter k is N outside
+# some, A within every, S between); rank[r]: the rank is r; sizes, when each
+# matrix is the least code of its S_n orbit standing for the whole orbit: one
+# (orbit size, mask) pair per size (else None).  Built only by _batch.
+_Batch = namedtuple("_Batch", "n spec ones codes ent dets nonzero some every rank sizes")
+
+
+def _batch(ent, ones: int, spec: FieldSpec, codes=None, sizes=None) -> _Batch:
+    """The batch of a grid of entry planes."""
+    n = len(ent)
+    dets = _minor_table(ent, ones, spec)
+    nonzero = [reduce(or_, det) for det in dets]
+    some, every = _letters(nonzero, ones, n + 1)
+    rank, above = [0] * (n + 1), 0
+    for r in reversed(range(n + 1)):  # the largest order with a nonzero minor, else 0
+        rank[r] = (some[r] if r else ones) & ~above
+        above |= some[r]
+    return _Batch(n, spec, ones, codes, ent, dets, nonzero, some, every, rank, sizes)
+
+
+def _code_batch(codes, n: int, spec: FieldSpec, sizes=None) -> _Batch:
+    """The batch of the order-n matrices encoded by codes."""
+    grid = _entry_grid(_transpose(codes, spec.degree * tri(n)), n, spec)
+    return _batch(grid, (1 << len(codes)) - 1, spec, codes, sizes)
+
+
+def _positions(values) -> dict:
+    """{value: mask of the positions holding it}."""
+    masks: dict = {}
+    for r, value in enumerate(values):
+        masks[value] = masks.get(value, 0) | 1 << r
+    return masks
+
+
+def _low_bits(mask: int, limit: int) -> list[int]:
+    """Positions of the lowest set bits of mask, ascending, at most limit of them."""
+    out = []
+    while mask and len(out) < limit:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _differ(x: _Batch, k: int, y: _Batch, m: int) -> int:
+    """Where letter k of x's matrices is not letter m of y's."""
+    return (x.some[k] ^ y.some[m]) | (x.every[k] ^ y.every[m])
 
 
 def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
     """[cases, first failures] of each check name the GF(2) halves yield over every
     symmetric GF(2) matrix of order 1..max_n.
 
-    A half yields (name, columns checked, cases per column, failing mask over
-    those columns, failure suffix) per batch.  The per_orbit halves judge B and
-    every P B P^T alike, so each order hands them one batch of the least code of
+    A half yields (name, mask of the matrices checked, cases per matrix, failing
+    mask, failure suffix) per batch.  The per_orbit halves judge B and every
+    P B P^T alike, so each order hands them one batch of the least code of
     every S_n orbit (orbit_reps), and a rep's cases count once per matrix of its
-    orbit.  The per_code halves get each run of eng._RUN_CODES consecutive codes
+    orbit.  The per_code halves get each run of _RUN_CODES consecutive codes
     of the order, built once, handed to each of them, then dropped.  With every
     half in per_code this is the every-code pass the orbit pass is tested against."""
     found: dict[str, list] = {}
@@ -61,18 +122,22 @@ def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
         for half in halves:
             for name, cols, per, bad, suffix in half(b):
                 tally = found.setdefault(name, [0, []])
-                codes = b.codes[cols]
-                tally[0] += per * (codes.size if b.sizes is None else int(b.sizes[cols].sum()))
-                _keep_codes(tally[1], b.n, codes[bad], suffix)
+                if b.sizes is None:
+                    tally[0] += per * cols.bit_count()
+                else:
+                    tally[0] += per * sum(size * (cols & mask).bit_count() for size, mask in b.sizes)
+                for r in _low_bits(bad & cols, _MAX_FAILURES_KEPT - len(tally[1])):
+                    tally[1].append(f"order {b.n} code {b.codes[r]}{suffix}")
 
     for n in range(1, max_n + 1):
         if per_orbit:
-            reps, sizes = map(np.array, orbit_reps(n, GF2))
-            run(per_orbit, _batch(eng.decode_entries(reps, n), GF2, reps, sizes))
+            reps, sizes = orbit_reps(n, GF2)
+            run(per_orbit, _code_batch(reps, n, GF2, tuple(_positions(sizes).items())))
         total = 1 << tri(n)
-        for start in range(0, total if per_code else 0, eng._RUN_CODES):
-            codes = np.arange(start, min(start + eng._RUN_CODES, total))
-            run(per_code, _batch(eng.decode_entries(codes, n), GF2, codes))
+        count = min(_RUN_CODES, total)
+        for start in range(0, total if per_code else 0, count):
+            grid = _entry_grid(_counting(start, count, tri(n)), n, GF2)
+            run(per_code, _batch(grid, (1 << count) - 1, GF2, range(start, start + count)))
     return found
 
 
@@ -86,12 +151,12 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _rows_within(idx: tuple[int, ...]) -> np.ndarray:
+def _rows_within(idx: tuple[int, ...]) -> list[int]:
     """Minor-table row of each subset of idx, indexed by the subset's mask over
     the positions of idx: B's table at these rows is the table of B[idx]."""
-    rows = np.zeros(1 << len(idx), np.intp)
-    for t, i in enumerate(idx):
-        rows[1 << t : 2 << t] = rows[: 1 << t] | (1 << i)
+    rows = [0]
+    for i in idx:
+        rows += [row | 1 << i for row in rows]
     return rows
 
 
@@ -104,17 +169,6 @@ def _subsets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 def _catalog_words(max_order: int) -> list[tuple[int, str]]:
     """(order, word) of every attained GF(2) epr word up to max_order, off the cached catalogs."""
     return [(n, w) for n in range(1, max_order + 1) for w in sorted(_catalog_raw(n, GF2, 1)[0])]
-
-
-def _keep(failures: list[str], item: str) -> None:
-    if len(failures) < _MAX_FAILURES_KEPT:
-        failures.append(item)
-
-
-def _keep_codes(failures: list[str], n: int, codes: np.ndarray, suffix: str = "") -> None:
-    """Keep the first failing codes of order n as "order n code c" plus suffix."""
-    for code in codes[:_MAX_FAILURES_KEPT].tolist():
-        _keep(failures, f"order {n} code {code}{suffix}")
 
 
 def _examples(name: str, outcomes) -> CheckResult:
@@ -136,26 +190,121 @@ def _draw_gf4(rng: Rng, n: int) -> int:
     return triangle_code(rng.integers(0, GF4.order, tri(n)), GF4)
 
 
-def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "") -> list[str]:
+def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", key=lambda case: case[0]) -> list[str]:
     """Run drawn GF(4) cases (n, code, ...), code encoding a matrix of order n, in
-    one batch per order, and return the first failures.
+    one batch per key (by default the order), and return the first failures.
 
-    test(cases, _Batch) flags each case's failures, one column per kind; each
-    is kept in draw order as "gf4 <kind> <matrix><suffix>".
+    test(cases, _Batch) gives one failing mask per kind over the batch's cases;
+    each failure is kept in draw order as "gf4 <kind> <matrix><suffix>".
     """
     groups: dict = {}
     for c, case in enumerate(drawn):
-        groups.setdefault(case[0], []).append(c)
-    bad = np.zeros((len(drawn), len(kinds)), bool)
+        groups.setdefault(key(case), []).append(c)
+    bad = []  # (draw index, kind) of each group's first failures
     for idx in groups.values():
         cases = [drawn[c] for c in idx]
-        ent = eng.decode_entries(np.array([case[1] for case in cases]), cases[0][0], GF4)
-        bad[idx] = np.reshape(test(cases, _batch(ent, GF4)), (len(idx), -1))
-    failures: list[str] = []
-    for c, kind in np.argwhere(bad).tolist():
+        b = _code_batch([case[1] for case in cases], cases[0][0], GF4)
+        for kind, mask in enumerate(test(cases, b)):
+            bad += [(idx[r], kind) for r in _low_bits(mask & b.ones, _MAX_FAILURES_KEPT)]
+    failures = []
+    for c, kind in sorted(bad)[:_MAX_FAILURES_KEPT]:
         n, code = drawn[c][:2]
-        _keep(failures, f"gf4 {kinds[kind]} {code_matrix(code, n, GF4)!r}{suffix(drawn[c])}")
+        failures.append(f"gf4 {kinds[kind]} {code_matrix(code, n, GF4)!r}{suffix(drawn[c])}")
     return failures
+
+
+# ---------------------------------------------------------------------------
+# code maps, on grids of entry planes over any GF(2^k)
+# ---------------------------------------------------------------------------
+
+def _transposed(grid) -> list[list]:
+    return [list(col) for col in zip(*grid)]
+
+
+def _gather(ent, idx: tuple[int, ...], spec: FieldSpec) -> list[list]:
+    """Entry planes of ent[idx][:, idx]; index n stands for an appended zero index."""
+    n, zero = len(ent), [0] * spec.degree
+    return [[ent[i][j] if i < n and j < n else zero for j in idx] for i in idx]
+
+
+def _matmul(a, b, spec: FieldSpec) -> list[list]:
+    """The product of two grids of entry planes over spec."""
+    powers, zero, cols = _powers(spec), [0] * spec.degree, list(zip(*b))
+    return [[reduce(_add, (_mul(x, y, powers) for x, y in zip(row, col)), zero) for col in cols] for row in a]
+
+
+def _congruence(ent, e, spec: FieldSpec) -> list[list]:
+    """Entry planes of E B E^T, E a grid of planes (one E for the batch, or one per matrix)."""
+    return _matmul(_matmul(e, ent, spec), _transposed(e), spec)
+
+
+@lru_cache(maxsize=None)
+def _frobenius(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """The images of x^t under x -> x^(2^i), for i = 1..q-1: 1/x = x^(2^q - 2) is the
+    product of these powers, each GF(2)-linear on planes."""
+    cols, out = [1 << t for t in range(spec.degree)], []
+    for _ in range(1, spec.degree):
+        cols = [spec.mul(c, c) for c in cols]
+        out.append(tuple(cols))
+    return tuple(out)
+
+
+def _reduce_rows(aug, ones: int, spec: FieldSpec) -> list[int]:
+    """Gauss-Jordan elimination, in place, on the first len(aug) columns of the
+    rows aug (lists of entry planes), with one pivot mask per matrix: while a
+    matrix's pivot is zero, each later row is added to the pivot row.  Returns
+    the determinant planes, the product of the pivots.  Only the columns right
+    of each pivot are kept up to date."""
+    powers, frobenius = _powers(spec), _frobenius(spec)
+    det = one = [ones] + [0] * (spec.degree - 1)
+    for j, top in enumerate(aug):
+        for row in aug[j + 1 :]:
+            zero = ones & ~reduce(or_, top[j])
+            if not zero:
+                break
+            top[j:] = [[x ^ (y & zero) for x, y in zip(u, v)] for u, v in zip(top[j:], row[j:])]
+        pivot = top[j]
+        det = _mul(det, pivot, powers)
+        # 1/x, the product started at 1 only where x != 0, so 1/0 = 0 over GF(2) too
+        nonzero = [reduce(or_, pivot)] + one[1:]
+        recip = reduce(lambda acc, cols: _mul(acc, _linear(cols, pivot), powers), frobenius, nonzero)
+        top[j + 1 :] = [_mul(x, recip, powers) for x in top[j + 1 :]]
+        for r, row in enumerate(aug):
+            if r != j and any(row[j]):
+                row[j + 1 :] = [_add(x, _mul(y, row[j], powers)) for x, y in zip(row[j + 1 :], top[j + 1 :])]
+    return det
+
+
+def _inverse(ent, ones: int, spec: FieldSpec) -> tuple[list[int], list[list]]:
+    """(det, inverse) planes of a batch of k x k matrices over spec; the inverse is
+    meaningful only where det is nonzero."""
+    k, zero = len(ent), [0] * spec.degree
+    one = [ones, *zero[1:]]
+    aug = [[*row, *(one if c == r else zero for c in range(k))] for r, row in enumerate(ent)]
+    det = _reduce_rows(aug, ones, spec)
+    return det, [row[k:] for row in aug]
+
+
+def _deleted_minors(ent, ones: int, spec: FieldSpec) -> list[list]:
+    """Planes of det B without row i and column j, for each (i, j), of a batch of
+    symmetric B (so the (j, i) minor is the (i, j) one)."""
+    n = len(ent)
+    minors = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows = [ent[r] for r in range(n) if r != i]
+        for j in range(i, n):
+            sub = [[x for c, x in enumerate(row) if c != j] for row in rows]
+            minors[i][j] = minors[j][i] = _reduce_rows(sub, ones, spec)
+    return minors
+
+
+def _schur(ent, alpha: tuple[int, ...], ones: int, spec: FieldSpec) -> list[list]:
+    """Entry planes of B / B[alpha], meaningful where the pivot block B[alpha] is nonsingular."""
+    comp = [i for i in range(len(ent)) if i not in alpha]
+    cross = [[ent[i][a] for a in alpha] for i in comp]
+    inv = _inverse([[ent[a][c] for c in alpha] for a in alpha], ones, spec)[1]
+    y = _matmul(_matmul(cross, inv, spec), _transposed(cross), spec)
+    return [[_add(ent[i][j], y[r][s]) for s, j in enumerate(comp)] for r, i in enumerate(comp)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +319,31 @@ def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
 
 def _inverse_gf2(b: _Batch):
     """epr of the inverse is the reversed word with terminal A."""
-    nz = np.flatnonzero(eng.det_table(b.n)[b.codes])
-    after = _batch(eng.inverse(b.ent.take(nz, axis=2))[1], GF2).letters
+    after = _batch(_inverse(b.ent, b.ones, GF2)[1], b.ones, GF2)
     # letters 1..n-1 of the inverse are B's n-1..1
-    bad = (after[-1] != 2) | (after[:-1] != b.letters[:-1].take(nz, axis=1)[::-1]).any(axis=0)
-    yield "inverse-reversal", nz, 1, bad, ""
+    bad = reduce(or_, (_differ(after, k, b, b.n - k) for k in range(1, b.n)), ~after.every[b.n])
+    yield "inverse-reversal", b.some[b.n], 1, bad, ""
 
 
 def _inheritance_gf2(b: _Batch):
     """Letter inheritance between a matrix and its principal submatrices."""
     for m in range(1, b.n):
-        # seen[i, l]: some B[alpha] has letter i + 1 = l, read off B's rows within alpha
-        seen = np.zeros((m, 3, b.codes.size), bool)
+        # seen[i]: (N, S, A) masks, where some B[alpha] has that letter i + 1, read off B's rows within alpha
+        seen = [[0, 0, 0] for _ in range(m)]
         for alpha in combinations(range(b.n), m):
-            small = eng.table_letters(b.dets[_rows_within(alpha)])
-            for i in range(m):
-                seen[i] |= small[i] == np.arange(3)[:, None]
-        bad = np.zeros(b.codes.size, bool)
+            some, every = _letters([b.nonzero[row] for row in _rows_within(alpha)], b.ones, m + 1)
+            for i, found in enumerate(seen):
+                s, a = some[i + 1], every[i + 1]
+                found[0] |= ~s
+                found[1] |= s & ~a
+                found[2] |= a
+        bad = 0
         for i, (some_n, some_s, some_a) in enumerate(seen):
-            big = b.letters[i]
-            bad |= (big == 0) & (some_s | some_a)
-            bad |= (big == 2) & (some_n | some_s)
-            bad |= (big == 1) & ~(some_s if i < m - 1 else some_n & some_a)
-        yield "inheritance", slice(None), 1, bad, f" m={m}"
+            big_s, big_a = b.some[i + 1], b.every[i + 1]
+            bad |= ~big_s & (some_s | some_a)
+            bad |= big_a & (some_n | some_s)
+            bad |= big_s & ~big_a & ~(some_s if i < m - 1 else some_n & some_a)
+        yield "inheritance", b.ones, 1, bad, f" m={m}"
 
 
 def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
@@ -209,15 +360,17 @@ def _check_nsa(words: list[tuple[int, str]]) -> CheckResult:
 def _schur_gf2(b: _Batch):
     """Schur complement C = B / B[alpha]: det C[gamma] * det B[alpha] =
     det B[gamma u alpha] and rank C = rank B - k, and C keeps the A/N letters of
-    B shifted by the pivot size k.  Each (batch, pivot set) case feeds both checks."""
+    B shifted by the pivot size k.  Each (matrix, pivot set) case feeds both checks."""
     for alpha, row in _subsets(b.n)[1:-1]:
-        sel = np.flatnonzero(b.dets[row])
-        c = _batch(eng.schur_entries(b.ent.take(sel, axis=2), alpha), GF2)
-        bad = _schur_bad(b, sel, alpha, c)
-        yield "schur-complement-identity", sel, len(c.dets), bad, f" alpha={alpha}"
-        top = b.letters[len(alpha) :].take(sel, axis=1)  # B's letters k+1..n: C keeps their As and Ns
-        bad = ((top != 1) & (c.letters != top)).any(axis=0)
-        yield "schur-complement-letters", sel, len(top), bad, f" alpha={alpha}"
+        k = len(alpha)
+        c = _batch(_schur(b.ent, alpha, b.ones, GF2), b.ones, GF2)
+        bad = _schur_bad(b, alpha, c)
+        yield "schur-complement-identity", b.nonzero[row], len(c.dets), bad, f" alpha={alpha}"
+        # C keeps the As and Ns of B's letters k+1..n
+        bad = reduce(
+            or_, (_differ(c, j, b, k + j) & (b.every[k + j] | ~b.some[k + j]) for j in range(1, c.n + 1))
+        )
+        yield "schur-complement-letters", b.nonzero[row], c.n, bad, f" alpha={alpha}"
 
 
 def _schur_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
@@ -237,38 +390,35 @@ def _schur_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
             gamma = sum(bit << i for i, bit in enumerate(rng.integers(0, 2, n - alpha.bit_count())))
             drawn.append((n, code, alpha, gamma))
 
-    def test(cases, b):  # one Schur image per pivot set of the order's cases
-        alphas, gammas = np.array([case[2:] for case in cases]).T
-        bad = np.zeros(len(cases), bool)
-        for alpha in set(alphas.tolist()):
-            cols = np.flatnonzero(alphas == alpha)
-            c = _batch(eng.schur_entries(b.ent.take(cols, axis=2), _members(alpha), b.spec), b.spec)
-            bad[cols] = _schur_bad(b, cols, _members(alpha), c, gammas[cols])
-        return bad
+    def test(cases, b):  # one batch per order and pivot set
+        alpha = _members(cases[0][2])
+        c = _batch(_schur(b.ent, alpha, b.ones, b.spec), b.ones, b.spec)
+        return [_schur_bad(b, alpha, c, _positions(case[3] for case in cases).items())]
 
     def suffix(case):
         *_, alpha, gamma = case
         return f" alpha={tuple(a + 1 for a in _members(alpha))} gamma={tuple(g + 1 for g in _members(gamma))}"
 
-    return len(drawn), _run_gf4(drawn, ["schur"], test, suffix)
+    return len(drawn), _run_gf4(drawn, ["schur"], test, suffix, key=lambda case: (case[0], case[2]))
 
 
-def _joined_rows(n: int, alpha: tuple[int, ...]) -> np.ndarray:
+def _joined_rows(n: int, alpha: tuple[int, ...]) -> list[int]:
     """Minor-table row of alpha u gamma for each row gamma of C = B / B[alpha]'s
     table; the first, gamma = {}, is alpha's."""
-    return _mask(alpha) | _rows_within(tuple(i for i in range(n) if i not in alpha))
+    return [_mask(alpha) | row for row in _rows_within(tuple(i for i in range(n) if i not in alpha))]
 
 
-def _schur_bad(b: _Batch, cols: np.ndarray, alpha, c: _Batch, gammas=None) -> np.ndarray:
-    """Where C = B / B[alpha], the batch c of the columns cols of b, breaks
+def _schur_bad(b: _Batch, alpha, c: _Batch, gammas=None) -> int:
+    """Where C = B / B[alpha], the batch c (matrix for matrix b's), breaks
     rank C = rank B - |alpha| or det C[gamma] det B[alpha] = det B[alpha u gamma],
-    for every gamma or for the one gamma (a row of C's table) of each column."""
-    # .take(cols, axis=1) gathers columns 3-4x faster than indexing [rows, cols]
-    joined = b.dets[_joined_rows(b.n, alpha)].take(cols, axis=1)
-    wrong = b.spec.mul(c.dets, joined[0]) != joined
-    if gammas is not None:
-        wrong = np.take_along_axis(wrong, gammas[None], axis=0)
-    return wrong.any(axis=0) | (b.ranks.take(cols) - c.ranks != len(alpha))
+    for every gamma or for the gammas given as (row of C's table, mask) pairs."""
+    powers, joined = _powers(b.spec), _joined_rows(b.n, alpha)
+    bad = 0
+    for gamma, mask in gammas or ((gamma, -1) for gamma in range(len(joined))):
+        left = _mul(c.dets[gamma], b.dets[joined[0]], powers)
+        bad |= mask & reduce(or_, _add(left, b.dets[joined[gamma]]))
+    k = len(alpha)
+    return bad | ~reduce(or_, (c.rank[r] & b.rank[r + k] for r in range(c.n + 1)))
 
 
 def _hyperdet_gf2(b: _Batch):
@@ -277,8 +427,8 @@ def _hyperdet_gf2(b: _Batch):
         rest = [x for x in range(b.n) if x not in tau]
         for sub, _ in _subsets(len(rest)):
             base = tuple(rest[x] for x in sub)
-            total = _hyperdet_sum(b, slice(None), _mask(base), [1 << t for t in tau])
-            yield "hyperdeterminantal-relation", slice(None), 1, total != 0, f" tau={tau} I={base}"
+            bad = _hyperdet_bad(b, _mask(base), [1 << t for t in tau])
+            yield "hyperdeterminantal-relation", b.ones, 1, bad, f" tau={tau} I={base}"
 
 
 def _hyperdet_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
@@ -291,67 +441,67 @@ def _hyperdet_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
         base = tuple(x for x, bit in zip(rest, rng.integers(0, 2, n - 3)) if bit)
         drawn.append((n, code, _mask(tau), _mask(base)))
 
-    def test(cases, b):
-        taus = np.array([[1 << t for t in _members(tau)] for _, _, tau, _ in cases]).T
-        bases = np.array([base for *_, base in cases])
-        return _hyperdet_sum(b, np.arange(len(cases)), bases, taus) != 0
+    def test(cases, b):  # one batch per order, tau and I
+        *_, tau, base = cases[0]
+        return [_hyperdet_bad(b, base, [1 << t for t in _members(tau)])]
 
     def suffix(case):
         *_, tau, base = case
         return f" tau={_members(tau)} I={_members(base)}"
 
-    return len(drawn), _run_gf4(drawn, ["hyperdet"], test, suffix)
+    return len(drawn), _run_gf4(drawn, ["hyperdet"], test, suffix, key=lambda case: (case[0], *case[2:]))
 
 
-def _hyperdet_sum(b: _Batch, cols, s, tau_masks) -> np.ndarray:
-    """Sum over the splits {X, tau - X}, |X| even, of det B[S u X] det B[S u (tau - X)],
-    off b.dets: squaring is additive and injective in characteristic 2, so it is zero
-    where the squared four-term relation holds.  Masks are scalars or one per column (cols)."""
+def _hyperdet_bad(b: _Batch, s: int, tau_masks) -> int:
+    """Where the sum over the splits {X, tau - X}, |X| even, of det B[S u X] det B[S u (tau - X)]
+    is nonzero, off b.dets: squaring is additive and injective in characteristic 2,
+    so it is zero where the squared four-term relation holds."""
     i, j, k = tau_masks
+    powers = _powers(b.spec)
 
     def pair(x, y):
-        return b.spec.mul(b.dets[s | x, cols], b.dets[s | y, cols])
+        return _mul(b.dets[s | x], b.dets[s | y], powers)
 
-    return pair(0, i | j | k) ^ pair(i, j | k) ^ pair(j, i | k) ^ pair(k, i | j)
+    return reduce(or_, reduce(_add, (pair(0, i | j | k), pair(i, j | k), pair(j, i | k), pair(k, i | j))))
 
 
 def _terminal_an_gf2(b: _Batch):
     """A terminal AN forces every order-(n-1) minor nonzero, principal or not."""
     if b.n < 2:
         return
-    sel = np.flatnonzero((b.letters[b.n - 2] == 2) & (b.letters[b.n - 1] == 0))
-    bad = (eng.deleted_minors(b.ent.take(sel, axis=2)) == 0).any(axis=(0, 1))
-    yield "terminal-an-full-minors", sel, 1, bad, ""
+    minors = _deleted_minors(b.ent, b.ones, GF2)
+    every = reduce(and_, (reduce(or_, minor) for row in minors for minor in row))
+    yield "terminal-an-full-minors", b.every[b.n - 1] & ~b.some[b.n], 1, ~every, ""
 
 
 def _append_gf2(b: _Batch):
     """Letterwise effect of duplicating the last index or appending a zero one."""
     bad_dup, bad_zero = _append_bad(b)
-    yield "append-transforms", slice(None), 2, bad_dup | bad_zero, ""
+    yield "append-transforms", b.ones, 2, bad_dup | bad_zero, ""
 
 
 def _append_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = [(n, _draw_gf4(rng, n)) for n in (rng.integers(1, 5) for _ in range(gf4_cases))]
-
-    def test(cases, b):
-        return np.stack(_append_bad(b), axis=1)
-
-    return 2 * len(drawn), _run_gf4(drawn, ["append-dup", "append-zero"], test)
+    return 2 * len(drawn), _run_gf4(drawn, ["append-dup", "append-zero"], lambda cases, b: _append_bad(b))
 
 
-def _append_bad(b: _Batch) -> tuple[np.ndarray, np.ndarray]:
+def _append_bad(b: _Batch) -> tuple[int, int]:
     """Where appending a copy of the last index or a zero index to a matrix of b
     breaks the rule: both end in N, the copy keeps letter 1, and every other
     letter becomes S unless it was N.  P B P^T's last index is one of B's, so a
     batch of orbit reps (b.sizes set) copies each of its indices in turn."""
     n = b.n
-    damp = np.minimum(b.letters, 1)
-    bad_dup = np.zeros(b.letters.shape[1], bool)
+
+    def undamped(x: _Batch, k: int) -> int:  # letter k of x is not B's with A made S
+        return (x.some[k] ^ b.some[k]) | x.every[k]
+
+    bad_dup = 0
     for last in range(n) if b.sizes is not None else (n - 1,):
-        dup = _batch(eng.gather_entries(b.ent, (*range(n), last)), b.spec).letters
-        bad_dup |= (dup[n] != 0) | (dup[0] != b.letters[0]) | (dup[1:n] != damp[1:]).any(axis=0)
-    zero = _batch(eng.gather_entries(b.ent, (*range(n), n)), b.spec).letters
-    bad_zero = (zero[n] != 0) | (zero[:n] != damp).any(axis=0)
+        dup = _batch(_gather(b.ent, (*range(n), last), b.spec), b.ones, b.spec)
+        bad_dup |= dup.some[n + 1] | _differ(dup, 1, b, 1)
+        bad_dup |= reduce(or_, (undamped(dup, k) for k in range(2, n + 1)), 0)
+    zero = _batch(_gather(b.ent, (*range(n), n), b.spec), b.ones, b.spec)
+    bad_zero = reduce(or_, (undamped(zero, k) for k in range(1, n + 1)), zero.some[n + 1])
     return bad_dup, bad_zero
 
 
@@ -369,32 +519,35 @@ def _congruence_gf2(b: _Batch, grids: dict[int, list]):
     """Congruence by an invertible matrix preserves pr bits r_1..r_n, for each
     grid E drawn for order n."""
     for grid in grids.get(b.n, ()):
-        yield "congruence-pr-invariance", slice(None), 1, _pr_changed(b, grid), f" E={grid}"
+        e = [[[b.ones if x else 0] for x in row] for row in grid]  # one E for every matrix
+        yield "congruence-pr-invariance", b.ones, 1, _pr_changed(b, e), f" E={grid}"
 
 
 def _congruence_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
-    drawn = []  # E kept as its n * n entries, row by row
+    drawn = []  # E kept as the code of its n * n entries, row by row, 2 bits each
     for _ in range(gf4_cases):
         n = rng.integers(1, 5)
         code = _draw_gf4(rng, n)
-        drawn.append((n, code, bytes(sum(_rand_invertible(rng, n, GF4), []))))
+        grid = _rand_invertible(rng, n, GF4)
+        drawn.append((n, code, sum(x << 2 * p for p, x in enumerate(sum(grid, [])))))
 
-    def grids(n, cases):  # (cases, n, n)
-        return np.frombuffer(b"".join(case[2] for case in cases), np.uint8).reshape(-1, n, n)
-
-    def test(cases, b):
-        return _pr_changed(b, grids(b.n, cases).transpose(1, 2, 0))
+    def test(cases, b):  # one E per matrix
+        n = b.n
+        bits = _transpose([case[2] for case in cases], 2 * n * n)
+        e = [[bits[2 * k : 2 * k + 2] for k in range(i * n, i * n + n)] for i in range(n)]
+        return [_pr_changed(b, e)]
 
     def suffix(case):
-        return f" E={grids(case[0], [case])[0].tolist()}"
+        n, _, e = case
+        return f" E={[[e >> 2 * (i * n + j) & 3 for j in range(n)] for i in range(n)]}"
 
     return len(drawn), _run_gf4(drawn, ["congruence"], test, suffix)
 
 
-def _pr_changed(b: _Batch, e) -> np.ndarray:
+def _pr_changed(b: _Batch, e) -> int:
     """Where congruence by E changes some pr bit r_k (letter k is not N) of a matrix of b."""
-    after = _batch(eng.congruence_entries(b.ent, e, b.spec), b.spec).letters
-    return ((after != 0) != (b.letters != 0)).any(axis=0)
+    after = _batch(_congruence(b.ent, e, b.spec), b.ones, b.spec)
+    return reduce(or_, (after.some[k] ^ b.some[k] for k in range(1, b.n + 1)))
 
 
 def _check_complete_graph_epr() -> CheckResult:

@@ -69,7 +69,7 @@ def code_matrix(code: int, n: int, spec: FieldSpec = GF2) -> SymMatrix:
 def _transpose(values, width: int) -> list[int]:
     """Planes of ints below 2^width: bit i of plane p is bit p of values[i]."""
     text = "".join(format(v, f"0{width}b") for v in reversed(values))
-    return [int(text[width - 1 - p :: width], 2) for p in range(width)]
+    return [int(text[width - 1 - p :: width] or "0", 2) for p in range(width)]
 
 
 def _repeat(x: int, width: int, total: int) -> int:
@@ -80,9 +80,23 @@ def _repeat(x: int, width: int, total: int) -> int:
     return x
 
 
-def _powers(spec: FieldSpec) -> list[int]:
+def _counting(start: int, count: int, width: int, stride: int = 1) -> list[int]:
+    """_transpose(range(start, start + count), width), each code's bit repeated over
+    stride consecutive bits, for count a power of two dividing start: bit b of code
+    start + r is bit b of r, a block pattern, below count, else bit b of start."""
+    low, total = count.bit_length() - 1, stride * count
+    return [
+        _repeat(((1 << (stride << b)) - 1) << (stride << b), stride << (b + 1), total)
+        if b < low
+        else -(start >> b & 1) & ((1 << total) - 1)
+        for b in range(width)
+    ]
+
+
+@lru_cache(maxsize=None)
+def _powers(spec: FieldSpec) -> tuple[int, ...]:
     """x^e over spec for e < 3q."""
-    return list(accumulate(range(3 * spec.degree - 1), lambda p, _: spec.mul(p, 2), initial=1))
+    return tuple(accumulate(range(3 * spec.degree - 1), lambda p, _: spec.mul(p, 2), initial=1))
 
 
 def _linear(cols, a: list[int]) -> list[int]:
@@ -90,12 +104,25 @@ def _linear(cols, a: list[int]) -> list[int]:
     return [reduce(xor, (p for p, col in zip(a, cols) if col >> s & 1), 0) for s in range(len(a))]
 
 
+def _add(a: list[int], b: list[int]) -> list[int]:
+    return [x ^ y for x, y in zip(a, b)]
+
+
 def _mul(a: list[int], b: list[int], powers) -> list[int]:
-    """a * b = sum_t b_t (a x^t), where a x^t is a fixed XOR of a's planes."""
+    """a * b = sum_{t,u} a_t b_u x^(t+u): each plane product a_t & b_u joins the
+    planes of x^(t+u)'s bits.  Over GF(2) that is one AND."""
+    if len(a) == 1:
+        return [a[0] & b[0]]
     out = [0] * len(a)
-    for t, plane in enumerate(b):
-        if plane:
-            out = [o ^ (plane & p) for o, p in zip(out, _linear(powers[t : t + len(a)], a))]
+    for t, x in enumerate(a):
+        if x:
+            for u, y in enumerate(b):
+                xy = x & y
+                if xy:
+                    power = powers[t + u]
+                    for s in range(len(out)):
+                        if power >> s & 1:
+                            out[s] ^= xy
     return out
 
 
@@ -117,8 +144,7 @@ def orbit_reps(k: int, spec: FieldSpec = GF2) -> tuple[tuple[int, ...], tuple[in
     prev = orbit_reps(k - 1, spec)[0]
     q, reps = spec.degree, len(prev)
     width = reps << (q * k)
-    # code bit b < q k is row bit b: bit r R + i set iff bit b of r is, a block pattern
-    planes = [_repeat(((1 << (reps << b)) - 1) << (reps << b), reps << (b + 1), width) for b in range(q * k)]
+    planes = _counting(0, 1 << (q * k), q * k, reps)  # code bit b < q k is row bit b
     planes += [_repeat(p, reps, width) for p in _transpose(prev, q * tri(k - 1))]
     field = {(i, j): shift for shift, i, j in _layout(k, spec)}
     keep, aut = (1 << width) - 1, []
@@ -154,22 +180,41 @@ def orbit_reps(k: int, spec: FieldSpec = GF2) -> tuple[tuple[int, ...], tuple[in
     return tuple(zip(*sorted(found)))
 
 
-def _minor_table(codes, n: int, spec: FieldSpec) -> list[list[int]]:
-    """det A[S] of the order-n matrices encoded by codes, bit-sliced, by subset
-    bitmask S: for j > max S, det A[S + {j}] = a_jj det A[S] + sum_{i in S} a_ij^2 det A[S - {i}]."""
+def _entry_grid(bits: list[int], n: int, spec: FieldSpec) -> list[list[list[int]]]:
+    """Entry planes of order-n matrices off the planes of their codes' bits
+    (_transpose): bit r of grid[i][j][t] is bit t of entry (i, j) of code r."""
+    q = spec.degree
+    grid = [[None] * n for _ in range(n)]
+    for shift, i, j in _layout(n, spec):
+        grid[i][j] = grid[j][i] = bits[shift : shift + q]
+    return grid
+
+
+def _minor_table(grid, ones: int, spec: FieldSpec) -> list[list[int]]:
+    """det A[S] of a batch of symmetric matrices (entry planes grid, one bit per
+    matrix of the mask ones), bit-sliced, by subset bitmask S: for j > max S,
+    det A[S + {j}] = a_jj det A[S] + sum_{i in S} a_ij^2 det A[S - {i}]."""
     q, powers = spec.degree, _powers(spec)
-    bits = _transpose(codes, q * tri(n))
-    entry = {(i, j): bits[shift : shift + q] for shift, i, j in _layout(n, spec)}
-    dets = [[(1 << len(codes)) - 1] + [0] * (q - 1)]
-    for j in range(n):
-        squares = [_linear(powers[: 2 * q : 2], entry[i, j]) for i in range(j)]  # b^2 = sum_t b_t x^(2t)
+    dets = [[ones] + [0] * (q - 1)]
+    for j, row in enumerate(grid):
+        squares = [_linear(powers[: 2 * q : 2], row[i]) for i in range(j)]  # b^2 = sum_t b_t x^(2t)
         for s in range(1 << j):
-            acc = _mul(entry[j, j], dets[s], powers)
+            acc = _mul(row[j], dets[s], powers)
             for i in range(j):
                 if s >> i & 1:
-                    acc = [x ^ y for x, y in zip(acc, _mul(squares[i], dets[s ^ 1 << i], powers))]
+                    acc = _add(acc, _mul(squares[i], dets[s ^ 1 << i], powers))
             dets.append(acc)
     return dets
+
+
+def _letters(nonzero, ones: int, size: int) -> tuple[list[int], list[int]]:
+    """(some, every) of a minor table's nonzero masks, by subset: bit r of some[k]
+    (every[k]) is set iff some (every) order-k minor of matrix r is nonzero, k < size."""
+    some, every = [0] * size, [ones] * size
+    for s, mask in enumerate(nonzero):
+        some[s.bit_count()] |= mask
+        every[s.bit_count()] &= mask
+    return some, every
 
 
 def _letter_planes(codes, n: int, spec: FieldSpec) -> tuple[list[int], list[int]]:
@@ -177,13 +222,10 @@ def _letter_planes(codes, n: int, spec: FieldSpec) -> tuple[list[int], list[int]
     order-k principal minor of the trailing block codes[i] bordered by row r
     is nonzero, for k = 1..n (index 0 unused)."""
     q, reps, m = spec.degree, len(codes), n - 1
-    width, powers = reps << (q * n), _powers(spec)
-    dets = _minor_table(codes, m, spec)
-    some, every = [0] * (n + 1), [(1 << reps) - 1] * (n + 1)
-    for s, det in enumerate(dets):  # the minors without index 0 are A's, one bit per rep
-        nonzero = reduce(or_, det)
-        some[s.bit_count()] |= nonzero
-        every[s.bit_count()] &= nonzero
+    width, powers, ones = reps << (q * n), _powers(spec), (1 << reps) - 1
+    dets = _minor_table(_entry_grid(_transpose(codes, q * tri(m)), m, spec), ones, spec)
+    # the minors without index 0 are A's, one bit per rep
+    some, every = _letters([reduce(or_, det) for det in dets], ones, n + 1)
     some = [_repeat(x, reps, width) for x in some]
     every = [_repeat(x, reps, width) for x in every]
     for t in range(1 << m):  # det B[{0} u T] is linear in row 0's bits: double over them

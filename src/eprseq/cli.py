@@ -24,7 +24,7 @@ every job count.
 
 This module imports no other eprseq module at load time: each verb
 imports what it runs when it runs, so ``epr`` never loads the classifier
-and only ``check-theorems`` loads numpy (through eprseq._suite).
+and no verb loads numpy.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ built by the characteristic-2 bordering identity in O(n 2^n) field
 operations.  This module computes it for one matrix, bit-sliced: over
 GF(2^k) the table is k Python ints of 2^n bits (minor_planes), counted
 per order with int.bit_count, so the single-matrix paths never import
-numpy.  eprseq._sweep bit-slices it across a catalog, and only the
-theorem suite batches it in numpy (eprseq._engine.minor_tables).  A
+numpy.  eprseq._sweep bit-slices it across the matrices of a catalog or
+of a theorem-suite batch (eprseq._engine.minor_tables, the tests' oracle,
+batches it in numpy).  A
 guardrail rejects orders above DEFAULT_MAX_ORDER unless lifted
 explicitly; it bounds the time, about n 2^n bit-plane operations.  A
 ceiling that is never lifted refuses any order whose 2^n bytes exceed

@@ -1,9 +1,10 @@
-"""Each verb loads only what it runs: only `check-theorems` imports numpy (and
-the batched kernels and the theorem suite), though never `numpy.random`, since
-the suite draws its seeded cases from eprseq._rng; `epr`, `pr` and `minors` never the
-classifier, `classify` and `classify-pr` never the matrix module, no verb
-dataclasses, and `enumerate` neither the classifier nor the sequence module."""
+"""Each verb loads only what it runs: no verb imports numpy or eprseq._engine
+(`check-theorems` bit-slices its batches in pure Python and draws its seeded
+cases from eprseq._rng), `epr`, `pr` and `minors` never the classifier,
+`classify` and `classify-pr` never the matrix module, no verb dataclasses,
+and `enumerate` neither the classifier nor the sequence module."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -41,8 +42,7 @@ assert run("enumerate", "--field", "gf4", "-n", "2")[0] == 0
 assert run("verify", "-n", "3")[0] == 0
 not_loaded("numpy", "eprseq._engine", "eprseq._suite")
 assert run("check-theorems", "--max-n", "2")[0] == 0
-assert "numpy" in sys.modules, "check-theorems ran without numpy"
-not_loaded("numpy.random")
+not_loaded("numpy", "eprseq._engine")
 missing = [name for name in eprseq.__all__ if not hasattr(eprseq, name)]
 assert not missing, missing
 assert set(eprseq.__all__) <= set(dir(eprseq))
@@ -113,6 +113,25 @@ def test_enumerate_never_imports_classifier_or_sequence():
 
 def test_sweep_verbs_never_import_dataclasses():
     run_script(SWEEP_SCRIPT)
+
+
+def test_only_the_engine_imports_numpy():
+    """eprseq._engine, the batched numpy oracle of the suite's kernels, is the one
+    module that imports numpy, and no module of the package imports it."""
+    numpy_users, engine_users = set(), set()
+    for path in (SRC / "eprseq").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                numpy_users.add(path.name)
+            if any(name.split(".")[-1] == "_engine" for name in names):
+                engine_users.add(path.name)
+    assert (numpy_users, engine_users) == ({"_engine.py"}, set())
 
 
 def test_dir_lists_every_public_name():

@@ -567,6 +567,112 @@ def test_letter_arrays_refuse_order_7():
         eng.letter_arrays(7)
 
 
+# -- the suite's bit-sliced kernels against the numpy oracle in eprseq._engine ----
+
+def _planes(ent, spec):
+    """Entry planes of an (n, m, B) entry batch: bit b of grid[i][j][t] is bit t
+    of entry (i, j) of matrix b."""
+    n, m, _ = ent.shape
+    return [[sw._transpose(ent[i, j].tolist(), spec.degree) for j in range(m)] for i in range(n)]
+
+
+def _bits(mask, width):
+    """The low width bits of mask as a (width,) 0/1 array."""
+    raw = np.frombuffer((mask & ((1 << width) - 1)).to_bytes(-(-width // 8), "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:width]
+
+
+def _values(planes, width):
+    """The (width,) values of one entry's planes."""
+    return sum((_bits(p, width) << t for t, p in enumerate(planes)), np.zeros(width, np.uint8))
+
+
+def _entries(grid, width):
+    """The (n, m, width) entry batch of a grid of entry planes."""
+    out = np.zeros((len(grid), len(grid[0]) if grid else 0, width), np.uint8)
+    for i, row in enumerate(grid):
+        for j, planes in enumerate(row):
+            out[i, j] = _values(planes, width)
+    return out
+
+
+def _plane_batches(seed):
+    """(spec, (n, n, B) entries, planes, mask of the B matrices) of every GF(2)
+    matrix of order 1..4, seeded GF(4) and GF(8) samples of order 1..5, and
+    empty batches of order 1..4."""
+    batches = [(GF2, eng.decode_entries(np.arange(1 << sw.tri(n)), n)) for n in range(1, 5)]
+    batches += [(spec, ent) for spec, _, ent in _sampled_batches(seed)]
+    batches += [(spec, np.zeros((n, n, 0), np.uint8)) for spec in (GF2, GF4, GF8) for n in range(1, 5)]
+    for spec, ent in batches:
+        yield spec, ent, _planes(ent, spec), (1 << ent.shape[2]) - 1
+
+
+def test_plane_batches_match_engine():
+    """A batch's bit-sliced minor table, letters and ranks equal the engine's."""
+    for spec, ent, grid, ones in _plane_batches(24):
+        n, width = ent.shape[0], ent.shape[2]
+        b = suite._batch(grid, ones, spec)
+        dets = eng.minor_tables(ent, spec)
+        assert np.array_equal([_values(det, width) for det in b.dets], dets), (spec.name, n)
+        letters = eng.table_letters(dets)
+        got = [_bits(b.some[k], width) + _bits(b.every[k], width) for k in range(1, n + 1)]
+        assert np.array_equal(np.reshape(got, letters.shape), letters), (spec.name, n)
+        ranks = eng.ranks(letters)
+        assert np.array_equal([_bits(b.rank[r], width) for r in range(n + 1)], [ranks == r for r in range(n + 1)])
+
+
+def test_plane_gather_matches_engine():
+    for spec, ent, grid, _ in _plane_batches(25):
+        n, width = ent.shape[0], ent.shape[2]
+        subsets = [alpha for k in range(n + 1) for alpha in combinations(range(n), k)]
+        for idx in subsets + [(*range(n), n), (*range(n), n - 1), tuple(reversed(range(n)))]:
+            got = _entries(suite._gather(grid, idx, spec), width)
+            assert np.array_equal(got, eng.gather_entries(ent, idx)), (spec.name, n, idx)
+
+
+def test_plane_congruence_matches_engine():
+    """One E for the whole batch, as planes of all-ones and zero masks, and one E per matrix."""
+    rng = Rng(26)
+    for spec, ent, grid, ones in _plane_batches(26):
+        n, width, q = ent.shape[0], ent.shape[2], spec.degree
+        e = suite._rand_invertible(rng, n, spec)
+        fixed = [[[ones if x >> t & 1 else 0 for t in range(q)] for x in row] for row in e]
+        got = _entries(suite._congruence(grid, fixed, spec), width)
+        assert np.array_equal(got, eng.congruence_entries(ent, e, spec)), (spec.name, n)
+        each = [suite._rand_invertible(rng, n, spec) for _ in range(width)]
+        each = np.array(each, np.uint8).reshape(width, n, n).transpose(1, 2, 0)
+        got = _entries(suite._congruence(grid, _planes(each, spec), spec), width)
+        assert np.array_equal(got, eng.congruence_entries(ent, each, spec)), (spec.name, n)
+
+
+def test_plane_inverse_matches_engine():
+    """det and inverse equal the engine's on every matrix, singular ones included:
+    both scale a zero pivot's row by 0."""
+    for spec, ent, grid, ones in _plane_batches(27):
+        width = ent.shape[2]
+        det, inv = suite._inverse(grid, ones, spec)
+        want_det, want_inv = eng.inverse(ent, spec)
+        assert np.array_equal(_values(det, width), want_det), spec.name
+        assert np.array_equal(_entries(inv, width), want_inv), spec.name
+
+
+def test_plane_schur_matches_engine():
+    """Every pivot set of every matrix, singular pivot blocks included."""
+    for spec, ent, grid, ones in _plane_batches(28):
+        n, width = ent.shape[0], ent.shape[2]
+        for k in range(1, n):
+            for alpha in combinations(range(n), k):
+                got = _entries(suite._schur(grid, alpha, ones, spec), width)
+                assert np.array_equal(got, eng.schur_entries(ent, alpha, spec)), (spec.name, n, alpha)
+
+
+def test_plane_deleted_minors_match_engine():
+    for spec, ent, grid, ones in _plane_batches(29):
+        width = ent.shape[2]
+        minors = suite._deleted_minors(grid, ones, spec)
+        assert np.array_equal(_entries(minors, width), eng.deleted_minors(ent, spec)), spec.name
+
+
 # -- theorem suite ----------------------------------------------------------------
 
 def test_theorem_suite_reduced_bounds():
@@ -587,11 +693,12 @@ def _traced_peak(fn, *args, **kwargs) -> int:
 
 
 def test_theorem_suite_peak_memory():
-    """The default suite holds one batch of one order's orbit reps, or of 2^12
-    of its codes, at a time, and one Schur case of that batch; holding every
-    Schur case of order <= 5 at once takes 5.2 MiB by itself."""
+    """The default suite holds one bit-sliced batch at a time (one order's orbit
+    reps, up to 2^15 of its codes, or one group of drawn GF(4) cases) with the
+    images of its code maps: 1.3 MiB at most, the cached orbit reps and word
+    catalogs of a fresh process included, 0.7 MiB once they are cached."""
     verify._catalog_raw.cache_clear()  # the suite's word catalogs count too
-    assert _traced_peak(theorem_suite) <= 6 * 2**20
+    assert _traced_peak(theorem_suite) <= 2 * 2**20
 
 
 def test_catalog_peak_memory():
@@ -652,6 +759,21 @@ def test_suite_report_lists_each_failure_after_the_counts():
 
 # -- fault injection: each batched GF(4) path reports a wrong component ------------
 
+def _flip_planes(grid, ones):
+    """A grid of entry planes with every entry plus 1 (bit 0 flipped)."""
+    return [[[p[0] ^ ones, *p[1:]] for p in row] for row in grid]
+
+
+def _flip_schur(monkeypatch):
+    """Make suite._schur add 1 to every entry of each complement it returns."""
+    orig = suite._schur
+
+    def flipped(ent, alpha, ones, spec):
+        return _flip_planes(orig(ent, alpha, ones, spec), ones)
+
+    monkeypatch.setattr(suite, "_schur", flipped)
+
+
 def _parse(failure, pattern):
     """The literal fields of a failure string that fully matches pattern."""
     match = re.fullmatch(pattern, failure)
@@ -664,8 +786,7 @@ def _det(m, labels):
 
 
 def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
-    orig = eng.schur_entries
-    monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec: orig(ent, alpha, spec) ^ 1)
+    _flip_schur(monkeypatch)
     result = verify.CheckResult("schur", *suite._schur_gf4(Rng(3), 100))
     assert 0 < len(result.failures) <= 20 and result.cases > 0
     for failure in result.failures:
@@ -683,16 +804,19 @@ def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
 def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
     # B = I_3, alpha = {1}: the true complement is I_2.  The fake one keeps the drawn
     # minor (gamma = {1}: det C[gamma] det B[alpha] = 1 = det B[{1, 2}]) but has rank 1.
-    b = suite._batch(np.eye(3, dtype=np.uint8)[:, :, None], GF4)
-    gammas = np.array([1])
+    b = suite._batch(_planes(np.eye(3, dtype=np.uint8)[:, :, None], GF4), 1, GF4)
     for c, wrong in ((np.eye(2, dtype=np.uint8), False), (np.diag([1, 0]).astype(np.uint8), True)):
-        c = suite._batch(c[:, :, None], GF4)
-        assert suite._schur_bad(b, np.array([0]), (0,), c, gammas).tolist() == [wrong]
+        c = suite._batch(_planes(c[:, :, None], GF4), 1, GF4)
+        assert suite._schur_bad(b, (0,), c, [(1, 1)]) & 1 == wrong  # gamma: row 1 for matrix 0
 
 
 def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
-    orig = eng.minor_tables
-    monkeypatch.setattr(eng, "minor_tables", lambda ent, spec: orig(ent, spec) ^ 1)
+    orig = suite._minor_table
+
+    def flipped(grid, ones, spec):  # every minor plus 1
+        return [[det[0] ^ ones, *det[1:]] for det in orig(grid, ones, spec)]
+
+    monkeypatch.setattr(suite, "_minor_table", flipped)
     result = verify.CheckResult("hyperdet", *suite._hyperdet_gf4(Rng(4), 100))
     assert 0 < len(result.failures) <= 20 and result.cases == 100
     for failure in result.failures:
@@ -713,13 +837,13 @@ def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
 
 
 def _copy_index_0(monkeypatch):
-    """Make eng.gather_entries turn the appended zero index into a copy of index 0."""
-    orig = eng.gather_entries
+    """Make suite._gather turn the appended zero index into a copy of index 0."""
+    orig = suite._gather
 
-    def copy_index_0(ent, idx):
-        return orig(ent, tuple(i % ent.shape[0] for i in idx))
+    def copy_index_0(ent, idx, spec):
+        return orig(ent, tuple(i % len(ent) for i in idx), spec)
 
-    monkeypatch.setattr(eng, "gather_entries", copy_index_0)
+    monkeypatch.setattr(suite, "_gather", copy_index_0)
 
 
 def _assert_copy_breaks_append_zero(b):
@@ -739,9 +863,8 @@ def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
 
 
 def _zero_congruence(monkeypatch):
-    """Make eng.congruence_entries return the zero matrix for every congruence."""
-    orig = eng.congruence_entries
-    monkeypatch.setattr(eng, "congruence_entries", lambda ent, e, spec: orig(ent, e, spec) * 0)
+    """Make suite._congruence return the zero matrix for every congruence."""
+    monkeypatch.setattr(suite, "_congruence", lambda ent, e, spec: [[[0] * spec.degree for _ in ent] for _ in ent])
 
 
 def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
@@ -792,20 +915,19 @@ def _flip(rows):
 
 
 def test_gf2_schur_loop_reports_a_wrong_complement(monkeypatch):
-    orig = eng.schur_entries
-    monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
+    _flip_schur(monkeypatch)
     _gf2_schur_failures(lambda b, alpha: SymMatrix(GF2, _flip(b.schur_complement(alpha).rows)))
 
 
 def _flip_inverse(monkeypatch):
-    """Make eng.inverse flip every entry of each inverse it returns."""
-    orig = eng.inverse
+    """Make suite._inverse flip every entry of each inverse it returns."""
+    orig = suite._inverse
 
-    def flipped(ent, spec=GF2):
-        det, inv = orig(ent, spec)
-        return det, inv ^ 1
+    def flipped(ent, ones, spec):
+        det, inv = orig(ent, ones, spec)
+        return det, _flip_planes(inv, ones)
 
-    monkeypatch.setattr(eng, "inverse", flipped)
+    monkeypatch.setattr(suite, "_inverse", flipped)
 
 
 def test_gf2_schur_loop_reports_a_wrong_pivot_inverse(monkeypatch):
@@ -862,7 +984,7 @@ def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
 def _gf2_pass_results(monkeypatch, chunk):
     """{check name: (cases, sorted failures)} of the GF(2) pass up to order 4 in
     batches of chunk codes."""
-    monkeypatch.setattr(eng, "_RUN_CODES", chunk)
+    monkeypatch.setattr(suite, "_RUN_CODES", chunk)
     found = suite._gf2_pass(4, _every_half(1, 4))
     return {name: (cases, sorted(failures)) for name, (cases, failures) in found.items()}
 
@@ -873,10 +995,9 @@ def test_gf2_pass_does_not_depend_on_the_chunk_size(monkeypatch, faulty):
     B[alpha] is singular for every code; with a wrong Schur complement every
     failure is kept, so the failure sets must match too."""
     if faulty:
-        orig = eng.schur_entries
-        monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
+        _flip_schur(monkeypatch)
         monkeypatch.setattr(suite, "_MAX_FAILURES_KEPT", 10**9)
-    default = _gf2_pass_results(monkeypatch, eng._RUN_CODES)
+    default = _gf2_pass_results(monkeypatch, suite._RUN_CODES)
     assert len(default) == 8
     assert bool(default["schur-complement-identity"][1]) == faulty
     for chunk in (1 << 3, 1 << 7):
@@ -899,7 +1020,7 @@ _ORDER_6_CASES = {
 @pytest.mark.slow
 def test_gf2_pass_at_order_6():
     """Every exhaustive GF(2) check over all 2^21 order-6 matrices and the lower
-    orders (about half a minute); theorem_suite itself still refuses max_n = 6."""
+    orders (about 3 s); theorem_suite itself still refuses max_n = 6."""
     with pytest.raises(ValueError):
         theorem_suite(max_n=6)
     found = suite._gf2_pass(6, _every_half(verify.DEFAULT_SEED, 6))
@@ -932,23 +1053,18 @@ def _failing_orbits(found):
     return out
 
 
-def _flip_schur(monkeypatch):
-    orig = eng.schur_entries
-    monkeypatch.setattr(eng, "schur_entries", lambda ent, alpha, spec=GF2: orig(ent, alpha, spec) ^ 1)
-
-
 def _unloop_appended(monkeypatch):
-    """Make eng.gather_entries give the appended index no loop.  A copy of a looped
+    """Make suite._gather give the appended index no loop.  A copy of a looped
     index then breaks the append rule where a copy of an unlooped one does not, so
     an orbit rep that duplicated only its last index would miss failing orbits."""
-    orig = eng.gather_entries
+    orig = suite._gather
 
-    def unlooped(ent, idx):
-        out = orig(ent, idx)
-        out[-1, -1] = 0
+    def unlooped(ent, idx, spec):
+        out = orig(ent, idx, spec)
+        out[-1][-1] = [0] * spec.degree
         return out
 
-    monkeypatch.setattr(eng, "gather_entries", unlooped)
+    monkeypatch.setattr(suite, "_gather", unlooped)
 
 
 @pytest.mark.parametrize(
