@@ -168,7 +168,7 @@ def _subsets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 def _catalog_words(max_order: int) -> list[tuple[int, str]]:
     """(order, word) of every attained GF(2) epr word up to max_order, off the cached catalogs."""
-    return [(n, w) for n in range(1, max_order + 1) for w in sorted(_catalog_raw(n, GF2, 1)[0])]
+    return [(n, w) for n in range(1, max_order + 1) for w in sorted(_catalog_raw(n, GF2)[0])]
 
 
 def _examples(name: str, outcomes) -> CheckResult:

@@ -19,7 +19,7 @@ doubling over them, [U, U ^ column].  A letter is an OR (some minor
 nonzero) and an AND (all nonzero) of an order's planes; the words split
 the run into masks, each counted as orbit size times popcount, with the
 least rep, then least row, as exemplar.  Python int operations hold the
-GIL, so the sweep runs on one thread whatever the job count.
+GIL, so the sweep runs on one thread.
 """
 
 from __future__ import annotations
@@ -306,9 +306,8 @@ def _catalog(n: int, spec: FieldSpec):
     return _merge_chunks(results)
 
 
-def catalog_gf2(n: int, jobs: int = 1):
-    """Counts and first-attaining codes of every GF(2) epr word at order n
-    (jobs is accepted for the CLI's --jobs; the sweep runs on one thread)."""
+def catalog_gf2(n: int):
+    """Counts and first-attaining codes of every GF(2) epr word at order n."""
     return _catalog(n, GF2)
 
 

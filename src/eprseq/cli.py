@@ -18,9 +18,11 @@ output.  Exit status: 0 success / attainable / zero failures, 1 not
 attainable or check failures, 2 usage or parse errors.  Every refusal
 after parsing (a bad file, an order out of bounds, an unwritable
 output) prints one ``error: ...`` line to stderr and exits 2 from
-``main``.  ``--jobs`` (default from EPRSEQ_JOBS) must be a positive
-integer; the sweep runs on one thread, so output is byte-identical for
-every job count.
+``main``.  ``--jobs`` of ``enumerate`` and ``verify`` must be a positive
+integer and has no other effect: a catalog depends only on its order and
+field, and the sweep runs on one thread, so output is byte-identical for
+every job count.  The flag stays for the scripts that pass it, and no
+environment variable sets it.
 
 This module imports no other eprseq module at load time: each verb
 imports what it runs when it runs, so ``epr`` never loads the classifier
@@ -30,16 +32,7 @@ and no verb loads numpy.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def _jobs(arg: int | None) -> int:
-    """--jobs, else EPRSEQ_JOBS, else 1; anything but a positive count exits 2."""
-    raw = os.environ.get("EPRSEQ_JOBS", "1") if arg is None else str(arg)
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"--jobs and EPRSEQ_JOBS take a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def _read_matrix_arg(path: str):
@@ -98,12 +91,12 @@ _VERBS = {
         _arg("-n", type=int, required=True, metavar="N"),
         _arg("--field", choices=("gf2", "gf4"), default="gf2"),
         _arg("--catalog", default=None, metavar="FILE"),
-        _arg("--jobs", type=int, default=None),
+        _arg("--jobs", type=int, default=1),
         _arg("--force", action="store_true", help="allow the gated GF(2) n=7 and GF(4) n=5 runs"),
     )),
     "verify": ("enumeration vs classifier at order N", (
         _arg("-n", type=int, required=True, metavar="N"),
-        _arg("--jobs", type=int, default=None),
+        _arg("--jobs", type=int, default=1),
     )),
     "check-theorems": ("run the verification suite", (
         _arg("--max-n", type=int, default=5),
@@ -149,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if getattr(args, "jobs", 1) < 1:  # enumerate's and verify's --jobs: checked, then unused
+        raise ValueError(f"--jobs takes a positive integer, got {args.jobs}")
+
     if args.verb in ("epr", "pr"):
         from .sequence import DEFAULT_MAX_ORDER, compute_epr, compute_pr
 
@@ -188,17 +184,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .gfield import GF2, GF4
         from .verify import enumerate_epr
 
-        jobs = _jobs(args.jobs)
         spec = GF2 if args.field == "gf2" else GF4
-        catalog = enumerate_epr(args.n, spec, jobs=jobs, force=args.force)
+        catalog = enumerate_epr(args.n, spec, force=args.force)
         _write_out(args.catalog, lambda stream: stream.write(catalog.to_text()))
         return 0
 
     if args.verb == "verify":
         from .verify import compare_with_classifier
 
-        jobs = _jobs(args.jobs)
-        report = compare_with_classifier(args.n, jobs=jobs)
+        report = compare_with_classifier(args.n)
         sys.stdout.write(report.to_text())
         return 0 if report.ok else 1
 

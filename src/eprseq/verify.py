@@ -73,29 +73,29 @@ _OPEN_BITS, _GATED_BITS = 21, 30
 
 
 @lru_cache(maxsize=32)
-def _catalog_raw(n: int, spec: FieldSpec, jobs: int):
-    # bench/tracer.py times catalog_gf2 and catalog_gf4 (one argument) under _engine's names
+def _catalog_raw(n: int, spec: FieldSpec):
+    # bench/tracer.py times catalog_gf2 and catalog_gf4 under _engine's names
     if spec == GF2:
-        return catalog_gf2(n, jobs=jobs)
+        return catalog_gf2(n)
     if spec == GF4:
         return catalog_gf4(n)
     return _catalog(n, spec)
 
 
-def enumerate_epr(
-    n: int, spec: FieldSpec = GF2, *, jobs: int = 1, force: bool = False
-) -> EprCatalog:
+def enumerate_epr(n: int, spec: FieldSpec = GF2, *, force: bool = False) -> EprCatalog:
     """Catalog of every epr word attained at order n over GF(2^d).
 
     Counts cover all 2^(d n(n+1)/2) matrices, and each exemplar is the first
     attaining matrix in code order, but only the matrices whose trailing
     block B[1:, 1:] is the least of its permutation orbit are swept
     (_sweep._catalog).  Up to 2^21 matrices are open, up to 2^30 gated
-    behind ``force=True``, more refused.  Fresh processes on a 2-vCPU host
+    behind ``force=True``, more refused.  A catalog depends only on n and
+    spec, and is swept once per process.  Fresh processes on a 2-vCPU host
     take 0.2 s and 17 MiB peak RSS for GF(2) n = 7 (2^28, 652K swept), 0.9 s
     and 31 MiB for GF(4) n = 5 (2^30, 50M swept), 2.3 s and 27 MiB for GF(8)
     n = 4, and 3.9 s and 20 MiB for GF(32) n = 3, the gated catalogs.
     """
+    n = _int_arg("n", n)
     if n < 1:
         raise BoundExceededError("enumeration needs order >= 1")
     label = f"GF({spec.order})"
@@ -106,7 +106,7 @@ def enumerate_epr(
     if bits > _OPEN_BITS and not force:
         advice = "run it with force=True (eprseq enumerate --force)"
         raise BoundExceededError(f"{label} enumeration at n = {n} visits 2^{bits} matrices; {advice}")
-    counts, exemplar_codes = _catalog_raw(n, spec, jobs)
+    counts, exemplar_codes = _catalog_raw(n, spec)
     exemplar = {w: code_matrix(code, n, spec) for w, code in exemplar_codes.items()}
     return EprCatalog(n, spec.name, dict(counts), exemplar)
 
@@ -121,20 +121,21 @@ def attained_pr_sequences(n: int, spec: FieldSpec = GF2, *, force: bool = False)
     return {str(pr_of_epr(w, w[0] != "A")) for w in words}
 
 
-def compare_with_classifier(n: int, *, jobs: int = 1) -> SuiteReport:
+def compare_with_classifier(n: int) -> SuiteReport:
     """Cross-check enumeration against the Z2 classifier at order n.
 
-    Reports words attained but rejected (soundness breach) and words
+    Sweeps the GF(2) catalog of :func:`enumerate_epr`, under its bounds, and
+    reports words attained but rejected (soundness breach) and words
     accepted but never attained (completeness breach); both must be
     empty.
     """
     from .classify import classify_epr_z2
 
-    catalog = enumerate_epr(n, GF2, jobs=jobs)
+    catalog = enumerate_epr(n, GF2)
     attained = set(catalog.counts)
     accepted = {
         "".join(word)
-        for word in product("ANS", repeat=n)
+        for word in product("ANS", repeat=catalog.order)
         if classify_epr_z2("".join(word)).attainable
     }
     sound = CheckResult("attained-but-rejected", len(attained), sorted(attained - accepted))

@@ -7,10 +7,13 @@ itertools.  Slow, obviously correct, and kept independent of what they
 check.  ``rebuild_from_recipe`` reads a witness's recipe header with its
 own parser and calls ``eprseq.matrix`` directly, so it checks that the
 printed provenance describes the matrix, independently of how the witness
-code spells it.
+code spells it.  ``catalog_count_failures`` checks a catalog's word counts
+against closed forms that never enumerate a matrix.
 """
 
 import re
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 from eprseq import PrSequence, matrix
@@ -86,6 +89,56 @@ def all_symmetric_gf2(n):
             bit = (code >> p) & 1
             rows[i][j] = rows[j][i] = bit
         yield SymMatrix(GF2, rows)
+
+
+def symmetric_rank_count(n, r, q):
+    """Symmetric n x n matrices of rank r over GF(q), q even (F. J. MacWilliams,
+    "Orthogonal matrices over finite fields", Amer. Math. Monthly 76, 1969)."""
+    count = Fraction(1)
+    for i in range(1, r // 2 + 1):
+        count *= Fraction(q ** (2 * i), q ** (2 * i) - 1)
+    for i in range(r):
+        count *= q ** (n - i) - 1
+    return count
+
+
+def alternating_rank_count(n, r, q):
+    """Alternating n x n matrices of rank r over GF(q): none at odd r."""
+    if r % 2:
+        return Fraction(0)
+    s = r // 2
+    count = Fraction(q ** (s * (s - 1)))
+    for i in range(s):
+        count *= Fraction((q ** (n - 2 * i) - 1) * (q ** (n - 2 * i - 1) - 1), q ** (2 * i + 2) - 1)
+    return count
+
+
+def catalog_count_failures(counts, n, q):
+    """The closed-form facts that the word counts of an order-n catalog over
+    GF(q), q even, break, of "rank", "alternating" and "inverse".
+
+    A symmetric matrix has a nonsingular principal submatrix of order its
+    rank, so the rank is the index of the word's last non-N letter; the
+    counts of each rank sum to MacWilliams' number.  The words starting with
+    N are the zero-diagonal matrices, the alternating ones in characteristic
+    2.  Jacobi's B -> B^-1 maps the nonsingular matrices of word l_1..l_(n-1)A
+    one to one onto those of l_(n-1)..l_1A.
+    """
+    rank, alternating = Counter(), Counter()
+    for word, count in counts.items():
+        r = len(word.rstrip("N"))
+        rank[r] += count
+        if word[0] == "N":
+            alternating[r] += count
+    failures = []
+    if any(rank[r] != symmetric_rank_count(n, r, q) for r in range(n + 1)):
+        failures.append("rank")
+    if any(alternating[r] != alternating_rank_count(n, r, q) for r in range(n + 1)):
+        failures.append("alternating")
+    nonsingular = {w: c for w, c in counts.items() if w[-1] == "A"}
+    if any(c != nonsingular.get(w[-2::-1] + "A", 0) for w, c in nonsingular.items()):
+        failures.append("inverse")
+    return failures
 
 
 _CALL = re.compile(r"(\w+)\(")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from eprseq import GF2, GF4, SymMatrix, identity, read_matrix, witness_epr_z2
-from eprseq import cli
+from eprseq import cli, verify
 from eprseq.cli import main
 from oracles import laplace_det, subgrid
 
@@ -293,14 +293,16 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
-def test_jobs_env_var_default(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("EPRSEQ_JOBS", "2")
-    target = tmp_path / "cat.txt"
-    code, _, _ = run(capsys, "enumerate", "-n", "3", "--catalog", str(target))
-    assert code == 0
-    explicit = tmp_path / "cat1.txt"
-    run(capsys, "enumerate", "-n", "3", "--jobs", "1", "--catalog", str(explicit))
-    assert target.read_bytes() == explicit.read_bytes()
+def test_job_counts_share_one_catalog(capsys, monkeypatch):
+    """enumerate at --jobs 1 and 2, then verify at --jobs 3, sweep the order-6
+    catalog once in one process; the environment sets no job count."""
+    monkeypatch.setenv("EPRSEQ_JOBS", "two")
+    verify._catalog_raw.cache_clear()
+    first = run(capsys, "enumerate", "-n", "6", "--jobs", "1")
+    assert run(capsys, "enumerate", "-n", "6", "--jobs", "2") == first
+    assert first[0] == 0 and first[1].startswith("AAAAAA 1\n")
+    assert run(capsys, "verify", "-n", "6", "--jobs", "3")[0] == 0
+    assert verify._catalog_raw.cache_info().misses == 1
 
 
 def test_byte_stable_output(capsys):
@@ -344,13 +346,3 @@ def test_nonpositive_jobs_exit_2(capsys, jobs):
         code, out, err = run(capsys, verb, "-n", "2", "--jobs", jobs)
         assert (code, out) == (2, "")
         assert "positive integer" in err
-
-
-@pytest.mark.parametrize("value", ["", "two", "0", "-1", "1.5"])
-def test_malformed_jobs_env_exit_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("EPRSEQ_JOBS", value)
-    code, out, err = run(capsys, "enumerate", "-n", "2")
-    assert (code, out) == (2, "")
-    assert "EPRSEQ_JOBS" in err
-    # an explicit --jobs takes precedence over the environment
-    assert run(capsys, "enumerate", "-n", "2", "--jobs", "1")[0] == 0

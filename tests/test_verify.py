@@ -29,7 +29,16 @@ from eprseq import _sweep as sw
 from eprseq import verify
 from eprseq._engine import minor_tables
 from eprseq._rng import Rng
-from oracles import all_symmetric_gf2, laplace_det, matmul, naive_epr, subgrid
+from oracles import (
+    all_symmetric_gf2,
+    alternating_rank_count,
+    catalog_count_failures,
+    laplace_det,
+    matmul,
+    naive_epr,
+    subgrid,
+    symmetric_rank_count,
+)
 
 GF8 = field_make(3)
 
@@ -80,7 +89,7 @@ def test_catalog_export_format():
 
 def _assert_partition_independent(monkeypatch, cases, chunkings):
     """The catalog of each (spec, n) gives the counts and first-attaining codes of
-    the default runs at one job, for every run size and jobs 1, 2 and 3."""
+    the default runs, for every run size."""
     default = sw._CHUNK_BITS
     for spec, n in cases:
         want = sw._catalog(n, spec)
@@ -93,15 +102,13 @@ def _assert_partition_independent(monkeypatch, cases, chunkings):
         }
         for chunking in chunkings:
             monkeypatch.setattr(sw, "_CHUNK_BITS", sizes[chunking])
-            for jobs in (1, 2, 3):
-                got = verify._catalog_raw.__wrapped__(n, spec, jobs)  # past the cache
-                assert got == want, (spec.name, n, chunking, jobs)
+            got = verify._catalog_raw.__wrapped__(n, spec)  # past the cache
+            assert got == want, (spec.name, n, chunking)
 
 
 def test_enumerate_jobs_independent(monkeypatch):
-    """The catalog depends neither on the job count nor on the sweep run size:
-    the default, one orbit rep's borders, three reps', or every rep of an
-    orbit size at once."""
+    """The catalog does not depend on the sweep run size: the default, one
+    orbit rep's borders, three reps', or every rep of an orbit size at once."""
     small = [(GF2, n) for n in range(1, 6)] + [(GF4, n) for n in range(1, 4)]
     _assert_partition_independent(
         monkeypatch, small, ("default", "one block", "three blocks", "whole range")
@@ -229,6 +236,15 @@ def test_enumerate_bounds():
         enumerate_epr(0)
 
 
+@pytest.mark.parametrize("verb", [enumerate_epr, compare_with_classifier])
+def test_catalog_verbs_take_numpy_integers_and_refuse_other_orders(verb):
+    assert verb(np.int64(3)).to_text() == verb(np.uint8(3)).to_text() == verb(3).to_text()
+    for n in (2.5, "3", None):
+        with pytest.raises(TypeError) as info:
+            verb(n)
+        assert str(info.value) == f"n must be an int, got {n!r}"
+
+
 # the rules of classify.py that hold over every field of characteristic 2
 _ANY_FIELD_RULES = {
     "NN-theorem", "NSA-prohibition", "ASN-A-prohibition", "terminal-S",
@@ -258,6 +274,45 @@ def test_gated_gf8_order_4_catalog_is_the_any_field_rule_words():
     catalog = enumerate_epr(4, GF8, force=True)
     assert catalog.total() == 8 ** 10
     assert set(catalog.counts) == _any_field_words(4)
+
+
+def test_closed_form_rank_counts_partition_the_matrices():
+    for q in (2, 4, 8):
+        for n in range(6):
+            symmetric = [symmetric_rank_count(n, r, q) for r in range(n + 1)]
+            alternating = [alternating_rank_count(n, r, q) for r in range(n + 1)]
+            assert all(c.denominator == 1 for c in symmetric + alternating), (q, n)
+            assert sum(symmetric) == q ** sw.tri(n) and sum(alternating) == q ** sw.tri(n - 1)
+    assert [symmetric_rank_count(2, r, 2) for r in range(3)] == [1, 3, 4]  # by hand
+    assert [alternating_rank_count(2, r, 2) for r in range(3)] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("spec, top", [(GF2, 6), (GF4, 4), (GF8, 3)], ids=["gf2", "gf4", "gf8"])
+def test_catalog_counts_meet_the_closed_forms(spec, top):
+    """Rank sums, alternating rank sums and Jacobi's inverse symmetry of every
+    open catalog of the field."""
+    for n in range(1, top + 1):
+        assert catalog_count_failures(enumerate_epr(n, spec).counts, n, spec.order) == [], (spec.name, n)
+
+
+@pytest.mark.parametrize("spec, n, moved, to, broken", [
+    (GF2, 6, "SSSNNN", "SSNNNN", "rank"),
+    (GF2, 6, "SSSSSA", "SSSSAA", "inverse"),
+    (GF4, 4, "NSNN", "SSNN", "alternating"),
+])
+def test_each_closed_form_catches_one_moved_matrix(spec, n, moved, to, broken):
+    counts = dict(enumerate_epr(n, spec).counts)
+    counts[moved] -= 1
+    counts[to] = counts.get(to, 0) + 1
+    assert catalog_count_failures(counts, n, spec.order) == [broken]
+
+
+@pytest.mark.slow
+def test_gated_catalog_counts_meet_the_closed_forms():
+    """The same three facts on GF(2) n = 7, GF(4) n = 5 and GF(8) n = 4."""
+    for spec, n in ((GF2, 7), (GF4, 5), (GF8, 4)):
+        catalog = enumerate_epr(n, spec, force=True)
+        assert catalog_count_failures(catalog.counts, n, spec.order) == [], (spec.name, n)
 
 
 def test_gf4_enumeration_contains_aan():
