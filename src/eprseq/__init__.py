@@ -9,8 +9,8 @@ against exhaustive enumeration.
 The package is one lazy namespace: ``import eprseq`` loads no submodule,
 and each public name imports the submodule that defines it on first use
 (PEP 562), so a process pays only for what it touches.  No public name
-imports numpy: eprseq._engine, the batched numpy oracle the tests hold the
-theorem suite's bit-sliced kernels to, is imported by no module here.
+imports numpy: eprseq._engine, the batched numpy minor tables the tests
+hold the bit-sliced table kernels to, is imported by no module here.
 """
 
 __version__ = "0.1.0"

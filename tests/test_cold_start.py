@@ -116,8 +116,9 @@ def test_sweep_verbs_never_import_dataclasses():
 
 
 def test_only_the_engine_imports_numpy():
-    """eprseq._engine, the batched numpy oracle of the suite's kernels, is the one
-    module that imports numpy, and no module of the package imports it."""
+    """eprseq._engine, the batched numpy minor tables that the bit-sliced table
+    kernels are tested against, is the one module that imports numpy, and no
+    module of the package imports it."""
     numpy_users, engine_users = set(), set()
     for path in (SRC / "eprseq").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -12,6 +12,7 @@ from eprseq import (
     GF2,
     GF4,
     BoundExceededError,
+    SingularMatrixError,
     SymMatrix,
     accepted_pr_sequences,
     attained_pr_sequences,
@@ -40,7 +41,7 @@ from oracles import (
     symmetric_rank_count,
 )
 
-GF8 = field_make(3)
+GF8, GF16, GF256 = field_make(3), field_make(4), field_make(8)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -345,7 +346,7 @@ def test_attained_pr_matches_library_route():
         assert attained_pr_sequences(n) == by_hand
 
 
-# -- engine vs library (dual route) ----------------------------------------------
+# -- the numpy tables and the catalog sweep against SymMatrix and the Laplace oracle --
 
 def test_engine_det_table_matches_library():
     rng = random.Random(11)
@@ -358,7 +359,8 @@ def test_engine_det_table_matches_library():
 
 
 def test_engine_letters_match_library():
-    # the engine and compute_epr share one kernel, so the Laplace oracle checks both
+    # letter_arrays reads numpy minor_tables, not compute_epr's minor_planes: the
+    # Laplace oracle checks it on its own
     rng = random.Random(12)
     for n in range(1, 7):
         letters = eng.letter_arrays(n)
@@ -388,7 +390,7 @@ def _sweep_words(codes, n, spec=GF2):
     return [_kernel_words([code >> shift], n, spec)[code] for code in codes]
 
 
-def test_engine_letters_gf4_sampled():
+def test_sweep_letters_gf4_sampled():
     rng = random.Random(16)
     for n in range(1, 5):
         codes = sorted(rng.randrange(1 << (n * (n + 1))) for _ in range(40))
@@ -435,31 +437,6 @@ def test_sweep_whole_blocks_match_laplace():
             assert word == naive_epr(sw.code_matrix(code, n, spec))
 
 
-def test_engine_schur_matches_library():
-    rng = random.Random(13)
-    for spec in (GF2, GF4):
-        for n in (3, 4, 5):
-            for _ in range(40):
-                code = rng.randrange(1 << (spec.degree * n * (n + 1) // 2))
-                m = sw.code_matrix(code, n, spec)
-                k = rng.randint(1, n - 1)
-                alpha = tuple(sorted(rng.sample(range(1, n + 1), k)))
-                if m.principal_submatrix(alpha).determinant() == 0:
-                    continue
-                ent = eng.decode_entries(np.array([code], np.uint32), n, spec)
-                got = eng.schur_entries(ent, tuple(a - 1 for a in alpha), spec)
-                assert _grid(got, 0) == m.schur_complement(alpha).rows
-    # whole sampled GF(4) and GF(8) batches, one pivot set at a time
-    for spec, mats, ent in _sampled_batches(22, orders=range(2, 6)):
-        n = ent.shape[0]
-        for alpha in combinations(range(n), n // 2):
-            labels = tuple(a + 1 for a in alpha)
-            keep = [b for b, m in enumerate(mats) if m.principal_submatrix(labels).determinant()]
-            got = eng.schur_entries(ent[:, :, keep], alpha, spec)
-            for col, b in enumerate(keep):
-                assert _grid(got, col) == mats[b].schur_complement(labels).rows
-
-
 def test_engine_rank_matches_library():
     rng = random.Random(14)
     for n in range(1, 7):
@@ -470,7 +447,7 @@ def test_engine_rank_matches_library():
             assert int(ranks[code]) == m.rank()
 
 
-def test_engine_letters_order_7_sampled():
+def test_sweep_letters_order_7_sampled():
     # the gated n=7 path has no full det table; spot-check its letters
     rng = random.Random(15)
     codes = sorted(rng.randrange(1 << 28) for _ in range(40))
@@ -478,7 +455,7 @@ def test_engine_letters_order_7_sampled():
         assert got == naive_epr(sw.code_matrix(code, 7))
 
 
-# -- code layout and entry-batch code maps ------------------------------------------
+# -- code layout and sampled entry batches ------------------------------------------
 
 def _grid(ent, b):
     """Matrix b of an (n, n, B) entry batch as a tuple of rows."""
@@ -500,25 +477,7 @@ def test_code_layout_round_trips():
             assert sw.code_matrix(code, n) == m
 
 
-def test_gather_codes_match_library_exhaustive():
-    for n in range(1, 5):
-        mats = list(all_symmetric_gf2(n))
-        ent = eng.decode_entries(np.arange(len(mats), dtype=np.uint32), n)
-        assert eng.gather_entries(ent, ()).shape == (0, 0, len(mats))
-        for k in range(1, n + 1):
-            for alpha in combinations(range(n), k):
-                sub = eng.gather_entries(ent, alpha)
-                labels = tuple(a + 1 for a in alpha)
-                for code, m in enumerate(mats):
-                    assert _grid(sub, code) == m.principal_submatrix(labels).rows
-        zero = eng.gather_entries(ent, (*range(n), n))
-        dup = eng.gather_entries(ent, (*range(n), n - 1))
-        for code, m in enumerate(mats):
-            assert _grid(zero, code) == m.append_zero().rows
-            assert _grid(dup, code) == m.append_duplicate_last().rows
-
-
-def _sampled_batches(seed, fields=(GF4, GF8), orders=range(1, 6), batch=60):
+def _sampled_batches(seed, fields=(GF4, GF8, GF16, GF256), orders=range(1, 6), batch=60):
     """(spec, matrices, (n, n, B) entries) of seeded random symmetric matrices."""
     rng = random.Random(seed)
     for spec in fields:
@@ -533,96 +492,12 @@ def _sampled_batches(seed, fields=(GF4, GF8), orders=range(1, 6), batch=60):
             yield spec, mats, np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0)
 
 
-def test_gf2_inverse_matches_library_exhaustive():
-    for n in range(1, 5):
-        mats = [m for m in all_symmetric_gf2(n) if m.determinant() == 1]
-        det, inv = eng.inverse(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
-        assert det.tolist() == [1] * len(mats)
-        for b, m in enumerate(mats):
-            assert _grid(inv, b) == m.inverse().rows
-    # sampled GF(4) and GF(8) batches, singular columns included
-    for spec, mats, ent in _sampled_batches(20):
-        det, inv = eng.inverse(ent, spec)
-        assert det.tolist() == [m.determinant() for m in mats]
-        for b, m in enumerate(mats):
-            if det[b]:
-                assert _grid(inv, b) == m.inverse().rows
-
-
-def test_deleted_minors_match_laplace_exhaustive():
-    for n in range(1, 5):
-        mats = list(all_symmetric_gf2(n))
-        minors = eng.deleted_minors(np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0))
-        assert minors.shape == (n, n, len(mats))
-        for i in range(n):
-            rows = [r for r in range(n) if r != i]
-            for j in range(n):
-                cols = [c for c in range(n) if c != j]
-                want = [laplace_det(subgrid(m, rows, cols), GF2) for m in mats]
-                assert minors[i, j].tolist() == want
-    for spec, mats, ent in _sampled_batches(23, orders=range(1, 5), batch=20):
-        n = ent.shape[0]
-        minors = eng.deleted_minors(ent, spec)
-        for i, j in np.ndindex(n, n):
-            rows, cols = [r for r in range(n) if r != i], [c for c in range(n) if c != j]
-            want = [laplace_det(subgrid(m, rows, cols), spec) for m in mats]
-            assert minors[i, j].tolist() == want
-
-
-def test_congruence_entries_match_matmul_exhaustive():
-    rng = Rng(18)
-    for n in range(1, 5):
-        mats = list(all_symmetric_gf2(n))
-        ent = np.array([m.rows for m in mats], np.uint8).transpose(1, 2, 0)
-        for _ in range(2):
-            e = suite._rand_invertible(rng, n, GF2)
-            et = [list(col) for col in zip(*e)]
-            got = eng.congruence_entries(ent, e)
-            for b, m in enumerate(mats):
-                want = matmul(matmul(e, [list(r) for r in m.rows], GF2), et, GF2)
-                assert _grid(got, b) == tuple(map(tuple, want))
-    # sampled GF(4) and GF(8) batches: one E for the batch, then one E per column
-    for spec, mats, ent in _sampled_batches(21):
-        n = ent.shape[0]
-        grids = [suite._rand_invertible(rng, n, spec) for _ in mats]
-        one = eng.congruence_entries(ent, grids[0], spec)
-        each = eng.congruence_entries(ent, np.array(grids, np.uint8).transpose(1, 2, 0), spec)
-        for b, m in enumerate(mats):
-            for got, e in ((one, grids[0]), (each, grids[b])):
-                et = [list(c) for c in zip(*e)]
-                want = matmul(matmul(e, [list(r) for r in m.rows], spec), et, spec)
-                assert _grid(got, b) == tuple(map(tuple, want))
-
-
-def test_kernels_take_an_empty_batch():
-    """Each kernel maps an (n, n, 0) batch to an empty batch of its image's shape."""
-    for spec in (GF2, GF4, GF8):
-        for n in range(1, 5):
-            ent = np.zeros((n, n, 0), np.uint8)
-            dets = eng.minor_tables(ent, spec)
-            letters = eng.table_letters(dets)
-            det, inv = eng.inverse(ent, spec)
-            got = [
-                dets,
-                letters,
-                eng.ranks(letters),
-                det,
-                inv,
-                eng.deleted_minors(ent, spec),
-                eng.schur_entries(ent, (0,), spec),
-                eng.congruence_entries(ent, np.eye(n, dtype=np.uint8), spec),
-                eng.gather_entries(ent, (*range(n), n)),
-            ]
-            want = [(1 << n, 0), (n, 0), (0,), (0,), (n, n, 0), (n, n, 0), (n - 1, n - 1, 0), (n, n, 0), (n + 1, n + 1, 0)]
-            assert [a.shape for a in got] == want, (spec.name, n)
-
-
 def test_letter_arrays_refuse_order_7():
     with pytest.raises(ValueError, match=r"^letter arrays are built up to order 6$"):
         eng.letter_arrays(7)
 
 
-# -- the suite's bit-sliced kernels against the numpy oracle in eprseq._engine ----
+# -- the suite's bit-sliced tables against eprseq._engine, its code maps against the library --
 
 def _planes(ent, spec):
     """Entry planes of an (n, m, B) entry batch: bit b of grid[i][j][t] is bit t
@@ -651,20 +526,26 @@ def _entries(grid, width):
     return out
 
 
+def _matrices(grid, width):
+    """The width matrices of a grid of entry planes, each a tuple of rows."""
+    ent = _entries(grid, width)
+    return [_grid(ent, b) for b in range(width)]
+
+
 def _plane_batches(seed):
-    """(spec, (n, n, B) entries, planes, mask of the B matrices) of every GF(2)
-    matrix of order 1..4, seeded GF(4) and GF(8) samples of order 1..5, and
-    empty batches of order 1..4."""
-    batches = [(GF2, eng.decode_entries(np.arange(1 << sw.tri(n)), n)) for n in range(1, 5)]
-    batches += [(spec, ent) for spec, _, ent in _sampled_batches(seed)]
-    batches += [(spec, np.zeros((n, n, 0), np.uint8)) for spec in (GF2, GF4, GF8) for n in range(1, 5)]
-    for spec, ent in batches:
-        yield spec, ent, _planes(ent, spec), (1 << ent.shape[2]) - 1
+    """(spec, the B matrices, their (n, n, B) entries, planes, mask of the B matrices)
+    of every GF(2) matrix of order 1..4 in code order, seeded GF(4), GF(8), GF(16)
+    and GF(256) samples of order 1..5, and empty batches of order 1..4."""
+    batches = [(GF2, list(all_symmetric_gf2(n)), eng.decode_entries(np.arange(1 << sw.tri(n)), n)) for n in range(1, 5)]
+    batches += _sampled_batches(seed)
+    batches += [(spec, [], np.zeros((n, n, 0), np.uint8)) for spec in (GF2, GF4, GF8) for n in range(1, 5)]
+    for spec, mats, ent in batches:
+        yield spec, mats, ent, _planes(ent, spec), (1 << ent.shape[2]) - 1
 
 
 def test_plane_batches_match_engine():
     """A batch's bit-sliced minor table, letters and ranks equal the engine's."""
-    for spec, ent, grid, ones in _plane_batches(24):
+    for spec, _, ent, grid, ones in _plane_batches(24):
         n, width = ent.shape[0], ent.shape[2]
         b = suite._batch(grid, ones, spec)
         dets = eng.minor_tables(ent, spec)
@@ -676,56 +557,120 @@ def test_plane_batches_match_engine():
         assert np.array_equal([_bits(b.rank[r], width) for r in range(n + 1)], [ranks == r for r in range(n + 1)])
 
 
-def test_plane_gather_matches_engine():
-    for spec, ent, grid, _ in _plane_batches(25):
+def test_gather_codes_match_library_exhaustive():
+    """Every principal submatrix, both appended indices and the reversed order."""
+    for spec, mats, ent, grid, _ in _plane_batches(25):
         n, width = ent.shape[0], ent.shape[2]
-        subsets = [alpha for k in range(n + 1) for alpha in combinations(range(n), k)]
-        for idx in subsets + [(*range(n), n), (*range(n), n - 1), tuple(reversed(range(n)))]:
-            got = _entries(suite._gather(grid, idx, spec), width)
-            assert np.array_equal(got, eng.gather_entries(ent, idx)), (spec.name, n, idx)
+
+        def gathered(idx):
+            return _matrices(suite._gather(grid, idx, spec), width)
+
+        assert gathered(()) == [()] * width
+        for k in range(1, n + 1):
+            for alpha in combinations(range(n), k):
+                labels = tuple(a + 1 for a in alpha)
+                assert gathered(alpha) == [m.principal_submatrix(labels).rows for m in mats], (spec.name, alpha)
+        assert gathered((*range(n), n)) == [m.append_zero().rows for m in mats], spec.name
+        assert gathered((*range(n), n - 1)) == [m.append_duplicate_last().rows for m in mats], spec.name
+        back = range(n - 1, -1, -1)
+        assert gathered(tuple(back)) == [tuple(tuple(m.rows[i][j] for j in back) for i in back) for m in mats]
 
 
-def test_plane_congruence_matches_engine():
+def _congruent(e, m):
+    """E B E^T by the oracle's products, as a tuple of rows."""
+    et = [list(col) for col in zip(*e)]
+    return tuple(map(tuple, matmul(matmul(e, m.rows, m.spec), et, m.spec)))
+
+
+def test_congruence_entries_match_matmul_exhaustive():
     """One E for the whole batch, as planes of all-ones and zero masks, and one E per matrix."""
     rng = Rng(26)
-    for spec, ent, grid, ones in _plane_batches(26):
+    for spec, mats, ent, grid, ones in _plane_batches(26):
         n, width, q = ent.shape[0], ent.shape[2], spec.degree
         e = suite._rand_invertible(rng, n, spec)
         fixed = [[[ones if x >> t & 1 else 0 for t in range(q)] for x in row] for row in e]
-        got = _entries(suite._congruence(grid, fixed, spec), width)
-        assert np.array_equal(got, eng.congruence_entries(ent, e, spec)), (spec.name, n)
+        got = _matrices(suite._congruence(grid, fixed, spec), width)
+        assert got == [_congruent(e, m) for m in mats], (spec.name, n)
         each = [suite._rand_invertible(rng, n, spec) for _ in range(width)]
-        each = np.array(each, np.uint8).reshape(width, n, n).transpose(1, 2, 0)
-        got = _entries(suite._congruence(grid, _planes(each, spec), spec), width)
-        assert np.array_equal(got, eng.congruence_entries(ent, each, spec)), (spec.name, n)
+        stack = np.array(each, np.uint8).reshape(width, n, n).transpose(1, 2, 0)
+        got = _matrices(suite._congruence(grid, _planes(stack, spec), spec), width)
+        assert got == [_congruent(e, m) for e, m in zip(each, mats)], (spec.name, n)
 
 
-def test_plane_inverse_matches_engine():
-    """det and inverse equal the engine's on every matrix, singular ones included:
-    both scale a zero pivot's row by 0."""
-    for spec, ent, grid, ones in _plane_batches(27):
+def test_gf2_inverse_matches_library_exhaustive():
+    """det on every matrix, and the inverse wherever det is nonzero."""
+    for spec, mats, ent, grid, ones in _plane_batches(27):
         width = ent.shape[2]
         det, inv = suite._inverse(grid, ones, spec)
-        want_det, want_inv = eng.inverse(ent, spec)
-        assert np.array_equal(_values(det, width), want_det), spec.name
-        assert np.array_equal(_entries(inv, width), want_inv), spec.name
+        dets = _values(det, width).tolist()
+        assert dets == [m.determinant() for m in mats], spec.name
+        got = _matrices(inv, width)
+        assert [x for x, d in zip(got, dets) if d] == [m.inverse().rows for m, d in zip(mats, dets) if d], spec.name
 
 
-def test_plane_schur_matches_engine():
-    """Every pivot set of every matrix, singular pivot blocks included."""
-    for spec, ent, grid, ones in _plane_batches(28):
+def _schur_rows(m, labels):
+    """The rows of m / m[labels], or None where the pivot block is singular."""
+    try:
+        return m.schur_complement(labels).rows
+    except SingularMatrixError:
+        return None
+
+
+def test_schur_matches_library():
+    """Every pivot set of every matrix whose pivot block is nonsingular."""
+    for spec, mats, ent, grid, ones in _plane_batches(28):
         n, width = ent.shape[0], ent.shape[2]
         for k in range(1, n):
             for alpha in combinations(range(n), k):
-                got = _entries(suite._schur(grid, alpha, ones, spec), width)
-                assert np.array_equal(got, eng.schur_entries(ent, alpha, spec)), (spec.name, n, alpha)
+                labels = tuple(a + 1 for a in alpha)
+                got = _matrices(suite._schur(grid, alpha, ones, spec), width)
+                want = [_schur_rows(m, labels) for m in mats]
+                assert [x for x, w in zip(got, want) if w] == [w for w in want if w], (spec.name, n, alpha)
 
 
-def test_plane_deleted_minors_match_engine():
-    for spec, ent, grid, ones in _plane_batches(29):
-        width = ent.shape[2]
+def test_deleted_minors_match_laplace_exhaustive():
+    for spec, mats, ent, grid, ones in _plane_batches(29):
+        n, width = ent.shape[0], ent.shape[2]
         minors = suite._deleted_minors(grid, ones, spec)
-        assert np.array_equal(_entries(minors, width), eng.deleted_minors(ent, spec)), spec.name
+        for i, j in product(range(n), repeat=2):
+            rows, cols = [r for r in range(n) if r != i], [c for c in range(n) if c != j]
+            want = [laplace_det(subgrid(m, rows, cols), spec) for m in mats]
+            assert _values(minors[i][j], width).tolist() == want, (spec.name, n, i, j)
+
+
+def _empty_shape(grid, q):
+    """(rows, columns) of a grid of entry planes of an empty batch: q planes per entry, each 0."""
+    assert all(list(planes) == [0] * q for row in grid for planes in row)
+    return len(grid), len(grid[0]) if grid else 0
+
+
+def test_kernels_take_an_empty_batch():
+    """Each kernel maps an (n, n, 0) batch to an empty batch of its image's shape:
+    the engine's tables as arrays, the suite's batch and code maps as grids of planes."""
+    for spec in (GF2, GF4, GF8):
+        q = spec.degree
+        for n in range(1, 5):
+            ent = np.zeros((n, n, 0), np.uint8)
+            dets = eng.minor_tables(ent, spec)
+            letters = eng.table_letters(dets)
+            shapes = [a.shape for a in (dets, letters, eng.ranks(letters))]
+            assert shapes == [(1 << n, 0), (n, 0), (0,)], (spec.name, n)
+            grid = _planes(ent, spec)
+            b = suite._batch(grid, 0, spec)
+            assert not any(b.nonzero + b.some + b.every + b.rank) and len(b.rank) == n + 1
+            det, inv = suite._inverse(grid, 0, spec)
+            e = [[[0] * q for _ in range(n)] for _ in range(n)]  # any E's planes, over no matrices
+            images = [
+                [b.dets],
+                [[det]],
+                inv,
+                suite._deleted_minors(grid, 0, spec),
+                suite._schur(grid, (0,), 0, spec),
+                suite._congruence(grid, e, spec),
+                suite._gather(grid, (*range(n), n), spec),
+            ]
+            want = [(1, 1 << n), (1, 1), (n, n), (n, n), (n - 1, n - 1), (n, n), (n + 1, n + 1)]
+            assert [_empty_shape(image, q) for image in images] == want, (spec.name, n)
 
 
 # -- theorem suite ----------------------------------------------------------------
