@@ -11,9 +11,10 @@ masks, and the code maps (principal submatrix and appended index,
 congruence, inverse, Schur complement, deleted minors) take planes to
 planes by _sweep's _mul and _linear.  Each field-generic identity is one
 predicate over batches that its GF(2) and GF(4) halves both call.  The
-seeded draws (the GF(4) cases, the congruence grids E) come from
-eprseq._rng, numpy.random.default_rng's stream replayed in pure Python,
-so the suite imports no numpy.
+seeded draws (the GF(4) cases, the congruence grids E) come from one
+random.Random(seed), so the suite imports no numpy; a GF(4) case's code is
+GF4.degree * tri(n) random bits, GF4.degree per entry of the upper
+triangle, so a uniform code is a uniform symmetric matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from collections import namedtuple
 from functools import lru_cache, partial, reduce
 from itertools import combinations
 from operator import and_, or_
+from random import Random
 
-from ._rng import Rng
 from ._sweep import (
     _add,
     _counting,
@@ -37,7 +38,6 @@ from ._sweep import (
     code_matrix,
     code_rows,
     orbit_reps,
-    triangle_code,
     tri,
 )
 from .gfield import GF2, GF4, FieldSpec
@@ -178,16 +178,11 @@ def _examples(name: str, outcomes) -> CheckResult:
     return CheckResult(name, len(outcomes), failures[:_MAX_FAILURES_KEPT])
 
 
-def _rand_invertible(rng: Rng, n: int, spec: FieldSpec) -> list[list[int]]:
+def _rand_invertible(rng: Random, n: int, spec: FieldSpec) -> list[list[int]]:
     while True:
-        grid = [rng.integers(0, spec.order, n) for _ in range(n)]
+        grid = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(n)]
         if _eliminate([row[:] for row in grid], spec, range(n))[0] == n:
             return grid
-
-
-def _draw_gf4(rng: Rng, n: int) -> int:
-    """Code of a random symmetric GF(4) matrix of order n, its upper triangle drawn row by row."""
-    return triangle_code(rng.integers(0, GF4.order, tri(n)), GF4)
 
 
 def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", key=lambda case: case[0]) -> list[str]:
@@ -373,7 +368,7 @@ def _schur_gf2(b: _Batch):
         yield "schur-complement-letters", b.nonzero[row], c.n, bad, f" alpha={alpha}"
 
 
-def _schur_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
+def _schur_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
     """The Schur identity over GF(4), where the quotient genuinely divides by a
     non-unit determinant.  The pivot draw reads b's nonzero proper minors, so it
     stays in the draw loop."""
@@ -381,14 +376,13 @@ def _schur_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
 
     drawn = []
     for _ in range(gf4_cases):
-        n = rng.integers(2, 6)
-        code = _draw_gf4(rng, n)
+        n = rng.randrange(2, 6)
+        code = rng.getrandbits(GF4.degree * tri(n))
         nonzero = reduce(int.__or__, _planes(code_rows(code, n, GF4), GF4))
         pivots = [row for _, row in _subsets(n)[1:-1] if nonzero >> row & 1]
         if pivots:
-            alpha = pivots[rng.integers(0, len(pivots))]
-            gamma = sum(bit << i for i, bit in enumerate(rng.integers(0, 2, n - alpha.bit_count())))
-            drawn.append((n, code, alpha, gamma))
+            alpha = rng.choice(pivots)
+            drawn.append((n, code, alpha, rng.getrandbits(n - alpha.bit_count())))
 
     def test(cases, b):  # one batch per order and pivot set
         alpha = _members(cases[0][2])
@@ -431,15 +425,15 @@ def _hyperdet_gf2(b: _Batch):
             yield "hyperdeterminantal-relation", b.ones, 1, bad, f" tau={tau} I={base}"
 
 
-def _hyperdet_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
+def _hyperdet_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = []
     for _ in range(gf4_cases):
-        n = rng.integers(3, 6)
-        code = _draw_gf4(rng, n)
-        tau = tuple(sorted(rng.sample(n, 3)))
+        n = rng.randrange(3, 6)
+        code = rng.getrandbits(GF4.degree * tri(n))
+        tau = rng.sample(range(n), 3)
+        bits = rng.getrandbits(n - 3)
         rest = [x for x in range(n) if x not in tau]
-        base = tuple(x for x, bit in zip(rest, rng.integers(0, 2, n - 3)) if bit)
-        drawn.append((n, code, _mask(tau), _mask(base)))
+        drawn.append((n, code, _mask(tau), _mask(x for i, x in enumerate(rest) if bits >> i & 1)))
 
     def test(cases, b):  # one batch per order, tau and I
         *_, tau, base = cases[0]
@@ -480,8 +474,8 @@ def _append_gf2(b: _Batch):
     yield "append-transforms", b.ones, 2, bad_dup | bad_zero, ""
 
 
-def _append_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
-    drawn = [(n, _draw_gf4(rng, n)) for n in (rng.integers(1, 5) for _ in range(gf4_cases))]
+def _append_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
+    drawn = [(n, rng.getrandbits(GF4.degree * tri(n))) for n in (rng.randrange(1, 5) for _ in range(gf4_cases))]
     return 2 * len(drawn), _run_gf4(drawn, ["append-dup", "append-zero"], lambda cases, b: _append_bad(b))
 
 
@@ -523,11 +517,11 @@ def _congruence_gf2(b: _Batch, grids: dict[int, list]):
         yield "congruence-pr-invariance", b.ones, 1, _pr_changed(b, e), f" E={grid}"
 
 
-def _congruence_gf4(rng: Rng, gf4_cases: int) -> tuple[int, list[str]]:
+def _congruence_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
     drawn = []  # E kept as the code of its n * n entries, row by row, 2 bits each
     for _ in range(gf4_cases):
-        n = rng.integers(1, 5)
-        code = _draw_gf4(rng, n)
+        n = rng.randrange(1, 5)
+        code = rng.getrandbits(GF4.degree * tri(n))
         grid = _rand_invertible(rng, n, GF4)
         drawn.append((n, code, sum(x << 2 * p for p, x in enumerate(sum(grid, [])))))
 
@@ -594,7 +588,7 @@ def _check_attained_rule_soundness(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("attained-rule-soundness", outcomes)
 
 
-def _gf2_halves(rng: Rng, max_n: int) -> tuple[list, list]:
+def _gf2_halves(rng: Random, max_n: int) -> tuple[list, list]:
     """The GF(2) half of each exhaustive check, as _gf2_pass's (per_code, per_orbit).
     The congruence half checks three grids E drawn for each order 2..max_n, and
     E (P B P^T) E^T = (E P) B (E P)^T, so it runs over every code; every other
@@ -607,7 +601,7 @@ def _gf2_halves(rng: Rng, max_n: int) -> tuple[list, list]:
 def run_checks(max_n: int, seed: int, gf4_cases: int) -> list[CheckResult]:
     """The sixteen checks of eprseq.verify.theorem_suite, in report order."""
     words = _catalog_words(min(max_n + 1, 6))
-    rng = Rng(seed)
+    rng = Random(seed)
     # The seeded draws come in this order, which the golden check-theorems
     # outputs pin, all before the GF(2) pass.
     gf4 = {

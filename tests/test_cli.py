@@ -1,7 +1,10 @@
 import ast
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 from pathlib import Path
@@ -14,6 +17,7 @@ from eprseq.cli import main
 from oracles import laplace_det, subgrid
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -260,6 +264,20 @@ def test_check_theorems_matches_golden_output(capsys, max_n, seed):
     code, out, _ = run(capsys, "check-theorems", "--max-n", str(max_n), "--seed", str(seed))
     assert code == 0
     assert out == (DATA / f"check_theorems_n{max_n}_seed{seed}.out").read_text()
+
+
+def test_check_theorems_draws_depend_on_the_seed_alone():
+    """Two fresh processes with different hash seeds print the same report: the
+    seeded sample depends on --seed alone, never on set or dict order."""
+    argv = [sys.executable, "-m", "eprseq.cli", "check-theorems", "--max-n", "3", "--gf4-cases", "200", "--seed", "5"]
+    outs = [
+        subprocess.run(
+            argv, env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for hash_seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1] and outs[0].startswith("seed 5\n")
 
 
 def test_usage_errors_exit_2(capsys):

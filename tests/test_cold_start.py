@@ -1,6 +1,6 @@
 """Each verb loads only what it runs: no verb imports numpy or eprseq._engine
 (`check-theorems` bit-slices its batches in pure Python and draws its seeded
-cases from eprseq._rng), `epr`, `pr` and `minors` never the classifier,
+cases from the standard library's random.Random), `epr`, `pr` and `minors` never the classifier,
 `classify` and `classify-pr` never the matrix module, no verb dataclasses,
 and `enumerate` neither the classifier nor the sequence module."""
 
