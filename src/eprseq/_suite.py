@@ -4,24 +4,20 @@ Every batch checked is one ``_Batch`` built by ``_batch``: per GF(2)
 order, the least codes of the S_n orbits, which six halves check with
 case counts weighted by orbit size, and each run of consecutive codes,
 which the congruence half checks; each group of drawn GF(4) cases; and
-the image of every code map.  A batch is bit-sliced as eprseq._sweep
-slices a catalog (Biham's DES): each entry and each principal minor is
-spec.degree Python ints with one bit per matrix, each letter a pair of
-masks, and the code maps (principal submatrix and appended index,
-congruence, inverse, Schur complement, deleted minors) take planes to
-planes by _sweep's _mul and _linear.  Each field-generic identity is one
-predicate over batches that its GF(2) and GF(4) halves both call.  The
-seeded draws (the GF(4) cases, the congruence grids E) come from one
-random.Random(seed), so the suite imports no numpy; a GF(4) case's code is
-GF4.degree * tri(n) random bits, GF4.degree per entry of the upper
-triangle, so a uniform code is a uniform symmetric matrix.
+the image of every code map.  As eprseq._sweep slices a catalog (Biham's
+DES), each entry and each principal minor is spec.degree Python ints with
+one bit per matrix, and each letter a pair of masks.  One elimination with
+a pivot mask per matrix, _reduce_rows, gives the Schur complements, the
+inverses, the deleted minors and the invertibility of each drawn E.  Each
+field-generic identity is one predicate over batches that its GF(2) and
+GF(4) halves both call.  The seeded draws come from one random.Random(seed).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial, reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import and_, or_
 from random import Random
 
@@ -41,7 +37,7 @@ from ._sweep import (
     tri,
 )
 from .gfield import GF2, GF4, FieldSpec
-from .matrix import _eliminate, complete_graph, loop_complete_graph, loop_split_graph, pendant_loop_complete
+from .matrix import complete_graph, loop_complete_graph, loop_split_graph, pendant_loop_complete
 from .verify import CheckResult, _catalog_raw
 
 _MAX_FAILURES_KEPT = 20
@@ -178,11 +174,32 @@ def _examples(name: str, outcomes) -> CheckResult:
     return CheckResult(name, len(outcomes), failures[:_MAX_FAILURES_KEPT])
 
 
-def _rand_invertible(rng: Random, n: int, spec: FieldSpec) -> list[list[int]]:
-    while True:
-        grid = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(n)]
-        if _eliminate([row[:] for row in grid], spec, range(n))[0] == n:
-            return grid
+def _square(codes, n: int, spec: FieldSpec) -> list[list]:
+    """Entry planes of the n x n matrices whose codes hold entry (i, j) at bit q (i n + j) up."""
+    q = spec.degree
+    bits = _transpose(codes, q * n * n)
+    return [[bits[q * k : q * k + q] for k in range(i * n, i * n + n)] for i in range(n)]
+
+
+def _square_rows(code: int, n: int, spec: FieldSpec) -> list[list[int]]:
+    """Rows of the n x n matrix of one _square code."""
+    return [[code >> spec.degree * (i * n + j) & (spec.order - 1) for j in range(n)] for i in range(n)]
+
+
+def _invertible_codes(rng: Random, orders, spec: FieldSpec) -> list[int]:
+    """The _square code of a uniform invertible n x n matrix over spec for each n
+    of orders: q n^2 random bits, drawn for every n x n matrix at once, then
+    again for the singular ones until none is left."""
+    codes = [0] * len(orders)
+    for n in dict.fromkeys(orders):
+        todo = [c for c, m in enumerate(orders) if m == n]
+        while todo:
+            for c in todo:
+                codes[c] = rng.getrandbits(spec.degree * n * n)
+            ones = (1 << len(todo)) - 1
+            det = _reduce_rows(_square([codes[c] for c in todo], n, spec), range(n), ones, spec)
+            todo = [todo[r] for r in _low_bits(ones & ~reduce(or_, det), len(todo))]
+    return codes
 
 
 def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", key=lambda case: case[0]) -> list[str]:
@@ -212,10 +229,6 @@ def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", key=lambda
 # code maps, on grids of entry planes over any GF(2^k)
 # ---------------------------------------------------------------------------
 
-def _transposed(grid) -> list[list]:
-    return [list(col) for col in zip(*grid)]
-
-
 def _gather(ent, idx: tuple[int, ...], spec: FieldSpec) -> list[list]:
     """Entry planes of ent[idx][:, idx]; index n stands for an appended zero index."""
     n, zero = len(ent), [0] * spec.degree
@@ -230,54 +243,58 @@ def _matmul(a, b, spec: FieldSpec) -> list[list]:
 
 def _congruence(ent, e, spec: FieldSpec) -> list[list]:
     """Entry planes of E B E^T, E a grid of planes (one E for the batch, or one per matrix)."""
-    return _matmul(_matmul(e, ent, spec), _transposed(e), spec)
+    return _matmul(_matmul(e, ent, spec), list(zip(*e)), spec)
 
 
-@lru_cache(maxsize=None)
-def _frobenius(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """The images of x^t under x -> x^(2^i), for i = 1..q-1: 1/x = x^(2^q - 2) is the
-    product of these powers, each GF(2)-linear on planes."""
-    cols, out = [1 << t for t in range(spec.degree)], []
-    for _ in range(1, spec.degree):
-        cols = [spec.mul(c, c) for c in cols]
-        out.append(tuple(cols))
-    return tuple(out)
-
-
-def _reduce_rows(aug, ones: int, spec: FieldSpec) -> list[int]:
-    """Gauss-Jordan elimination, in place, on the first len(aug) columns of the
-    rows aug (lists of entry planes), with one pivot mask per matrix: while a
-    matrix's pivot is zero, each later row is added to the pivot row.  Returns
-    the determinant planes, the product of the pivots.  Only the columns right
-    of each pivot are kept up to date."""
-    powers, frobenius = _powers(spec), _frobenius(spec)
-    det = one = [ones] + [0] * (spec.degree - 1)
-    for j, top in enumerate(aug):
-        for row in aug[j + 1 :]:
-            zero = ones & ~reduce(or_, top[j])
+def _reduce_rows(grid, pivots, ones: int, spec: FieldSpec) -> list[int]:
+    """Eliminate a square grid of entry planes on the pivot indices, in place, as
+    matrix._eliminate does, with one pivot mask per matrix: while a matrix's
+    pivot is zero, each later pivot row is added to the pivot row, which then
+    clears its column in every row not yet a pivot row (columns already pivoted
+    on are left stale).  Returns the determinant planes of the pivot block, the
+    product of the pivots; the rows and columns outside pivots end up holding
+    its Schur complement."""
+    q, powers = spec.degree, _powers(spec)
+    det = one = [ones] + [0] * (q - 1)
+    live = list(range(len(grid)))
+    for j, p in enumerate(pivots):
+        top = grid[p]
+        for row in (grid[r] for r in pivots[j + 1 :]):
+            zero = ones & ~reduce(or_, top[p])
             if not zero:
                 break
-            top[j:] = [[x ^ (y & zero) for x, y in zip(u, v)] for u, v in zip(top[j:], row[j:])]
-        pivot = top[j]
+            for c in live:
+                top[c] = [x ^ (y & zero) for x, y in zip(top[c], row[c])]
+        live.remove(p)
+        pivot = top[p]
         det = _mul(det, pivot, powers)
-        # 1/x, the product started at 1 only where x != 0, so 1/0 = 0 over GF(2) too
-        nonzero = [reduce(or_, pivot)] + one[1:]
-        recip = reduce(lambda acc, cols: _mul(acc, _linear(cols, pivot), powers), frobenius, nonzero)
-        top[j + 1 :] = [_mul(x, recip, powers) for x in top[j + 1 :]]
-        for r, row in enumerate(aug):
-            if r != j and any(row[j]):
-                row[j + 1 :] = [_add(x, _mul(y, row[j], powers)) for x, y in zip(row[j + 1 :], top[j + 1 :])]
+        # 1/x = x^(2^q - 2) = x^2 x^4 ... x^(2^(q-1)), squaring GF(2)-linear on planes;
+        # the product starts at 1 only where x != 0, so 1/0 = 0 over GF(2) too
+        recip, square = [reduce(or_, pivot)] + one[1:], pivot
+        for _ in range(1, q):
+            square = _linear(powers[: 2 * q : 2], square)
+            recip = _mul(recip, square, powers)
+        _clear([row for r, row in enumerate(grid) if r not in pivots[: j + 1]], top, p, recip, live, powers)
     return det
 
 
-def _inverse(ent, ones: int, spec: FieldSpec) -> tuple[list[int], list[list]]:
-    """(det, inverse) planes of a batch of k x k matrices over spec; the inverse is
-    meaningful only where det is nonzero."""
+def _clear(rows, top, p: int, recip, live, powers) -> None:
+    """Add row[p] / top[p] times the pivot row top to each row, on the live columns."""
+    for row in rows:
+        f = _mul(row[p], recip, powers)
+        if any(f):
+            for c in live:
+                row[c] = _add(row[c], _mul(f, top[c], powers))
+
+
+def _inverse(ent, ones: int, spec: FieldSpec) -> list[list]:
+    """Entry planes of B^-1, the Schur complement of B in [[B, I], [I, 0]],
+    meaningful where B is nonsingular."""
     k, zero = len(ent), [0] * spec.degree
-    one = [ones, *zero[1:]]
-    aug = [[*row, *(one if c == r else zero for c in range(k))] for r, row in enumerate(ent)]
-    det = _reduce_rows(aug, ones, spec)
-    return det, [row[k:] for row in aug]
+    eye = [[[ones, *zero[1:]] if c == r else zero for c in range(k)] for r in range(k)]
+    grid = [[*row, *e] for row, e in zip(ent, eye)] + [[*e, *[zero] * k] for e in eye]
+    _reduce_rows(grid, range(k), ones, spec)
+    return [row[k:] for row in grid[k:]]
 
 
 def _deleted_minors(ent, ones: int, spec: FieldSpec) -> list[list]:
@@ -285,21 +302,19 @@ def _deleted_minors(ent, ones: int, spec: FieldSpec) -> list[list]:
     symmetric B (so the (j, i) minor is the (i, j) one)."""
     n = len(ent)
     minors = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows = [ent[r] for r in range(n) if r != i]
-        for j in range(i, n):
-            sub = [[x for c, x in enumerate(row) if c != j] for row in rows]
-            minors[i][j] = minors[j][i] = _reduce_rows(sub, ones, spec)
+    for i, j in combinations_with_replacement(range(n), 2):
+        sub = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(ent) if r != i]
+        minors[i][j] = minors[j][i] = _reduce_rows(sub, range(n - 1), ones, spec)
     return minors
 
 
 def _schur(ent, alpha: tuple[int, ...], ones: int, spec: FieldSpec) -> list[list]:
-    """Entry planes of B / B[alpha], meaningful where the pivot block B[alpha] is nonsingular."""
+    """Entry planes of B / B[alpha], meaningful where the pivot block B[alpha] is
+    nonsingular: eliminating on alpha leaves it on the other indices."""
+    grid = [row[:] for row in ent]
+    _reduce_rows(grid, alpha, ones, spec)
     comp = [i for i in range(len(ent)) if i not in alpha]
-    cross = [[ent[i][a] for a in alpha] for i in comp]
-    inv = _inverse([[ent[a][c] for c in alpha] for a in alpha], ones, spec)[1]
-    y = _matmul(_matmul(cross, inv, spec), _transposed(cross), spec)
-    return [[_add(ent[i][j], y[r][s]) for s, j in enumerate(comp)] for r, i in enumerate(comp)]
+    return [[grid[i][j] for j in comp] for i in comp]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +329,7 @@ def _check_nn(words: list[tuple[int, str]]) -> CheckResult:
 
 def _inverse_gf2(b: _Batch):
     """epr of the inverse is the reversed word with terminal A."""
-    after = _batch(_inverse(b.ent, b.ones, GF2)[1], b.ones, GF2)
+    after = _batch(_inverse(b.ent, b.ones, b.spec), b.ones, b.spec)
     # letters 1..n-1 of the inverse are B's n-1..1
     bad = reduce(or_, (_differ(after, k, b, b.n - k) for k in range(1, b.n)), ~after.every[b.n])
     yield "inverse-reversal", b.some[b.n], 1, bad, ""
@@ -358,7 +373,7 @@ def _schur_gf2(b: _Batch):
     B shifted by the pivot size k.  Each (matrix, pivot set) case feeds both checks."""
     for alpha, row in _subsets(b.n)[1:-1]:
         k = len(alpha)
-        c = _batch(_schur(b.ent, alpha, b.ones, GF2), b.ones, GF2)
+        c = _batch(_schur(b.ent, alpha, b.ones, b.spec), b.ones, b.spec)
         bad = _schur_bad(b, alpha, c)
         yield "schur-complement-identity", b.nonzero[row], len(c.dets), bad, f" alpha={alpha}"
         # C keeps the As and Ns of B's letters k+1..n
@@ -463,7 +478,7 @@ def _terminal_an_gf2(b: _Batch):
     """A terminal AN forces every order-(n-1) minor nonzero, principal or not."""
     if b.n < 2:
         return
-    minors = _deleted_minors(b.ent, b.ones, GF2)
+    minors = _deleted_minors(b.ent, b.ones, b.spec)
     every = reduce(and_, (reduce(or_, minor) for row in minors for minor in row))
     yield "terminal-an-full-minors", b.every[b.n - 1] & ~b.some[b.n], 1, ~every, ""
 
@@ -509,33 +524,23 @@ def _check_na_ns_parity(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("na-ns-parity", ((f"{n}:{w}", holds(w)) for n, w in words))
 
 
-def _congruence_gf2(b: _Batch, grids: dict[int, list]):
+def _congruence_gf2(b: _Batch, grids: list[tuple[int, int]]):
     """Congruence by an invertible matrix preserves pr bits r_1..r_n, for each
-    grid E drawn for order n."""
-    for grid in grids.get(b.n, ()):
+    grid E drawn for order n, given as (n, _square code) in grids."""
+    for grid in (_square_rows(code, n, GF2) for n, code in grids if n == b.n):
         e = [[[b.ones if x else 0] for x in row] for row in grid]  # one E for every matrix
         yield "congruence-pr-invariance", b.ones, 1, _pr_changed(b, e), f" E={grid}"
 
 
 def _congruence_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
-    drawn = []  # E kept as the code of its n * n entries, row by row, 2 bits each
-    for _ in range(gf4_cases):
-        n = rng.randrange(1, 5)
-        code = rng.getrandbits(GF4.degree * tri(n))
-        grid = _rand_invertible(rng, n, GF4)
-        drawn.append((n, code, sum(x << 2 * p for p, x in enumerate(sum(grid, [])))))
+    orders = [rng.randrange(1, 5) for _ in range(gf4_cases)]
+    codes = (rng.getrandbits(GF4.degree * tri(n)) for n in orders)  # drawn as zip pulls them, after the Es
+    drawn = list(zip(orders, codes, _invertible_codes(rng, orders, GF4)))
 
     def test(cases, b):  # one E per matrix
-        n = b.n
-        bits = _transpose([case[2] for case in cases], 2 * n * n)
-        e = [[bits[2 * k : 2 * k + 2] for k in range(i * n, i * n + n)] for i in range(n)]
-        return [_pr_changed(b, e)]
+        return [_pr_changed(b, _square([case[2] for case in cases], b.n, GF4))]
 
-    def suffix(case):
-        n, _, e = case
-        return f" E={[[e >> 2 * (i * n + j) & 3 for j in range(n)] for i in range(n)]}"
-
-    return len(drawn), _run_gf4(drawn, ["congruence"], test, suffix)
+    return len(drawn), _run_gf4(drawn, ["congruence"], test, lambda case: f" E={_square_rows(case[2], case[0], GF4)}")
 
 
 def _pr_changed(b: _Batch, e) -> int:
@@ -572,10 +577,8 @@ def _check_pendant_loop_endpoints() -> CheckResult:
     """pendant_loop_complete(n), n even, starts SS and ends AN."""
     from .sequence import compute_epr
 
-    outcomes = []
-    for n in range(4, 13, 2):
-        w = compute_epr(pendant_loop_complete(n))
-        outcomes.append((f"pendant_loop_complete({n}) -> {w}", w.startswith("SS") and w.endswith("AN")))
+    words = ((n, compute_epr(pendant_loop_complete(n))) for n in range(4, 13, 2))
+    outcomes = ((f"pendant_loop_complete({n}) -> {w}", w.startswith("SS") and w.endswith("AN")) for n, w in words)
     return _examples("pendant-loop-endpoints", outcomes)
 
 
@@ -593,7 +596,8 @@ def _gf2_halves(rng: Random, max_n: int) -> tuple[list, list]:
     The congruence half checks three grids E drawn for each order 2..max_n, and
     E (P B P^T) E^T = (E P) B (E P)^T, so it runs over every code; every other
     half judges each matrix of an S_n orbit alike."""
-    grids = {n: [_rand_invertible(rng, n, GF2) for _ in range(3)] for n in range(2, max_n + 1)}
+    orders = [n for n in range(2, max_n + 1) for _ in range(3)]
+    grids = list(zip(orders, _invertible_codes(rng, orders, GF2)))
     per_orbit = [_inverse_gf2, _inheritance_gf2, _schur_gf2, _hyperdet_gf2, _terminal_an_gf2, _append_gf2]
     return [partial(_congruence_gf2, grids=grids)], per_orbit
 

@@ -48,11 +48,6 @@ def _layout(n: int, spec: FieldSpec):
         yield spec.degree * p, i, j
 
 
-def triangle_code(values, spec: FieldSpec = GF2) -> int:
-    """Code of the matrix whose upper triangle, read row by row, holds values."""
-    return sum(int(v) << (spec.degree * p) for p, v in enumerate(values))
-
-
 def code_rows(code: int, n: int, spec: FieldSpec = GF2) -> list[list[int]]:
     """Rows of the matrix encoded by one code."""
     rows = [[0] * n for _ in range(n)]

@@ -162,9 +162,9 @@ def theorem_suite(
     catalogs up to ``max_n + 1``; field-generic identities also run
     ``gf4_cases`` seeded GF(4) cases each, each held until its check's
     batches run, so ``gf4_cases`` is capped at 10^5: on a 2-vCPU host
-    ``check-theorems`` then takes about 4.2 s, most of it the seeded draws,
-    and 34 MiB of peak RSS, against about 0.2 s and 17 MiB at the default
-    1000.
+    ``check-theorems`` then takes about 2.4 s, half of it the Schur half's
+    one-at-a-time pivot draws, and 35 MiB of peak RSS, against about 0.15 s
+    and 17 MiB at the default 1000.
     """
     max_n = _int_arg("max_n", max_n)
     if not 2 <= max_n <= 5:

@@ -135,6 +135,21 @@ def test_only_the_engine_imports_numpy():
     assert (numpy_users, engine_users) == ({"_engine.py"}, set())
 
 
+def test_the_suite_takes_no_elimination_from_matrix():
+    """eprseq._suite eliminates only by its own bit-sliced _reduce_rows: it names
+    none of matrix's elimination kernels, which stay the independent checks of it."""
+    tree = ast.parse((SRC / "eprseq" / "_suite.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "_reduce_rows" in names and not names & {"_eliminate", "_generic_det", "_gf2_det"}
+
+
 def test_dir_lists_every_public_name():
     import eprseq
 

@@ -17,6 +17,7 @@ from eprseq import (
     accepted_pr_sequences,
     attained_pr_sequences,
     compare_with_classifier,
+    complement_labels,
     compute_epr,
     compute_pr,
     enumerate_epr,
@@ -581,29 +582,66 @@ def _congruent(e, m):
     return tuple(map(tuple, matmul(matmul(e, m.rows, m.spec), et, m.spec)))
 
 
+def _square_entries(code, n, spec):
+    """Rows of the n x n matrix whose code holds entry (i, j) at bit q (i n + j) up."""
+    q = spec.degree
+    values = [code >> q * p & (1 << q) - 1 for p in range(n * n)]
+    return [values[i * n : i * n + n] for i in range(n)]
+
+
 def test_congruence_entries_match_matmul_exhaustive():
-    """One E for the whole batch, as planes of all-ones and zero masks, and one E per matrix."""
+    """One E for the whole batch, as planes of all-ones and zero masks, and one E per
+    matrix, as the planes suite._square decodes; each E from the suite's batched draw."""
     rng = random.Random(26)
     for spec, mats, ent, grid, ones in _plane_batches(26):
         n, width, q = ent.shape[0], ent.shape[2], spec.degree
-        e = suite._rand_invertible(rng, n, spec)
+        e = _square_entries(suite._invertible_codes(rng, [n], spec)[0], n, spec)
         fixed = [[[ones if x >> t & 1 else 0 for t in range(q)] for x in row] for row in e]
         got = _matrices(suite._congruence(grid, fixed, spec), width)
         assert got == [_congruent(e, m) for m in mats], (spec.name, n)
-        each = [suite._rand_invertible(rng, n, spec) for _ in range(width)]
-        stack = np.array(each, np.uint8).reshape(width, n, n).transpose(1, 2, 0)
-        got = _matrices(suite._congruence(grid, _planes(stack, spec), spec), width)
-        assert got == [_congruent(e, m) for e, m in zip(each, mats)], (spec.name, n)
+        codes = suite._invertible_codes(rng, [n] * width, spec)
+        got = _matrices(suite._congruence(grid, suite._square(codes, n, spec), spec), width)
+        want = [_congruent(_square_entries(code, n, spec), m) for code, m in zip(codes, mats)]
+        assert got == want, (spec.name, n)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, GF8], ids=lambda spec: spec.name)
+def test_invertible_codes_are_invertible_and_seeded(spec):
+    """Every E the batched draw returns is invertible, for orders 1..4 drawn in
+    any mix, and prints as the rows it codes; one seed gives one draw; and
+    order 1 reaches every nonzero entry, order 2 over GF(2) every one of its
+    six invertible matrices."""
+    orders = [n for n in range(1, 5) for _ in range(60)]
+    random.Random(7).shuffle(orders)
+    codes = suite._invertible_codes(random.Random(31), orders, spec)
+    assert codes == suite._invertible_codes(random.Random(31), orders, spec)
+    for n, code in zip(orders, codes):
+        assert 0 <= code < 1 << spec.degree * n * n
+        assert suite._square_rows(code, n, spec) == _square_entries(code, n, spec)  # the rows failures print
+        assert laplace_det(_square_entries(code, n, spec), spec) != 0, (n, code)
+    assert {code for n, code in zip(orders, codes) if n == 1} == set(range(1, spec.order))
+    if spec is GF2:
+        assert {code for n, code in zip(orders, codes) if n == 2} == {6, 9, 7, 11, 13, 14}
+
+
+def test_reduce_rows_gives_every_principal_minor():
+    """The elimination's determinant is det B[alpha] for every pivot set alpha,
+    taken in either order, singular pivot blocks included."""
+    for spec, mats, ent, grid, ones in _plane_batches(30):
+        n, width = ent.shape[0], ent.shape[2]
+        for k in range(n + 1):
+            for alpha in combinations(range(n), k):
+                want = [_det(m, tuple(a + 1 for a in alpha)) for m in mats]
+                for pivots in (alpha, alpha[::-1]):
+                    det = suite._reduce_rows([row[:] for row in grid], pivots, ones, spec)
+                    assert _values(det, width).tolist() == want, (spec.name, n, pivots)
 
 
 def test_gf2_inverse_matches_library_exhaustive():
-    """det on every matrix, and the inverse wherever det is nonzero."""
+    """The inverse of every nonsingular matrix."""
     for spec, mats, ent, grid, ones in _plane_batches(27):
-        width = ent.shape[2]
-        det, inv = suite._inverse(grid, ones, spec)
-        dets = _values(det, width).tolist()
-        assert dets == [m.determinant() for m in mats], spec.name
-        got = _matrices(inv, width)
+        got = _matrices(suite._inverse(grid, ones, spec), ent.shape[2])
+        dets = [m.determinant() for m in mats]
         assert [x for x, d in zip(got, dets) if d] == [m.inverse().rows for m, d in zip(mats, dets) if d], spec.name
 
 
@@ -657,12 +695,11 @@ def test_kernels_take_an_empty_batch():
             grid = _planes(ent, spec)
             b = suite._batch(grid, 0, spec)
             assert not any(b.nonzero + b.some + b.every + b.rank) and len(b.rank) == n + 1
-            det, inv = suite._inverse(grid, 0, spec)
             e = [[[0] * q for _ in range(n)] for _ in range(n)]  # any E's planes, over no matrices
             images = [
                 [b.dets],
-                [[det]],
-                inv,
+                [[suite._reduce_rows([row[:] for row in grid], range(n), 0, spec)]],
+                suite._inverse(grid, 0, spec),
                 suite._deleted_minors(grid, 0, spec),
                 suite._schur(grid, (0,), 0, spec),
                 suite._congruence(grid, e, spec),
@@ -764,6 +801,23 @@ def test_suite_report_lists_each_failure_after_the_counts():
     ])
     assert not report.ok
     assert report.to_text() == "schur 4 2\nappend 2 0\nFAIL schur: case 1\nFAIL schur: case 3\n"
+
+
+def test_per_orbit_halves_hold_over_gf4_and_gf8():
+    """The six per-orbit halves read the field off the batch, so they run over
+    GF(2^k) unchanged: none fails over every GF(4) matrix of order <= 3 and
+    every GF(8) matrix of order <= 2.  This covers only those orders, one batch
+    of every code per order."""
+    per_orbit = suite._gf2_halves(random.Random(0), 2)[1]
+    for spec, max_n in ((GF4, 3), (GF8, 2)):
+        names = set()
+        for n in range(1, max_n + 1):
+            b = suite._code_batch(range(spec.order ** sw.tri(n)), n, spec)
+            for half in per_orbit:
+                for name, cols, _, bad, suffix in half(b):
+                    names.add(name)
+                    assert cols and not bad & cols, (spec.name, n, name, suffix)
+        assert len(names) == {GF4: 7, GF8: 6}[spec], names  # no hyperdeterminantal case below order 3
 
 
 # -- fault injection: each batched GF(4) path reports a wrong component ------------
@@ -933,22 +987,41 @@ def _flip_inverse(monkeypatch):
     orig = suite._inverse
 
     def flipped(ent, ones, spec):
-        det, inv = orig(ent, ones, spec)
-        return det, _flip_planes(inv, ones)
+        return _flip_planes(orig(ent, ones, spec), ones)
 
     monkeypatch.setattr(suite, "_inverse", flipped)
 
 
-def test_gf2_schur_loop_reports_a_wrong_pivot_inverse(monkeypatch):
-    def complement(b, alpha):  # B[comp] + B[comp, alpha] X B[alpha, comp], X the flipped inverse
-        x = _flip(b.principal_submatrix(alpha).inverse().rows)
-        comp = [i - 1 for i in range(1, b.n + 1) if i not in alpha]
-        cross = [[b.rows[i][a - 1] for a in alpha] for i in comp]
-        y = matmul(matmul(cross, x, GF2), [list(col) for col in zip(*cross)], GF2)
-        return SymMatrix(GF2, [[b.rows[i][j] ^ y[r][s] for s, j in enumerate(comp)] for r, i in enumerate(comp)])
+def _clear_nothing(monkeypatch):
+    """Make the clearing step of suite._reduce_rows leave every row as it is."""
+    monkeypatch.setattr(suite, "_clear", lambda *args: None)
 
-    _flip_inverse(monkeypatch)
-    _gf2_schur_failures(complement)
+
+def test_gf2_loops_report_an_elimination_that_clears_nothing(monkeypatch):
+    """The pivot rows then clear no row, so B / B[alpha] comes out as the principal
+    submatrix off alpha and the inverse as zero, and SymMatrix confirms each
+    failure: the inverse check's against B's inverse, the Schur checks' against
+    that submatrix as C (the identity fails) and B's true complement (the letters
+    it keeps)."""
+    _clear_nothing(monkeypatch)
+    for b, _ in _gf2_failures(_gf2_check(3, "inverse-reversal", [suite._inverse_gf2])):
+        want = compute_epr(b)[-2::-1] + "A"  # letters n-1..1 of B, then A
+        zero = SymMatrix(GF2, [[0] * b.n] * b.n)  # the inverse the faulty elimination gives
+        assert compute_epr(b.inverse()) == want != compute_epr(zero)
+
+    def off_alpha(b, alpha):
+        return b.principal_submatrix(complement_labels(b.n, alpha))
+
+    _gf2_schur_failures(off_alpha)
+    letters = _gf2_check(4, "schur-complement-letters", [suite._schur_gf2])
+    for b, (alpha,) in _gf2_failures(letters, r" alpha=(\(.*\))"):
+        alpha, word = tuple(a + 1 for a in alpha), compute_epr(b)
+        kept = [x for x in word[len(alpha) :] if x in "AN"]
+
+        def kept_by(c):  # C's letters at B's A and N positions past alpha
+            return [x for x, y in zip(compute_epr(c), word[len(alpha) :]) if y in "AN"]
+
+        assert kept_by(b.schur_complement(alpha)) == kept != kept_by(off_alpha(b, alpha))
 
 
 # -- fault injection: the exhaustive GF(2) halves that read B's letters off each batch --
@@ -1049,8 +1122,7 @@ def test_orbit_gf2_pass_at_order_6():
 def _least_in_orbit(n, code):
     """Least code of the S_n orbit of code under B -> P B P^T, by trying every P."""
     rows = sw.code_rows(code, n)
-    pairs = list(combinations_with_replacement(range(n), 2))
-    return min(sw.triangle_code([rows[p[i]][p[j]] for i, j in pairs]) for p in permutations(range(n)))
+    return min(sum(rows[p[i]][p[j]] << shift for shift, i, j in sw._layout(n, GF2)) for p in permutations(range(n)))
 
 
 def _failing_orbits(found):
@@ -1078,8 +1150,8 @@ def _unloop_appended(monkeypatch):
 
 @pytest.mark.parametrize(
     "fault",
-    [None, _flip_schur, _flip_inverse, _copy_index_0, _unloop_appended],
-    ids=["sound", "schur", "inverse", "append-zero", "append-copy"],
+    [None, _flip_schur, _flip_inverse, _clear_nothing, _copy_index_0, _unloop_appended],
+    ids=["sound", "schur", "inverse", "elimination", "append-zero", "append-copy"],
 )
 def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
     """With six halves over orbit reps, every check counts the cases the
@@ -1097,10 +1169,18 @@ def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
     assert failing == {
         None: set(),
         _flip_schur: {"schur-complement-identity", "schur-complement-letters"},
-        _flip_inverse: {"inverse-reversal", "schur-complement-identity", "schur-complement-letters"},
+        _flip_inverse: {"inverse-reversal"},
+        _clear_nothing: {  # every check that eliminates: the drawn grids E are no longer all invertible
+            "inverse-reversal",
+            "schur-complement-identity",
+            "schur-complement-letters",
+            "terminal-an-full-minors",
+            "congruence-pr-invariance",
+        },
         _copy_index_0: {"append-transforms"},
         _unloop_appended: {"append-transforms"},
     }[fault]
-    for name in failing:  # each failing code of the orbit pass is itself its orbit's least code
+    # each failing code of a per-orbit half is itself its orbit's least code
+    for name in failing - {"congruence-pr-invariance"}:
         reps = {tuple(_parse(f, r"order (\d+) code (\d+).*")) for f in orbit[name][1]}
         assert reps == every[name][1], name
