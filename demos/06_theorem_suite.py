@@ -5,7 +5,7 @@ lean on: minor inheritance, the inverse reversal law, Schur complement
 identities, the characteristic-2 four-term squared-minor identity,
 congruence invariance of pr bits, border-operation letter transforms,
 and the closed forms of the named constructions.  GF(2) parts run
-exhaustively; field-generic identities add seeded GF(4) cases.
+exhaustively; every matrix check also runs on seeded GF(4) matrices.
 """
 
 from eprseq import theorem_suite

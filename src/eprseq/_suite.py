@@ -3,14 +3,16 @@
 Every batch checked is one ``_Batch`` built by ``_batch``: per GF(2)
 order, the least codes of the S_n orbits, which six halves check with
 case counts weighted by orbit size, and each run of consecutive codes,
-which the congruence half checks; each group of drawn GF(4) cases; and
-the image of every code map.  As eprseq._sweep slices a catalog (Biham's
-DES), each entry and each principal minor is spec.degree Python ints with
-one bit per matrix, and each letter a pair of masks.  One elimination with
-a pivot mask per matrix, _reduce_rows, gives the Schur complements, the
-inverses, the deleted minors and the invertibility of each drawn E.  Each
-field-generic identity is one predicate over batches that its GF(2) and
-GF(4) halves both call.  The seeded draws come from one random.Random(seed).
+which the congruence half checks; per order 1..5, the drawn GF(4)
+matrices, which the same six halves and a congruence half with one drawn
+E per matrix check, each matrix counted once; and the image of every code
+map.  As eprseq._sweep slices a catalog (Biham's DES), each entry and each
+principal minor is spec.degree Python ints with one bit per matrix, and
+each letter a pair of masks.  One elimination with a pivot mask per
+matrix, _reduce_rows, gives the Schur complements, the inverses, the
+deleted minors and the invertibility of each drawn E.  The halves read
+the field off the batch, and one tally names each failure by its field,
+order and code.  The seeded draws come from one random.Random(seed).
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from ._sweep import (
     _mul,
     _powers,
     _transpose,
-    code_matrix,
-    code_rows,
     orbit_reps,
     tri,
 )
@@ -101,17 +101,22 @@ def _differ(x: _Batch, k: int, y: _Batch, m: int) -> int:
     return (x.some[k] ^ y.some[m]) | (x.every[k] ^ y.every[m])
 
 
-def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
-    """[cases, first failures] of each check name the GF(2) halves yield over every
-    symmetric GF(2) matrix of order 1..max_n.
+def _matrix_pass(max_n: int, per_code, per_orbit=(), drawn=()) -> dict[str, list]:
+    """[cases, first failures] of each check name the halves yield over every
+    symmetric GF(2) matrix of order 1..max_n, then over the drawn GF(4) matrices.
 
     A half yields (name, mask of the matrices checked, cases per matrix, failing
-    mask, failure suffix) per batch.  The per_orbit halves judge B and every
-    P B P^T alike, so each order hands them one batch of the least code of
-    every S_n orbit (orbit_reps), and a rep's cases count once per matrix of its
-    orbit.  The per_code halves get each run of _RUN_CODES consecutive codes
-    of the order, built once, handed to each of them, then dropped.  With every
-    half in per_code this is the every-code pass the orbit pass is tested against."""
+    mask, failure suffix) per batch; the suffix is a string, or a function of
+    a failing matrix's position in the batch that gives one.  Each failure is
+    "<field> order <n> code <code><suffix>".  The per_orbit halves judge B and
+    every P B P^T alike, so each GF(2) order hands them one batch of the least
+    code of every S_n orbit (orbit_reps), and a rep's cases count once per
+    matrix of its orbit.  The per_code halves get each run of _RUN_CODES
+    consecutive codes of the order, built once, handed to each of them, then
+    dropped.  With every half in per_code this is the every-code pass the
+    orbit pass is tested against.  drawn holds (n, codes, E codes) per order
+    (_gf4_draws): the per_orbit halves and congruence by each matrix's own E
+    check each order's one batch, and each drawn matrix counts once."""
     found: dict[str, list] = {}
 
     def run(halves, b: _Batch) -> None:
@@ -123,7 +128,8 @@ def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
                 else:
                     tally[0] += per * sum(size * (cols & mask).bit_count() for size, mask in b.sizes)
                 for r in _low_bits(bad & cols, _MAX_FAILURES_KEPT - len(tally[1])):
-                    tally[1].append(f"order {b.n} code {b.codes[r]}{suffix}")
+                    label = suffix(r) if callable(suffix) else suffix
+                    tally[1].append(f"{b.spec.name} order {b.n} code {b.codes[r]}{label}")
 
     for n in range(1, max_n + 1):
         if per_orbit:
@@ -134,17 +140,25 @@ def _gf2_pass(max_n: int, per_code, per_orbit=()) -> dict[str, list]:
         for start in range(0, total if per_code else 0, count):
             grid = _entry_grid(_counting(start, count, tri(n)), n, GF2)
             run(per_code, _batch(grid, (1 << count) - 1, GF2, range(start, start + count)))
+    for n, codes, es in drawn:
+        run([*per_orbit, partial(_congruence_each, es=es)], _code_batch(codes, n, GF4))
     return found
+
+
+def _gf4_draws(rng: Random, cases: int) -> list[tuple[int, list[int], list[int]]]:
+    """(n, codes, E codes) of each order n that cases seeded GF(4) matrices
+    reach: each matrix of order uniform in 1..5 and one random code, then one
+    uniform invertible E per matrix (_invertible_codes), order by order."""
+    codes: dict[int, list[int]] = {n: [] for n in range(1, 6)}
+    for _ in range(cases):
+        n = rng.randrange(1, 6)
+        codes[n].append(rng.getrandbits(GF4.degree * tri(n)))
+    return [(n, drawn, _invertible_codes(rng, [n] * len(drawn), GF4)) for n, drawn in codes.items() if drawn]
 
 
 def _mask(idx) -> int:
     """Minor-table row of the index set idx."""
     return sum(1 << i for i in idx)
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The index set whose minor-table row is mask."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _rows_within(idx: tuple[int, ...]) -> list[int]:
@@ -200,29 +214,6 @@ def _invertible_codes(rng: Random, orders, spec: FieldSpec) -> list[int]:
             det = _reduce_rows(_square([codes[c] for c in todo], n, spec), range(n), ones, spec)
             todo = [todo[r] for r in _low_bits(ones & ~reduce(or_, det), len(todo))]
     return codes
-
-
-def _run_gf4(drawn: list[tuple], kinds, test, suffix=lambda case: "", key=lambda case: case[0]) -> list[str]:
-    """Run drawn GF(4) cases (n, code, ...), code encoding a matrix of order n, in
-    one batch per key (by default the order), and return the first failures.
-
-    test(cases, _Batch) gives one failing mask per kind over the batch's cases;
-    each failure is kept in draw order as "gf4 <kind> <matrix><suffix>".
-    """
-    groups: dict = {}
-    for c, case in enumerate(drawn):
-        groups.setdefault(key(case), []).append(c)
-    bad = []  # (draw index, kind) of each group's first failures
-    for idx in groups.values():
-        cases = [drawn[c] for c in idx]
-        b = _code_batch([case[1] for case in cases], cases[0][0], GF4)
-        for kind, mask in enumerate(test(cases, b)):
-            bad += [(idx[r], kind) for r in _low_bits(mask & b.ones, _MAX_FAILURES_KEPT)]
-    failures = []
-    for c, kind in sorted(bad)[:_MAX_FAILURES_KEPT]:
-        n, code = drawn[c][:2]
-        failures.append(f"gf4 {kinds[kind]} {code_matrix(code, n, GF4)!r}{suffix(drawn[c])}")
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -383,49 +374,21 @@ def _schur_gf2(b: _Batch):
         yield "schur-complement-letters", b.nonzero[row], c.n, bad, f" alpha={alpha}"
 
 
-def _schur_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
-    """The Schur identity over GF(4), where the quotient genuinely divides by a
-    non-unit determinant.  The pivot draw reads b's nonzero proper minors, so it
-    stays in the draw loop."""
-    from .sequence import _planes
-
-    drawn = []
-    for _ in range(gf4_cases):
-        n = rng.randrange(2, 6)
-        code = rng.getrandbits(GF4.degree * tri(n))
-        nonzero = reduce(int.__or__, _planes(code_rows(code, n, GF4), GF4))
-        pivots = [row for _, row in _subsets(n)[1:-1] if nonzero >> row & 1]
-        if pivots:
-            alpha = rng.choice(pivots)
-            drawn.append((n, code, alpha, rng.getrandbits(n - alpha.bit_count())))
-
-    def test(cases, b):  # one batch per order and pivot set
-        alpha = _members(cases[0][2])
-        c = _batch(_schur(b.ent, alpha, b.ones, b.spec), b.ones, b.spec)
-        return [_schur_bad(b, alpha, c, _positions(case[3] for case in cases).items())]
-
-    def suffix(case):
-        *_, alpha, gamma = case
-        return f" alpha={tuple(a + 1 for a in _members(alpha))} gamma={tuple(g + 1 for g in _members(gamma))}"
-
-    return len(drawn), _run_gf4(drawn, ["schur"], test, suffix, key=lambda case: (case[0], case[2]))
-
-
 def _joined_rows(n: int, alpha: tuple[int, ...]) -> list[int]:
     """Minor-table row of alpha u gamma for each row gamma of C = B / B[alpha]'s
     table; the first, gamma = {}, is alpha's."""
     return [_mask(alpha) | row for row in _rows_within(tuple(i for i in range(n) if i not in alpha))]
 
 
-def _schur_bad(b: _Batch, alpha, c: _Batch, gammas=None) -> int:
+def _schur_bad(b: _Batch, alpha, c: _Batch) -> int:
     """Where C = B / B[alpha], the batch c (matrix for matrix b's), breaks
-    rank C = rank B - |alpha| or det C[gamma] det B[alpha] = det B[alpha u gamma],
-    for every gamma or for the gammas given as (row of C's table, mask) pairs."""
+    rank C = rank B - |alpha| or, for some gamma,
+    det C[gamma] det B[alpha] = det B[alpha u gamma]."""
     powers, joined = _powers(b.spec), _joined_rows(b.n, alpha)
     bad = 0
-    for gamma, mask in gammas or ((gamma, -1) for gamma in range(len(joined))):
+    for gamma, row in enumerate(joined):
         left = _mul(c.dets[gamma], b.dets[joined[0]], powers)
-        bad |= mask & reduce(or_, _add(left, b.dets[joined[gamma]]))
+        bad |= reduce(or_, _add(left, b.dets[row]))
     k = len(alpha)
     return bad | ~reduce(or_, (c.rank[r] & b.rank[r + k] for r in range(c.n + 1)))
 
@@ -438,27 +401,6 @@ def _hyperdet_gf2(b: _Batch):
             base = tuple(rest[x] for x in sub)
             bad = _hyperdet_bad(b, _mask(base), [1 << t for t in tau])
             yield "hyperdeterminantal-relation", b.ones, 1, bad, f" tau={tau} I={base}"
-
-
-def _hyperdet_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
-    drawn = []
-    for _ in range(gf4_cases):
-        n = rng.randrange(3, 6)
-        code = rng.getrandbits(GF4.degree * tri(n))
-        tau = rng.sample(range(n), 3)
-        bits = rng.getrandbits(n - 3)
-        rest = [x for x in range(n) if x not in tau]
-        drawn.append((n, code, _mask(tau), _mask(x for i, x in enumerate(rest) if bits >> i & 1)))
-
-    def test(cases, b):  # one batch per order, tau and I
-        *_, tau, base = cases[0]
-        return [_hyperdet_bad(b, base, [1 << t for t in _members(tau)])]
-
-    def suffix(case):
-        *_, tau, base = case
-        return f" tau={_members(tau)} I={_members(base)}"
-
-    return len(drawn), _run_gf4(drawn, ["hyperdet"], test, suffix, key=lambda case: (case[0], *case[2:]))
 
 
 def _hyperdet_bad(b: _Batch, s: int, tau_masks) -> int:
@@ -487,11 +429,6 @@ def _append_gf2(b: _Batch):
     """Letterwise effect of duplicating the last index or appending a zero one."""
     bad_dup, bad_zero = _append_bad(b)
     yield "append-transforms", b.ones, 2, bad_dup | bad_zero, ""
-
-
-def _append_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
-    drawn = [(n, rng.getrandbits(GF4.degree * tri(n))) for n in (rng.randrange(1, 5) for _ in range(gf4_cases))]
-    return 2 * len(drawn), _run_gf4(drawn, ["append-dup", "append-zero"], lambda cases, b: _append_bad(b))
 
 
 def _append_bad(b: _Batch) -> tuple[int, int]:
@@ -532,15 +469,11 @@ def _congruence_gf2(b: _Batch, grids: list[tuple[int, int]]):
         yield "congruence-pr-invariance", b.ones, 1, _pr_changed(b, e), f" E={grid}"
 
 
-def _congruence_gf4(rng: Random, gf4_cases: int) -> tuple[int, list[str]]:
-    orders = [rng.randrange(1, 5) for _ in range(gf4_cases)]
-    codes = (rng.getrandbits(GF4.degree * tri(n)) for n in orders)  # drawn as zip pulls them, after the Es
-    drawn = list(zip(orders, codes, _invertible_codes(rng, orders, GF4)))
-
-    def test(cases, b):  # one E per matrix
-        return [_pr_changed(b, _square([case[2] for case in cases], b.n, GF4))]
-
-    return len(drawn), _run_gf4(drawn, ["congruence"], test, lambda case: f" E={_square_rows(case[2], case[0], GF4)}")
+def _congruence_each(b: _Batch, es: list[int]):
+    """Congruence preserves pr bits r_1..r_n, for one E per matrix of b, es
+    their _square codes; a failure names its matrix's E."""
+    e = _square(es, b.n, b.spec)
+    yield "congruence-pr-invariance", b.ones, 1, _pr_changed(b, e), lambda r: f" E={_square_rows(es[r], b.n, b.spec)}"
 
 
 def _pr_changed(b: _Batch, e) -> int:
@@ -591,11 +524,12 @@ def _check_attained_rule_soundness(words: list[tuple[int, str]]) -> CheckResult:
     return _examples("attained-rule-soundness", outcomes)
 
 
-def _gf2_halves(rng: Random, max_n: int) -> tuple[list, list]:
-    """The GF(2) half of each exhaustive check, as _gf2_pass's (per_code, per_orbit).
-    The congruence half checks three grids E drawn for each order 2..max_n, and
-    E (P B P^T) E^T = (E P) B (E P)^T, so it runs over every code; every other
-    half judges each matrix of an S_n orbit alike."""
+def _halves(rng: Random, max_n: int) -> tuple[list, list]:
+    """The halves of the exhaustive checks, as _matrix_pass's (per_code, per_orbit).
+    The GF(2) congruence half checks three grids E drawn for each order
+    2..max_n, and E (P B P^T) E^T = (E P) B (E P)^T, so it runs over every
+    code; every other half judges each matrix of an S_n orbit alike, and
+    reads its field off the batch."""
     orders = [n for n in range(2, max_n + 1) for _ in range(3)]
     grids = list(zip(orders, _invertible_codes(rng, orders, GF2)))
     per_orbit = [_inverse_gf2, _inheritance_gf2, _schur_gf2, _hyperdet_gf2, _terminal_an_gf2, _append_gf2]
@@ -606,22 +540,13 @@ def run_checks(max_n: int, seed: int, gf4_cases: int) -> list[CheckResult]:
     """The sixteen checks of eprseq.verify.theorem_suite, in report order."""
     words = _catalog_words(min(max_n + 1, 6))
     rng = Random(seed)
-    # The seeded draws come in this order, which the golden check-theorems
-    # outputs pin, all before the GF(2) pass.
-    gf4 = {
-        "schur-complement-identity": _schur_gf4(rng, gf4_cases),
-        "hyperdeterminantal-relation": _hyperdet_gf4(rng, gf4_cases),
-        "append-transforms": _append_gf4(rng, gf4_cases),
-    }
-    halves = _gf2_halves(rng, max_n)
-    gf4["congruence-pr-invariance"] = _congruence_gf4(rng, gf4_cases)
-    gf2 = _gf2_pass(max_n, *halves)
+    # the GF(2) grids E come first off the seed, so gf4_cases moves none of them
+    halves = _halves(rng, max_n)
+    found = _matrix_pass(max_n, *halves, _gf4_draws(rng, gf4_cases))
 
     def matrix_check(name: str) -> CheckResult:
         """GF(2) cases and failures first, then the GF(4) ones."""
-        cases, failures = gf2.get(name, (0, []))
-        more, later = gf4.get(name, (0, []))
-        return CheckResult(name, cases + more, (failures + later)[:_MAX_FAILURES_KEPT])
+        return CheckResult(name, *found.get(name, (0, [])))
 
     return [
         _check_nn(words),

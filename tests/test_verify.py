@@ -730,9 +730,10 @@ def _traced_peak(fn, *args, **kwargs) -> int:
 
 def test_theorem_suite_peak_memory():
     """The default suite holds one bit-sliced batch at a time (one order's orbit
-    reps, up to 2^15 of its codes, or one group of drawn GF(4) cases) with the
-    images of its code maps: 1.3 MiB at most, the cached orbit reps and word
-    catalogs of a fresh process included, 0.7 MiB once they are cached."""
+    reps, up to 2^15 of its codes, or one order's drawn GF(4) matrices) with
+    the images of its code maps, beside the codes of every drawn matrix and E:
+    under 1 MiB measured on CPython 3.11, the cached orbit reps and word
+    catalogs of a fresh process included."""
     verify._catalog_raw.cache_clear()  # the suite's word catalogs count too
     assert _traced_peak(theorem_suite) <= 2 * 2**20
 
@@ -779,8 +780,11 @@ def test_theorem_suite_reproducible():
 def test_gf2_halves_count_the_same_cases_for_every_seed():
     """The seed reaches the GF(2) halves only through the drawn congruence
     grids, and every grid checks every code once, so without GF(4) cases the
-    report is the same for any seed; a golden can move only where a GF(4) half
-    skips a draw (the Schur half, on a matrix with no nonzero proper pivot)."""
+    report is the same for any seed.  The drawn GF(4) matrices, by contrast,
+    move the counts of every check whose cases depend on the matrix: inverse
+    reversal (nonsingular ones), Schur (nonzero pivots), terminal AN (a
+    terminal AN) and the orders drawn; only append (two per matrix) and
+    congruence (one) count gf4_cases alone."""
     first, *rest = (theorem_suite(max_n=4, gf4_cases=0, seed=seed) for seed in (0, 3, 1729))
     assert all(report.checks == first.checks for report in rest)
     assert all(check.ok for check in first.checks)
@@ -805,22 +809,28 @@ def test_suite_report_lists_each_failure_after_the_counts():
 
 def test_per_orbit_halves_hold_over_gf4_and_gf8():
     """The six per-orbit halves read the field off the batch, so they run over
-    GF(2^k) unchanged: none fails over every GF(4) matrix of order <= 3 and
-    every GF(8) matrix of order <= 2.  This covers only those orders, one batch
-    of every code per order."""
-    per_orbit = suite._gf2_halves(random.Random(0), 2)[1]
-    for spec, max_n in ((GF4, 3), (GF8, 2)):
+    GF(2^k) unchanged: none fails over every GF(4) matrix of order <= 4 (the
+    4^10 of order 4 in runs of 2^15 codes) and every GF(8) matrix of order <= 2.
+    So inverse reversal, inheritance and terminal AN, which the suite checks
+    over GF(4) only on draws, hold on every GF(4) matrix of these orders."""
+    per_orbit = suite._halves(random.Random(0), 2)[1]
+    run = 1 << 15
+    for spec, max_n in ((GF4, 4), (GF8, 2)):
         names = set()
         for n in range(1, max_n + 1):
-            b = suite._code_batch(range(spec.order ** sw.tri(n)), n, spec)
-            for half in per_orbit:
-                for name, cols, _, bad, suffix in half(b):
-                    names.add(name)
-                    assert cols and not bad & cols, (spec.name, n, name, suffix)
+            total = spec.order ** sw.tri(n)
+            for start in range(0, total, run):
+                b = suite._code_batch(range(start, min(start + run, total)), n, spec)
+                for half in per_orbit:
+                    for name, cols, _, bad, suffix in half(b):
+                        if cols:  # a run may hold no nonsingular pivot block
+                            names.add(name)
+                        assert not bad & cols, (spec.name, n, start, name, suffix)
         assert len(names) == {GF4: 7, GF8: 6}[spec], names  # no hyperdeterminantal case below order 3
 
 
-# -- fault injection: each batched GF(4) path reports a wrong component ------------
+# -- fault injection: the shared pass reports a wrong component, over every GF(2) --
+# -- code and over seeded GF(4) draws, and SymMatrix or Laplace confirms each label --
 
 def _flip_planes(grid, ones):
     """A grid of entry planes with every entry plus 1 (bit 0 flipped)."""
@@ -837,66 +847,24 @@ def _flip_schur(monkeypatch):
     monkeypatch.setattr(suite, "_schur", flipped)
 
 
-def _parse(failure, pattern):
-    """The literal fields of a failure string that fully matches pattern."""
-    match = re.fullmatch(pattern, failure)
-    assert match, failure
-    return [ast.literal_eval(group) for group in match.groups()]
+def _flip_inverse(monkeypatch):
+    """Make suite._inverse add 1 to every entry of each inverse it returns."""
+    orig = suite._inverse
+
+    def flipped(ent, ones, spec):
+        return _flip_planes(orig(ent, ones, spec), ones)
+
+    monkeypatch.setattr(suite, "_inverse", flipped)
 
 
-def _det(m, labels):
-    return m.principal_submatrix(labels).determinant()
-
-
-def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
-    _flip_schur(monkeypatch)
-    result = verify.CheckResult("schur", *suite._schur_gf4(random.Random(3), 100))
-    assert 0 < len(result.failures) <= 20 and result.cases > 0
-    for failure in result.failures:
-        rows, alpha, gamma = _parse(
-            failure, r"gf4 schur SymMatrix\(gf4, (\[.*\])\) alpha=(\(.*\)) gamma=(\(.*\))"
-        )
-        b = SymMatrix(GF4, rows)
-        c = SymMatrix(GF4, [[x ^ 1 for x in row] for row in b.schur_complement(alpha).rows])
-        labels = [i for i in range(1, b.n + 1) if i not in alpha]
-        union = sorted(alpha + tuple(labels[g - 1] for g in gamma))
-        left = GF4.mul(_det(c, gamma), _det(b, alpha))
-        assert left != _det(b, union) or c.rank() != b.rank() - len(alpha)
-
-
-def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
-    # B = I_3, alpha = {1}: the true complement is I_2.  The fake one keeps the drawn
-    # minor (gamma = {1}: det C[gamma] det B[alpha] = 1 = det B[{1, 2}]) but has rank 1.
-    b = suite._batch(_planes(np.eye(3, dtype=np.uint8)[:, :, None], GF4), 1, GF4)
-    for c, wrong in ((np.eye(2, dtype=np.uint8), False), (np.diag([1, 0]).astype(np.uint8), True)):
-        c = suite._batch(_planes(c[:, :, None], GF4), 1, GF4)
-        assert suite._schur_bad(b, (0,), c, [(1, 1)]) & 1 == wrong  # gamma: row 1 for matrix 0
-
-
-def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
+def _flip_minor_table(monkeypatch):
+    """Make suite._minor_table add 1 to every minor it returns."""
     orig = suite._minor_table
 
-    def flipped(grid, ones, spec):  # every minor plus 1
+    def flipped(grid, ones, spec):
         return [[det[0] ^ ones, *det[1:]] for det in orig(grid, ones, spec)]
 
     monkeypatch.setattr(suite, "_minor_table", flipped)
-    result = verify.CheckResult("hyperdet", *suite._hyperdet_gf4(random.Random(4), 100))
-    assert 0 < len(result.failures) <= 20 and result.cases == 100
-    for failure in result.failures:
-        rows, tau, base = _parse(
-            failure, r"gf4 hyperdet SymMatrix\(gf4, (\[.*\])\) tau=(\(.*\)) I=(\(.*\))"
-        )
-        b = SymMatrix(GF4, rows)
-
-        def sq(extra):  # the squared minor the faulty table gives
-            d = _det(b, [x + 1 for x in sorted(base + extra)]) ^ 1
-            return GF4.mul(d, d)
-
-        i, j, k = tau
-        total = 0
-        for x, y in (((), (i, j, k)), ((i,), (j, k)), ((j,), (i, k)), ((k,), (i, j))):
-            total ^= GF4.mul(sq(x), sq(y))
-        assert total != 0
 
 
 def _copy_index_0(monkeypatch):
@@ -909,92 +877,196 @@ def _copy_index_0(monkeypatch):
     monkeypatch.setattr(suite, "_gather", copy_index_0)
 
 
-def _assert_copy_breaks_append_zero(b):
-    idx = [i % b.n for i in range(b.n + 1)]
-    faulty = SymMatrix(b.spec, [[b.rows[i][j] for j in idx] for i in idx])
-    damp = "".join("N" if ch == "N" else "S" for ch in compute_epr(b))
-    assert compute_epr(faulty) != damp + "N" and compute_epr(b.append_zero()) == damp + "N"
-
-
-def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
-    _copy_index_0(monkeypatch)
-    result = verify.CheckResult("append", *suite._append_gf4(random.Random(5), 100))
-    assert 0 < len(result.failures) <= 20 and result.cases == 200
-    for failure in result.failures:
-        (rows,) = _parse(failure, r"gf4 append-zero SymMatrix\(gf4, (\[.*\])\)")
-        _assert_copy_breaks_append_zero(SymMatrix(GF4, rows))
-
-
 def _zero_congruence(monkeypatch):
     """Make suite._congruence return the zero matrix for every congruence."""
     monkeypatch.setattr(suite, "_congruence", lambda ent, e, spec: [[[0] * spec.degree for _ in ent] for _ in ent])
 
 
-def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
-    _zero_congruence(monkeypatch)
-    result = verify.CheckResult("congruence", *suite._congruence_gf4(random.Random(6), 100))
-    assert 0 < len(result.failures) <= 20 and result.cases == 100
-    for failure in result.failures:
-        rows, e = _parse(failure, r"gf4 congruence SymMatrix\(gf4, (\[.*\])\) E=(\[.*\])")
-        assert "1" in compute_pr(SymMatrix(GF4, rows)).bits  # the zero matrix's pr word differs
-        assert laplace_det(e, GF4) != 0
+def _clear_nothing(monkeypatch):
+    """Make the clearing step of suite._reduce_rows leave every row as it is."""
+    monkeypatch.setattr(suite, "_clear", lambda *args: None)
 
 
-# -- fault injection: the exhaustive GF(2) Schur loop reports a wrong complement -----
-
-def _gf2_check(max_n, name, halves):
-    """The check name as the every-code GF(2) pass over orders 1..max_n gives it, running halves."""
-    return verify.CheckResult(name, *suite._gf2_pass(max_n, halves)[name])
-
-
-def _every_half(seed, max_n):
-    """Every GF(2) half of the suite, its congruence grids drawn from seed."""
-    per_code, per_orbit = suite._gf2_halves(random.Random(seed), max_n)
-    return per_code + per_orbit
+def _parse(failure, pattern):
+    """The literal fields of a failure string that fully matches pattern."""
+    match = re.fullmatch(pattern, failure)
+    assert match, failure
+    return [ast.literal_eval(group) for group in match.groups()]
 
 
-def _gf2_schur_failures(complement):
-    """Run the GF(2) half of the Schur check up to order 4 and check that each
-    reported code, with complement(B, alpha) as its faulty C = B / B[alpha],
-    breaks the identity under SymMatrix elimination."""
-    result = _gf2_check(4, "schur-complement-identity", [suite._schur_gf2])
-    assert 0 < len(result.failures) <= 20
-    for failure in result.failures:
-        n, code, alpha = _parse(failure, r"order (\d+) code (\d+) alpha=(\(.*\))")
-        b = sw.code_matrix(code, n)
-        alpha = tuple(a + 1 for a in alpha)
-        c = complement(b, alpha)
-        labels = [i for i in range(1, n + 1) if i not in alpha]
-        broken = c.rank() != b.rank() - len(alpha)
-        for size in range(c.n + 1):
-            for gamma in combinations(range(1, c.n + 1), size):
-                union = sorted(alpha + tuple(labels[g - 1] for g in gamma))
-                broken |= GF2.mul(_det(c, gamma), _det(b, alpha)) != _det(b, union)
-        assert broken, failure
+def _det(m, labels):
+    return m.principal_submatrix(labels).determinant()
 
 
 def _flip(rows):
     return [[x ^ 1 for x in row] for row in rows]
 
 
+def _gf2_check(max_n, name, halves):
+    """The check name as the shared pass gives it running halves on every GF(2) code of order 1..max_n."""
+    return verify.CheckResult(name, *suite._matrix_pass(max_n, halves)[name])
+
+
+def _gf4_check(name, halves, seed=3):
+    """The check name as the shared pass gives it over 100 GF(4) matrices drawn
+    from seed, running halves and congruence by each matrix's own E."""
+    drawn = suite._gf4_draws(random.Random(seed), 100)
+    return verify.CheckResult(name, *suite._matrix_pass(0, (), halves, drawn)[name])
+
+
+def _every_half(seed, max_n):
+    """Every half of the suite, its GF(2) congruence grids drawn from seed."""
+    per_code, per_orbit = suite._halves(random.Random(seed), max_n)
+    return per_code + per_orbit
+
+
+_FIELDS = {"gf2": GF2, "gf4": GF4}
+
+
+def _failures(result, suffix=""):
+    """(matrix, parsed suffix fields) of each "<field> order n code c<suffix>" failure."""
+    assert 0 < len(result.failures) <= 20
+    for failure in result.failures:
+        field, label = failure.split(" ", 1)
+        n, code, *rest = _parse(label, r"order (\d+) code (\d+)" + suffix)
+        yield sw.code_matrix(code, n, _FIELDS[field]), rest
+
+
+def _schur_failures(result, complement):
+    """Check that each matrix the Schur identity check reports, with
+    complement(B, alpha) as its faulty C = B / B[alpha], breaks the identity
+    under SymMatrix elimination."""
+    for b, (alpha,) in _failures(result, r" alpha=(\(.*\))"):
+        alpha = tuple(a + 1 for a in alpha)
+        c = complement(b, alpha)
+        labels = [i for i in range(1, b.n + 1) if i not in alpha]
+        broken = c.rank() != b.rank() - len(alpha)
+        for size in range(c.n + 1):
+            for gamma in combinations(range(1, c.n + 1), size):
+                union = sorted(alpha + tuple(labels[g - 1] for g in gamma))
+                broken |= b.spec.mul(_det(c, gamma), _det(b, alpha)) != _det(b, union)
+        assert broken, (b, alpha)
+
+
+def _flipped_complement(b, alpha):
+    return SymMatrix(b.spec, _flip(b.schur_complement(alpha).rows))
+
+
 def test_gf2_schur_loop_reports_a_wrong_complement(monkeypatch):
     _flip_schur(monkeypatch)
-    _gf2_schur_failures(lambda b, alpha: SymMatrix(GF2, _flip(b.schur_complement(alpha).rows)))
+    _schur_failures(_gf2_check(4, "schur-complement-identity", [suite._schur_gf2]), _flipped_complement)
 
 
-def _flip_inverse(monkeypatch):
-    """Make suite._inverse flip every entry of each inverse it returns."""
-    orig = suite._inverse
-
-    def flipped(ent, ones, spec):
-        return _flip_planes(orig(ent, ones, spec), ones)
-
-    monkeypatch.setattr(suite, "_inverse", flipped)
+def test_gf4_schur_batch_reports_a_wrong_complement(monkeypatch):
+    _flip_schur(monkeypatch)
+    _schur_failures(_gf4_check("schur-complement-identity", [suite._schur_gf2]), _flipped_complement)
 
 
-def _clear_nothing(monkeypatch):
-    """Make the clearing step of suite._reduce_rows leave every row as it is."""
-    monkeypatch.setattr(suite, "_clear", lambda *args: None)
+def test_gf4_schur_check_reports_a_complement_of_the_wrong_rank():
+    """Every gamma is checked, so a C with a wrong minor already breaks the
+    identity.  The fake C is the true complement with its rank masks rotated:
+    each matrix's minors right, its rank read one higher (the full rank as 0),
+    so only the rank clause can report it.  Every GF(4) matrix of order 3,
+    every proper pivot set."""
+    b = suite._code_batch(range(4 ** sw.tri(3)), 3, GF4)
+    for _, row in suite._subsets(3)[1:-1]:
+        alpha = tuple(i for i in range(3) if row >> i & 1)
+        c = suite._batch(suite._schur(b.ent, alpha, b.ones, GF4), b.ones, GF4)
+        fake = c._replace(rank=[c.rank[-1], *c.rank[:-1]])
+        pivots = b.nonzero[row]  # where B[alpha] is nonsingular
+        assert pivots and suite._schur_bad(b, alpha, c) & pivots == 0, alpha
+        assert suite._schur_bad(b, alpha, fake) & pivots == pivots, alpha
+
+
+def _inverse_failures(result):
+    """Check that SymMatrix confirms each reported matrix's flipped inverse breaks the reversal."""
+    for b, _ in _failures(result):
+        want = compute_epr(b)[-2::-1] + "A"  # letters n-1..1 of B, then A
+        assert compute_epr(b.inverse()) == want
+        assert compute_epr(SymMatrix(b.spec, _flip(b.inverse().rows))) != want
+
+
+def test_gf2_inverse_loop_reports_a_wrong_inverse(monkeypatch):
+    _flip_inverse(monkeypatch)
+    _inverse_failures(_gf2_check(3, "inverse-reversal", [suite._inverse_gf2]))
+
+
+def test_gf4_inverse_batch_reports_a_wrong_inverse(monkeypatch):
+    _flip_inverse(monkeypatch)
+    _inverse_failures(_gf4_check("inverse-reversal", [suite._inverse_gf2]))
+
+
+def _hyperdet_failures(result):
+    """Check that each reported (matrix, tau, I) breaks the squared relation with
+    every minor plus 1, its minors from SymMatrix."""
+    for b, (tau, base) in _failures(result, r" tau=(\(.*\)) I=(\(.*\))"):
+
+        def sq(extra):  # the squared minor the faulty table gives
+            d = _det(b, [x + 1 for x in sorted(base + extra)]) ^ 1
+            return b.spec.mul(d, d)
+
+        i, j, k = tau
+        total = 0
+        for x, y in (((), (i, j, k)), ((i,), (j, k)), ((j,), (i, k)), ((k,), (i, j))):
+            total ^= b.spec.mul(sq(x), sq(y))
+        assert total != 0, (b, tau, base)
+
+
+def test_gf2_hyperdet_loop_reports_a_wrong_minor_table(monkeypatch):
+    _flip_minor_table(monkeypatch)
+    _hyperdet_failures(_gf2_check(4, "hyperdeterminantal-relation", [suite._hyperdet_gf2]))
+
+
+def test_gf4_hyperdet_batch_reports_a_wrong_minor_table(monkeypatch):
+    _flip_minor_table(monkeypatch)
+    _hyperdet_failures(_gf4_check("hyperdeterminantal-relation", [suite._hyperdet_gf2], seed=4))
+
+
+def _append_failures(result):
+    """Check that each reported matrix breaks the append-zero rule with a copy of index 0 appended."""
+    for b, _ in _failures(result):
+        idx = [i % b.n for i in range(b.n + 1)]
+        faulty = SymMatrix(b.spec, [[b.rows[i][j] for j in idx] for i in idx])
+        damp = "".join("N" if ch == "N" else "S" for ch in compute_epr(b))
+        assert compute_epr(faulty) != damp + "N" and compute_epr(b.append_zero()) == damp + "N"
+
+
+def test_gf2_append_loop_reports_a_wrong_appended_index(monkeypatch):
+    _copy_index_0(monkeypatch)
+    result = _gf2_check(3, "append-transforms", [suite._append_gf2])
+    assert result.cases == 2 * (2 + 8 + 64)
+    _append_failures(result)
+
+
+def test_gf4_append_batch_reports_a_wrong_appended_index(monkeypatch):
+    _copy_index_0(monkeypatch)
+    result = _gf4_check("append-transforms", [suite._append_gf2], seed=5)
+    assert result.cases == 200
+    _append_failures(result)
+
+
+def _congruence_failures(result):
+    """Check that each reported (matrix, E) has E invertible and E B E^T of B's pr
+    word, by the oracle's products, while the zero matrix's differs."""
+    for b, (e,) in _failures(result, r" E=(\[.*\])"):
+        congruent = matmul(matmul(e, b.rows, b.spec), [list(col) for col in zip(*e)], b.spec)
+        assert laplace_det(e, b.spec) != 0
+        assert compute_pr(SymMatrix(b.spec, congruent)).bits == compute_pr(b).bits
+        assert "1" in compute_pr(b).bits
+
+
+def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
+    _zero_congruence(monkeypatch)
+    result = _gf2_check(3, "congruence-pr-invariance", _every_half(6, 3))
+    assert result.cases == 3 * (8 + 64)
+    _congruence_failures(result)
+
+
+def test_gf4_congruence_batch_reports_a_wrong_congruence(monkeypatch):
+    _zero_congruence(monkeypatch)
+    result = _gf4_check("congruence-pr-invariance", [], seed=6)
+    assert result.cases == 100
+    _congruence_failures(result)
 
 
 def test_gf2_loops_report_an_elimination_that_clears_nothing(monkeypatch):
@@ -1004,7 +1076,7 @@ def test_gf2_loops_report_an_elimination_that_clears_nothing(monkeypatch):
     that submatrix as C (the identity fails) and B's true complement (the letters
     it keeps)."""
     _clear_nothing(monkeypatch)
-    for b, _ in _gf2_failures(_gf2_check(3, "inverse-reversal", [suite._inverse_gf2])):
+    for b, _ in _failures(_gf2_check(3, "inverse-reversal", [suite._inverse_gf2])):
         want = compute_epr(b)[-2::-1] + "A"  # letters n-1..1 of B, then A
         zero = SymMatrix(GF2, [[0] * b.n] * b.n)  # the inverse the faulty elimination gives
         assert compute_epr(b.inverse()) == want != compute_epr(zero)
@@ -1012,9 +1084,9 @@ def test_gf2_loops_report_an_elimination_that_clears_nothing(monkeypatch):
     def off_alpha(b, alpha):
         return b.principal_submatrix(complement_labels(b.n, alpha))
 
-    _gf2_schur_failures(off_alpha)
+    _schur_failures(_gf2_check(4, "schur-complement-identity", [suite._schur_gf2]), off_alpha)
     letters = _gf2_check(4, "schur-complement-letters", [suite._schur_gf2])
-    for b, (alpha,) in _gf2_failures(letters, r" alpha=(\(.*\))"):
+    for b, (alpha,) in _failures(letters, r" alpha=(\(.*\))"):
         alpha, word = tuple(a + 1 for a in alpha), compute_epr(b)
         kept = [x for x in word[len(alpha) :] if x in "AN"]
 
@@ -1024,50 +1096,13 @@ def test_gf2_loops_report_an_elimination_that_clears_nothing(monkeypatch):
         assert kept_by(b.schur_complement(alpha)) == kept != kept_by(off_alpha(b, alpha))
 
 
-# -- fault injection: the exhaustive GF(2) halves that read B's letters off each batch --
-
-def _gf2_failures(result, suffix=""):
-    """(matrix, parsed suffix fields) of each "order n code c<suffix>" failure."""
-    assert 0 < len(result.failures) <= 20
-    for failure in result.failures:
-        n, code, *rest = _parse(failure, r"order (\d+) code (\d+)" + suffix)
-        yield sw.code_matrix(code, n), rest
-
-
-def test_gf2_inverse_loop_reports_a_wrong_inverse(monkeypatch):
-    _flip_inverse(monkeypatch)
-    for b, _ in _gf2_failures(_gf2_check(3, "inverse-reversal", [suite._inverse_gf2])):
-        want = compute_epr(b)[-2::-1] + "A"  # letters n-1..1 of B, then A
-        assert compute_epr(b.inverse()) == want
-        assert compute_epr(SymMatrix(GF2, _flip(b.inverse().rows))) != want
-
-
-def test_gf2_append_loop_reports_a_wrong_appended_index(monkeypatch):
-    _copy_index_0(monkeypatch)
-    result = _gf2_check(3, "append-transforms", [suite._append_gf2])
-    assert result.cases == 2 * (2 + 8 + 64)
-    for b, _ in _gf2_failures(result):
-        _assert_copy_breaks_append_zero(b)
-
-
-def test_gf2_congruence_loop_reports_a_wrong_congruence(monkeypatch):
-    _zero_congruence(monkeypatch)
-    result = _gf2_check(3, "congruence-pr-invariance", _every_half(6, 3))
-    assert result.cases == 3 * (8 + 64)
-    for b, (e,) in _gf2_failures(result, r" E=(\[.*\])"):
-        congruent = matmul(matmul(e, b.rows, GF2), [list(col) for col in zip(*e)], GF2)
-        assert laplace_det(e, GF2) != 0
-        assert compute_pr(SymMatrix(GF2, congruent)).bits == compute_pr(b).bits
-        assert "1" in compute_pr(b).bits  # the zero matrix's pr word differs
-
-
 # -- the exhaustive GF(2) pass -----------------------------------------------------
 
 def _gf2_pass_results(monkeypatch, chunk):
     """{check name: (cases, sorted failures)} of the GF(2) pass up to order 4 in
     batches of chunk codes."""
     monkeypatch.setattr(suite, "_RUN_CODES", chunk)
-    found = suite._gf2_pass(4, _every_half(1, 4))
+    found = suite._matrix_pass(4, _every_half(1, 4))
     return {name: (cases, sorted(failures)) for name, (cases, failures) in found.items()}
 
 
@@ -1105,7 +1140,7 @@ def test_gf2_pass_at_order_6():
     orders (about 3 s); theorem_suite itself still refuses max_n = 6."""
     with pytest.raises(ValueError):
         theorem_suite(max_n=6)
-    found = suite._gf2_pass(6, _every_half(verify.DEFAULT_SEED, 6))
+    found = suite._matrix_pass(6, _every_half(verify.DEFAULT_SEED, 6))
     assert found == {name: [cases, []] for name, cases in _ORDER_6_CASES.items()}
 
 
@@ -1113,8 +1148,8 @@ def test_gf2_pass_at_order_6():
 def test_orbit_gf2_pass_at_order_6():
     """The suite's own route to order 6: six halves over the 5096 order-6 orbit
     reps, weighted by orbit size, and congruence over every code."""
-    halves = suite._gf2_halves(random.Random(verify.DEFAULT_SEED), 6)
-    found = suite._gf2_pass(6, *halves)
+    halves = suite._halves(random.Random(verify.DEFAULT_SEED), 6)
+    found = suite._matrix_pass(6, *halves)
     assert found == {name: [cases, []] for name, cases in _ORDER_6_CASES.items()}
 
 
@@ -1129,7 +1164,7 @@ def _failing_orbits(found):
     """{check name: (cases, {(order, least code of the orbit)} of its failures)}."""
     out = {}
     for name, (cases, failures) in found.items():
-        codes = {tuple(_parse(f, r"order (\d+) code (\d+).*")) for f in failures}
+        codes = {tuple(_parse(f, r"gf2 order (\d+) code (\d+).*")) for f in failures}
         out[name] = cases, {(n, _least_in_orbit(n, code)) for n, code in codes}
     return out
 
@@ -1160,9 +1195,9 @@ def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
     if fault:
         fault(monkeypatch)
         monkeypatch.setattr(suite, "_MAX_FAILURES_KEPT", 10**9)
-    per_code, per_orbit = suite._gf2_halves(random.Random(2), 4)
-    every = _failing_orbits(suite._gf2_pass(4, per_code + per_orbit))
-    orbit = suite._gf2_pass(4, per_code, per_orbit)
+    per_code, per_orbit = suite._halves(random.Random(2), 4)
+    every = _failing_orbits(suite._matrix_pass(4, per_code + per_orbit))
+    orbit = suite._matrix_pass(4, per_code, per_orbit)
     assert len(orbit) == 8
     assert _failing_orbits(orbit) == every
     failing = {name for name, (_, bad) in every.items() if bad}
@@ -1182,5 +1217,5 @@ def test_orbit_pass_matches_every_code_pass(monkeypatch, fault):
     }[fault]
     # each failing code of a per-orbit half is itself its orbit's least code
     for name in failing - {"congruence-pr-invariance"}:
-        reps = {tuple(_parse(f, r"order (\d+) code (\d+).*")) for f in orbit[name][1]}
+        reps = {tuple(_parse(f, r"gf2 order (\d+) code (\d+).*")) for f in orbit[name][1]}
         assert reps == every[name][1], name
